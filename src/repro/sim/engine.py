@@ -312,7 +312,8 @@ class SimProfile:
     ``perf_counter`` calls per measured section).
     """
 
-    __slots__ = ("fill_s", "fills", "fill_rounds", "advance_s",
+    __slots__ = ("fill_s", "fills", "fill_rounds", "fill_flows",
+                 "wide_fills", "advance_s",
                  "schedule_s", "rebuilds", "heap_s", "calendar_s",
                  "dispatched")
 
@@ -322,6 +323,11 @@ class SimProfile:
         self.fill_s = 0.0
         self.fills = 0
         self.fill_rounds = 0
+        #: Flows the fills re-rated (each fill covers only the
+        #: component its change can reach), and the fills whose
+        #: component was too wide for the reference solver.
+        self.fill_flows = 0
+        self.wide_fills = 0
         #: Seconds advancing flow progress (the vectorized sweep).
         self.advance_s = 0.0
         #: Seconds staging + rebuilding the completion calendar.
@@ -339,6 +345,8 @@ class SimProfile:
             "fill_s": self.fill_s,
             "fills": self.fills,
             "fill_rounds": self.fill_rounds,
+            "fill_flows": self.fill_flows,
+            "wide_fills": self.wide_fills,
             "advance_s": self.advance_s,
             "schedule_s": self.schedule_s,
             "rebuilds": self.rebuilds,

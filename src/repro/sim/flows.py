@@ -21,9 +21,11 @@ thousands of flow arrivals (see :mod:`repro.sim.solver`):
 * per-flow hot state (remaining bytes, rate, cap, completion token)
   lives in the parallel NumPy arrays of a :class:`~repro.sim.solver.FlowTable`;
   the :class:`Flow` objects expose it through properties;
-* the max-min fill runs vectorized over those arrays
-  (:func:`~repro.sim.solver.water_fill_arrays`), bit-identical to the
-  retained dict reference;
+* a reallocation refills only the flows its change can reach (see
+  *Component-scoped refill* below), with the dict reference solver for
+  small components and the vectorized one
+  (:func:`~repro.sim.solver.water_fill_arrays`, bit-identical to the
+  reference) for wide ones;
 * progress sweeps advance every flow with one vectorized subtraction —
   all active flows share a single last-advanced timestamp;
 * completions live in the engine's :class:`~repro.sim.engine.ArrayCalendar`:
@@ -35,9 +37,40 @@ thousands of flow arrivals (see :mod:`repro.sim.solver`):
 
 A Python-dict membership index (packed ``(id(resource) << 1 | direction
 bit)`` key -> arrival-ordered flow dict) is still maintained: the
-observability recorder, the diagnostics in error paths and the retained
-reference solver all read it, and keeping it costs O(route) per
-transition.
+observability recorder, the diagnostics in error paths, the reference
+solver and the component walk all read it, and keeping it costs
+O(route) per transition.
+
+**Component-scoped refill.**  Max-min fairness splits exactly over the
+connected components of the flow-resource graph: a flow's rate depends
+only on the flows it is linked to through shared resources, and on a
+cluster most changes touch a handful of node-local copies.  So each
+reallocation takes the flows that started, finished or were aborted as
+*seeds*, walks the membership index from their resources to collect
+the component, and refills only that.  Three details keep the result
+bit-identical to filling every flow:
+
+* the walk visits *both* directions of every resource, because the
+  duplex factor makes a key's capacity depend on its partner key's
+  member count even when no flow crosses both;
+* the component is filled with flows in flow-table slot order and keys
+  in key-table slot order — the order a global fill scans them in — so
+  the first-minimum bottleneck choice breaks ties identically.  Every
+  freeze a global fill performs inside a component is then the one the
+  component's own fill performs next: a bottleneck or rate cap chosen
+  elsewhere changes none of this component's shares, and a global
+  capped freeze fixes a component's flows at that cap exactly when the
+  component's own fill would;
+* flows finished by a catch-up sweep are seeds too, including sweeps
+  that no reallocation followed (kept in ``_unsettled`` until the next
+  one), so no neighbour keeps a rate a global fill would have replaced.
+
+Completions are still restaged for *every* active flow, with fresh
+tokens and event ids, exactly as after a global fill.  A scoped restage
+would recompute untouched flows' completion times from a later
+``now`` — the same instant in exact arithmetic but not always in
+floating point — and reorder event ids, so it would drift from the
+global schedule by ulps.
 
 A :class:`~repro.sim.engine.SimulationError` raised mid-fill (zero
 effective capacity) leaves the network's indices consistent but its
@@ -48,6 +81,7 @@ should not keep simulating the affected flows.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,11 +97,13 @@ Hop = Tuple[Resource, Direction]
 #: Relative tolerance when deciding a flow has finished.
 _EPSILON_BYTES = 1e-6
 
-#: Active-flow count at or below which a reallocation dispatches to the
-#: dict-walking reference solver instead of the vectorized one.  Each
-#: fill round costs the vectorized solver a flat ~40-60us of NumPy
-#: dispatch but the reference only ~2us per flow, so small fills are
-#: faster in plain Python; both produce bit-identical rates (pinned by
+#: Component size at or below which a reallocation fills the component
+#: with the dict-walking reference solver; a wider component goes to the
+#: vectorized solver, which fills every active flow (the rates outside
+#: the component come out unchanged).  Each fill round costs the
+#: vectorized solver a flat ~40-60us of NumPy dispatch but the
+#: reference only ~2us per flow, so small fills are faster in plain
+#: Python; both produce bit-identical rates (pinned by
 #: tests/sim/test_solver_properties.py), so the switch is invisible.
 _SMALL_FILL_N = 64
 
@@ -212,6 +248,11 @@ class FlowNetwork:
         #: needs re-reading, so the per-reallocation cost is one flag
         #: test instead of an O(alive keys) Python loop.
         self._faults_dirty = False
+        #: Flows finished by a catch-up sweep that no reallocation
+        #: followed (an abort that found its flow already done).  Their
+        #: neighbours keep stale rates until the next reallocation,
+        #: which must refill their components too.
+        self._unsettled: List[Flow] = []
         #: Allocation statistics (for the ``simcore`` benchmark).
         self.full_reallocations = 0
         self.fast_starts = 0
@@ -262,7 +303,8 @@ class FlowNetwork:
         if disjoint:
             self._allocate_single(flow)
         else:
-            self._reallocate()
+            finished.append(flow)
+            self._reallocate(finished)
         obs = self.obs
         if obs is not None:
             obs.flow_started(self, flow)
@@ -286,7 +328,7 @@ class FlowNetwork:
         pay 63 intermediate fills whose rates are superseded within
         the same instant.  Returns the flows in request order.
         """
-        self._advance_all()
+        finished = self._advance_all()
         flows: List[Flow] = []
         started: List[Flow] = []
         for route, size, rate_cap, label in requests:
@@ -307,7 +349,7 @@ class FlowNetwork:
             started.append(flow)
         if started:
             self.batched_starts += 1
-            self._reallocate()
+            self._reallocate(finished + started)
         obs = self.obs
         if obs is not None:
             for flow in started:
@@ -355,8 +397,11 @@ class FlowNetwork:
         """
         if not flow.active:
             return
-        self._advance_all()
+        finished = self._advance_all()
         if not flow.active:
+            # Nothing is re-rated now, but the next reallocation must
+            # refill whatever the catch-up finishes touched.
+            self._unsettled.extend(finished)
             return
         del self._flows[flow]
         self._remove(flow)
@@ -374,7 +419,8 @@ class FlowNetwork:
             flow.done.fail(exc)
             flow.done.defused = True
         if self._flows:
-            self._reallocate()
+            finished.append(flow)
+            self._reallocate(finished)
         obs = self.obs
         if obs is not None:
             obs.flow_aborted(self, flow)
@@ -391,7 +437,7 @@ class FlowNetwork:
         self._faults_dirty = True
         self._advance_all()
         if self._flows:
-            self._reallocate()
+            self._reallocate(None)
         if self.obs is not None:
             self.obs.rates_changed(self)
 
@@ -569,7 +615,7 @@ class FlowNetwork:
                 if refs.get(id(resource), 0):
                     # A surviving flow shares a resource with a finished
                     # one; its effective capacity changed.
-                    self._reallocate()
+                    self._reallocate(finished)
                     if self.obs is not None:
                         self.obs.rates_changed(self)
                     return
@@ -612,8 +658,56 @@ class FlowNetwork:
         delay = float(ft.remaining[slot]) / rate
         self._cal.push(self.env._now + delay, eid, slot, token)
 
-    def _reallocate(self) -> None:
-        """Recompute max-min fair rates and restage all completions."""
+    def _component(self, seeds: List[Flow]) -> Optional[List[Flow]]:
+        """Active flows a change to ``seeds`` can re-rate, in slot order.
+
+        Walks the membership index from the seeds' resources.  Both
+        directions of every resource are visited: the duplex factor
+        makes a key's capacity depend on its partner's member count, so
+        opposite-direction flows are coupled although they share no key.
+        Seeds may be finished or aborted flows (already out of the
+        index); only their resources matter.  Returns ``None`` as soon
+        as the component outgrows :data:`_SMALL_FILL_N`: a wide
+        component is filled over every flow anyway.
+        """
+        members = self._members
+        live = self._flows
+        # Route-less (rate-capped) flows form their own component.
+        comp: Dict[Flow, None] = {flow: None for flow in seeds
+                                  if not flow.hop_keys and flow in live}
+        seen_rids = set()
+        stack = list(seeds)
+        while stack:
+            flow = stack.pop()
+            for key in flow.hop_keys:
+                rid2 = key & ~1
+                if rid2 in seen_rids:
+                    continue
+                seen_rids.add(rid2)
+                for bucket_key in (rid2, rid2 | 1):
+                    bucket = members.get(bucket_key)
+                    if bucket:
+                        if len(bucket) > _SMALL_FILL_N:
+                            return None
+                        for other in bucket:
+                            if other not in comp:
+                                comp[other] = None
+                                if len(comp) > _SMALL_FILL_N:
+                                    return None
+                                stack.append(other)
+        return sorted(comp, key=attrgetter("_slot"))
+
+    def _reallocate(self, seeds: Optional[List[Flow]]) -> None:
+        """Refill the components ``seeds`` touch; restage all completions.
+
+        ``seeds`` are the flows that started, finished or were aborted
+        since the last fill (``None`` refills every active flow, for
+        capacity changes the membership index cannot see).  Max-min
+        fairness splits exactly over resource-connected components, so
+        flows outside the seeds' components keep their rates; see the
+        module docstring for why the scoped fill is bit-identical to a
+        global one.
+        """
         self.full_reallocations += 1
         ft, kt = self._ft, self._kt
         # Compact sparsely populated tables.  Stale calendar entries may
@@ -635,6 +729,11 @@ class FlowNetwork:
         if self._faults_dirty:
             kt.refresh_faults()
             self._faults_dirty = False
+        unsettled = self._unsettled
+        if unsettled:
+            if seeds is not None:
+                seeds = seeds + unsettled
+            self._unsettled = []
         act = ft.active_slots()
         n = len(act)
         if n == 0:
@@ -643,22 +742,38 @@ class FlowNetwork:
         prof = self.env._profile
         if prof is not None:
             t0 = perf_counter()
-        if n <= _SMALL_FILL_N:
-            by_flow = water_fill_reference(self._flows, self._members,
-                                           self._resources)
-            rates = np.array([by_flow[ft.objs[slot]] for slot in act])
-        else:
+        comp = list(self._flows) if seeds is None else self._component(seeds)
+        wide = comp is None or len(comp) > _SMALL_FILL_N
+        if wide:
+            # The vectorized solver over every flow gives the wide
+            # component's rates and leaves everyone else's unchanged.
+            slots = act
             rates = water_fill_arrays(ft, kt, act, members=self._members,
                                       profile=prof)
+        else:
+            flows, members = self._flows, self._members
+            if len(comp) < n:
+                flows = dict.fromkeys(comp)
+                keys = sorted({key for flow in comp for key in flow.hop_keys},
+                              key=kt.slot_of.__getitem__)
+                members = {key: members[key] for key in keys}
+            by_flow = water_fill_reference(flows, members, self._resources)
+            slots = np.array([flow._slot for flow in comp], dtype=np.int64)
+            rates = np.array([by_flow[flow] for flow in comp])
         if prof is not None:
             prof.fill_s += perf_counter() - t0
             prof.fills += 1
+            prof.fill_flows += len(slots)
+            prof.wide_fills += wide
         bad = rates <= 0.0
         if bad.any():
-            flow = ft.objs[int(act[int(np.argmax(bad))])]
+            flow = ft.objs[int(slots[int(np.argmax(bad))])]
             raise SimulationError(
                 f"flow {flow.label!r} was allocated zero bandwidth")
-        ft.rate[act] = rates
+        ft.rate[slots] = rates
+        # Restage every completion, not only the component's: new
+        # tokens and event ids for all keep completion times and event
+        # order bit-identical to a global fill.
         token0 = self._next_token
         self._next_token = token0 + n
         tokens = np.arange(token0, token0 + n, dtype=np.int64)

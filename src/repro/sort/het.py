@@ -425,17 +425,29 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     Pass ``values`` for key-value records; sorted payloads come back in
     ``result.output_values``.
 
-    ``resilience`` overrides the machine's policy for this run.  On a
-    machine with an installed fault plan, failed or badly straggling
-    GPUs are dropped and the chunk groups re-planned over the
-    survivors (any count works — HET needs no power of two unless
-    ``gpu_merge_groups`` is on); recovery work is reported on the
-    result.
+    ``resilience`` overrides the machine's policy *for this call only*
+    (the machine's own policy is restored on exit, error paths
+    included).  On a machine with an installed fault plan, failed or
+    badly straggling GPUs are dropped and the chunk groups re-planned
+    over the survivors (any count works — HET needs no power of two
+    unless ``gpu_merge_groups`` is on); recovery work is reported on
+    the result.
     """
-    config = config or HetConfig()
-    config.buffers_per_gpu()  # validate the approach early
+    saved_policy = machine.resilience
     if resilience is not None:
         machine.resilience = resilience
+    try:
+        return _het_sort(machine, data, gpu_ids, config, values)
+    finally:
+        machine.resilience = saved_policy
+
+
+def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
+              gpu_ids: Optional[Sequence[int]],
+              config: Optional[HetConfig],
+              values: Optional[np.ndarray]) -> SortResult:
+    config = config or HetConfig()
+    config.buffers_per_gpu()  # validate the approach early
     if isinstance(data, HostBuffer):
         host_in = data
     else:

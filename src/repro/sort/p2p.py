@@ -287,15 +287,27 @@ def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     doubling or tripling the transfer volume depending on the payload
     width — and come back in ``result.output_values``.
 
-    ``resilience`` overrides the machine's policy for this run.  On a
-    machine with an installed fault plan, failed or badly straggling
-    GPUs are dropped and the chunks re-planned over the largest
-    power-of-two prefix of the survivors; recovery work (retries,
-    re-routes, downtime) is reported on the result.
+    ``resilience`` overrides the machine's policy *for this call only*
+    (the machine's own policy is restored on exit, error paths
+    included).  On a machine with an installed fault plan, failed or
+    badly straggling GPUs are dropped and the chunks re-planned over
+    the largest power-of-two prefix of the survivors; recovery work
+    (retries, re-routes, downtime) is reported on the result.
     """
-    config = config or P2PConfig()
+    saved_policy = machine.resilience
     if resilience is not None:
         machine.resilience = resilience
+    try:
+        return _p2p_sort(machine, data, gpu_ids, config, values)
+    finally:
+        machine.resilience = saved_policy
+
+
+def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
+              gpu_ids: Optional[Sequence[int]],
+              config: Optional[P2PConfig],
+              values: Optional[np.ndarray]) -> SortResult:
+    config = config or P2PConfig()
     if isinstance(data, HostBuffer):
         host_in = data
     else:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data import generate
 from repro.errors import SortError
+from repro.faults import FaultPlan, ResiliencePolicy
+from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.sort import P2PConfig, p2p_sort
@@ -177,3 +179,28 @@ class TestGpuOrderEffect:
 
         assert run((0, 1, 2, 3)) == pytest.approx(run((0, 3, 1, 2)),
                                                   rel=1e-6)
+
+
+class TestResilienceOverrideScope:
+    """A per-call policy override never leaks onto the machine: success
+    and error paths both restore it."""
+
+    def test_override_restored_after_success(self, rng):
+        machine = Machine(dgx_a100())
+        original = machine.resilience
+        data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
+        result = p2p_sort(machine, data,
+                          resilience=ResiliencePolicy(max_retries=9))
+        assert np.array_equal(result.output, np.sort(data))
+        assert machine.resilience is original
+
+    def test_override_restored_after_failure(self, rng):
+        machine = Machine(dgx_a100())
+        machine.install_faults(FaultPlan(events=tuple(
+            GpuFail(at=0.0, gpu=g) for g in range(8))))
+        original = machine.resilience
+        data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
+        with pytest.raises(SortError, match="no healthy GPUs"):
+            p2p_sort(machine, data,
+                     resilience=ResiliencePolicy(max_retries=9))
+        assert machine.resilience is original
