@@ -667,34 +667,37 @@ class FlowNetwork:
         opposite-direction flows are coupled although they share no key.
         Seeds may be finished or aborted flows (already out of the
         index); only their resources matter.  Returns ``None`` as soon
-        as the component outgrows :data:`_SMALL_FILL_N`: a wide
-        component is filled over every flow anyway.
+        as the component outgrows :data:`_SMALL_FILL_N` (a wide
+        component is filled over every flow anyway), and stops early
+        once it covers every active flow.
         """
         members = self._members
         live = self._flows
+        n_live = len(live)
         # Route-less (rate-capped) flows form their own component.
         comp: Dict[Flow, None] = {flow: None for flow in seeds
                                   if not flow.hop_keys and flow in live}
         seen_rids = set()
         stack = list(seeds)
         while stack:
-            flow = stack.pop()
-            for key in flow.hop_keys:
+            for key in stack.pop().hop_keys:
                 rid2 = key & ~1
                 if rid2 in seen_rids:
                     continue
                 seen_rids.add(rid2)
-                for bucket_key in (rid2, rid2 | 1):
-                    bucket = members.get(bucket_key)
-                    if bucket:
-                        if len(bucket) > _SMALL_FILL_N:
-                            return None
-                        for other in bucket:
-                            if other not in comp:
-                                comp[other] = None
-                                if len(comp) > _SMALL_FILL_N:
-                                    return None
-                                stack.append(other)
+                for bucket in (members.get(rid2), members.get(rid2 | 1)):
+                    if not bucket:
+                        continue
+                    if len(bucket) > _SMALL_FILL_N:
+                        return None
+                    for other in bucket:
+                        if other not in comp:
+                            comp[other] = None
+                            stack.append(other)
+                    if len(comp) > _SMALL_FILL_N:
+                        return None
+                    if len(comp) == n_live:
+                        return list(live)
         return sorted(comp, key=attrgetter("_slot"))
 
     def _reallocate(self, seeds: Optional[List[Flow]]) -> None:
@@ -757,8 +760,11 @@ class FlowNetwork:
                 keys = sorted({key for flow in comp for key in flow.hop_keys},
                               key=kt.slot_of.__getitem__)
                 members = {key: members[key] for key in keys}
+                slots = np.array([flow._slot for flow in comp],
+                                 dtype=np.int64)
+            else:
+                slots = act
             by_flow = water_fill_reference(flows, members, self._resources)
-            slots = np.array([flow._slot for flow in comp], dtype=np.int64)
             rates = np.array([by_flow[flow] for flow in comp])
         if prof is not None:
             prof.fill_s += perf_counter() - t0
