@@ -15,15 +15,19 @@ Comparisons use plain ``==`` on floats, never ``approx``.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw import make_cluster
+from repro.runtime import Machine
 from repro.sim import flows as flows_module
-from repro.sim.engine import Environment, SimulationError
+from repro.sim.engine import Environment, SimProfile, SimulationError
 from repro.sim.flows import Flow, FlowNetwork
 from repro.sim.resources import Direction, Resource, SharingCurve
 from repro.sim.solver import water_fill_arrays, water_fill_reference
+from repro.sort import hier_sort
 
 FWD, REV = Direction.FWD, Direction.REV
 
@@ -427,13 +431,6 @@ def test_stale_neighbours_refilled_by_the_next_reallocation(env, net):
 
 
 def test_profile_counts_scoped_fills_on_a_cluster_sort(monkeypatch):
-    import numpy as np
-
-    from repro.hw import make_cluster
-    from repro.runtime import Machine
-    from repro.sim.engine import SimProfile
-    from repro.sort import hier_sort
-
     live_at_fill = []
     reallocate = FlowNetwork._reallocate
 
