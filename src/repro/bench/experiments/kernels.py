@@ -18,13 +18,21 @@ the same input:
   allocations.
 * **merge** — the pooled binary-merge-tree multiway merge versus the
   loser tree.
+* **mergepath** — one Merge Path merge of two sorted half-size int32
+  runs (:func:`merge_sorted`, linear run merge per segment); its
+  baseline is the rank merge's wall-clock (two binary searches per
+  element), frozen from the seed tree because that merge now lives in
+  the tests as the oracle, not in the source.
 * **e2e** — a complete 8-GPU P2P sort on the DGX A100 with
   ``fast_functional=False``, i.e. every functional kernel on its hot
   path; its baseline is the seed tree's wall-clock, measured on the
   same host (re-measure when porting to other hardware).
 
-Results are printed as a table and, for the full suite, written to
-``BENCH_kernels.json`` with before/after throughput per kernel.
+Every scenario checks its output outside the timed region (against the
+reference, or ``np.sort`` of the input) and reports the outcome in a
+``check`` column; a failed check aborts the suite.  Results are printed
+as a table and, for the full suite, written to ``BENCH_kernels.json``
+with before/after throughput per kernel.
 """
 
 from __future__ import annotations
@@ -37,14 +45,19 @@ import numpy as np
 
 from repro.bench.report import Table, write_bench_record
 from repro.data import generate
+from repro.errors import ReproError
 from repro.hw import dgx_a100
 from repro.runtime import Machine
 
-#: Wall-clock seconds of the end-to-end scenario on the seed tree
+#: Wall-clock seconds of scenarios whose baseline no longer runs from
+#: the source tree, measured best-of-3 on the host that recorded
+#: ``BENCH_kernels.json``: the end-to-end sort on the seed tree
 #: (per-bucket scatter, element-wise PARADIS, allocation-per-call merge
-#: layer), measured best-of-3 on the reference host.
-SEED_E2E_WALL_S: Dict[str, float] = {
+#: layer), and the Merge Path merge on the tree before the linear run
+#: merge (rank merge per segment).
+SEED_WALL_S: Dict[str, float] = {
     "p2p-8gpu-2m-int32": 1.607,
+    "mergepath-1m": 0.0407,
 }
 
 
@@ -60,6 +73,8 @@ class KernelResult:
     #: Where the baseline comes from: a live run of the retained
     #: reference implementation, or the recorded seed-tree wall-clock.
     ref_source: str = "reference-impl"
+    #: Whether the scenario's output passed its correctness check.
+    check: bool = False
 
     @property
     def keys_per_sec(self) -> float:
@@ -87,6 +102,7 @@ class KernelResult:
             "wall_s": self.wall_s,
             "runs": self.runs,
             "keys_per_sec": self.keys_per_sec,
+            "check": self.check,
         }
         if self.ref_wall_s is not None:
             record["ref_wall_s"] = self.ref_wall_s
@@ -115,14 +131,16 @@ def run_scatter(n: int, repeats: int) -> KernelResult:
 
     rng = np.random.default_rng(42)
     digits = rng.integers(0, 256, size=n).astype(np.int64)
-    assert np.array_equal(stable_counting_permutation(digits, 256),
-                          stable_counting_permutation_reference(digits, 256))
+    check = np.array_equal(
+        stable_counting_permutation(digits, 256),
+        stable_counting_permutation_reference(digits, 256))
     runs = _best_of(lambda: stable_counting_permutation(digits, 256),
                     repeats)
     ref_runs = _best_of(
         lambda: stable_counting_permutation_reference(digits, 256), 1)
     return KernelResult(name=f"scatter-{_size_tag(n)}", keys=n,
-                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0])
+                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0],
+                        check=check)
 
 
 def run_paradis(n: int, repeats: int) -> KernelResult:
@@ -130,11 +148,12 @@ def run_paradis(n: int, repeats: int) -> KernelResult:
     from repro.cpuprims.paradis import paradis_sort, paradis_sort_reference
 
     data = generate(n, "uniform", np.int32, seed=42)
-    assert np.array_equal(paradis_sort(data), paradis_sort_reference(data))
+    check = np.array_equal(paradis_sort(data), paradis_sort_reference(data))
     runs = _best_of(lambda: paradis_sort(data), repeats)
     ref_runs = _best_of(lambda: paradis_sort_reference(data), 1)
     return KernelResult(name=f"paradis-{_size_tag(n)}", keys=n,
-                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0])
+                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0],
+                        check=check)
 
 
 def _lsb_reference(values: np.ndarray) -> np.ndarray:
@@ -160,11 +179,12 @@ def run_lsb(n: int, repeats: int) -> KernelResult:
     from repro.gpuprims.radix_lsb import radix_sort_lsb
 
     data = generate(n, "uniform", np.int32, seed=42)
-    assert np.array_equal(radix_sort_lsb(data), _lsb_reference(data))
+    check = np.array_equal(radix_sort_lsb(data), _lsb_reference(data))
     runs = _best_of(lambda: radix_sort_lsb(data), repeats)
     ref_runs = _best_of(lambda: _lsb_reference(data), 1)
     return KernelResult(name=f"lsb-{_size_tag(n)}", keys=n,
-                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0])
+                        wall_s=runs[0], runs=runs, ref_wall_s=ref_runs[0],
+                        check=check)
 
 
 def run_merge(k: int, run_length: int, repeats: int) -> KernelResult:
@@ -178,13 +198,29 @@ def run_merge(k: int, run_length: int, repeats: int) -> KernelResult:
     runs_data = [np.sort(rng.integers(0, 2**31, size=run_length)
                          .astype(np.int32)) for _ in range(k)]
     total = k * run_length
-    assert np.array_equal(multiway_merge(runs_data),
-                          multiway_merge_losertree(runs_data))
+    check = np.array_equal(multiway_merge(runs_data),
+                           multiway_merge_losertree(runs_data))
     runs = _best_of(lambda: multiway_merge(runs_data), repeats)
     ref_runs = _best_of(lambda: multiway_merge_losertree(runs_data), 1)
     return KernelResult(name=f"merge-{k}x{_size_tag(run_length)}",
                         keys=total, wall_s=runs[0], runs=runs,
-                        ref_wall_s=ref_runs[0])
+                        ref_wall_s=ref_runs[0], check=check)
+
+
+def run_mergepath(n: int, repeats: int) -> KernelResult:
+    """One Merge Path merge of two sorted int32 runs of ``n / 2`` keys."""
+    from repro.gpuprims.merge_path import merge_sorted
+
+    rng = np.random.default_rng(42)
+    a, b = (np.sort(rng.integers(0, 2**31, size=size, dtype=np.int32))
+            for size in (n // 2, n - n // 2))
+    out = np.empty(n, dtype=np.int32)
+    runs = _best_of(lambda: merge_sorted(a, b, out=out), repeats)
+    check = np.array_equal(out, np.sort(np.concatenate([a, b])))
+    name = f"mergepath-{_size_tag(n)}"
+    return KernelResult(name=name, keys=n, wall_s=runs[0], runs=runs,
+                        ref_wall_s=SEED_WALL_S.get(name),
+                        ref_source="seed-tree", check=check)
 
 
 def run_e2e(keys: int, repeats: int) -> KernelResult:
@@ -192,16 +228,19 @@ def run_e2e(keys: int, repeats: int) -> KernelResult:
     from repro.sort import p2p_sort  # deferred: pulls in the sort stack
 
     data = generate(keys, "uniform", np.int32, seed=42)
+    outputs = []
 
     def once() -> None:
         machine = Machine(dgx_a100(), scale=1000.0, fast_functional=False)
-        p2p_sort(machine, data)
+        outputs.append(p2p_sort(machine, data).output)
 
     runs = _best_of(once, repeats)
+    expected = np.sort(data)
+    check = all(np.array_equal(output, expected) for output in outputs)
     name = f"p2p-8gpu-{_size_tag(keys)}-int32"
-    baseline = SEED_E2E_WALL_S.get(name)
     return KernelResult(name=name, keys=keys, wall_s=runs[0], runs=runs,
-                        ref_wall_s=baseline, ref_source="seed-tree")
+                        ref_wall_s=SEED_WALL_S.get(name),
+                        ref_source="seed-tree", check=check)
 
 
 def _size_tag(n: int) -> str:
@@ -233,6 +272,7 @@ def run_kernels(quick: bool = False, repeats: Optional[int] = None,
             lambda: run_paradis(50_000, repeats),
             lambda: run_lsb(200_000, repeats),
             lambda: run_merge(8, 4_000, repeats),
+            lambda: run_mergepath(200_000, repeats),
             lambda: run_e2e(200_000, repeats),
         ]
         if json_path == "BENCH_kernels.json":
@@ -244,14 +284,18 @@ def run_kernels(quick: bool = False, repeats: Optional[int] = None,
             lambda: run_paradis(1_000_000, repeats),
             lambda: run_lsb(1_000_000, repeats),
             lambda: run_merge(16, 16_000, repeats),
+            lambda: run_mergepath(1_000_000, repeats),
             lambda: run_e2e(2_000_000, repeats),
         ]
 
     results = [scenario() for scenario in plan]
+    failed = [result.name for result in results if not result.check]
+    if failed:
+        raise ReproError(f"kernel output checks failed: {', '.join(failed)}")
 
     table = Table(
         ["kernel", "keys", "before [s]", "after [s]", "before keys/s",
-         "after keys/s", "speedup"],
+         "after keys/s", "speedup", "check"],
         title="Functional kernel throughput"
               + (" (quick)" if quick else ""))
     for result in results:
@@ -262,7 +306,8 @@ def run_kernels(quick: bool = False, repeats: Optional[int] = None,
         table.add_row(
             result.name, f"{result.keys:,}", before,
             f"{result.wall_s:.4f}", _rate(result.ref_keys_per_sec),
-            _rate(result.keys_per_sec), speedup)
+            _rate(result.keys_per_sec), speedup,
+            "pass" if result.check else "FAIL")
 
     if json_path:
         record = {
@@ -270,9 +315,9 @@ def run_kernels(quick: bool = False, repeats: Optional[int] = None,
             "seed_note": (
                 "per-kernel baselines are live runs of the retained "
                 "reference implementations (the seed-tree algorithms, "
-                "kept as property-test oracles); the e2e baseline is "
-                "the seed tree's wall-clock measured on the same host, "
-                "best of 3"),
+                "kept as property-test oracles); the e2e and mergepath "
+                "baselines are seed-tree wall-clocks measured on the "
+                "same host, best of 3"),
             "repeats": repeats,
             "scenarios": {r.name: r.to_json() for r in results},
         }

@@ -114,7 +114,7 @@ EXPERIMENTS: List[Experiment] = [
     Experiment("simcore", "Simulator-core throughput (engine + allocator)",
                simcore.run_simcore_entry),
     Experiment("kernels", "Functional kernel layer throughput "
-               "(scatter, PARADIS, merge)",
+               "(scatter, PARADIS, merge, Merge Path)",
                kernels.run_kernels_entry),
     Experiment("resilience", "Sorting under injected faults (fault model)",
                resilience.run_resilience_entry),

@@ -9,7 +9,9 @@ whose GPU incarnations the paper evaluates in Table 2:
   Jacobsen's MSB hybrid radix sort,
 * :func:`repro.gpuprims.merge_path.merge_sorted` /
   :func:`repro.gpuprims.merge_path.merge_sort` — Merge Path based
-  merging (Green et al.) and the MGPU-style merge sort built on it.
+  merging (Green et al.), each segment a linear run merge
+  (:func:`repro.gpuprims.merge_path.merge_runs_in_place`), and the
+  MGPU-style merge sort built on it.
 
 The virtual runtime invokes them through :mod:`repro.gpuprims.registry`
 so the timing model (calibrated rates) stays separate from the
@@ -18,7 +20,7 @@ functional algorithms.
 
 from repro.gpuprims.merge_path import (
     merge_partitions,
-    merge_positions,
+    merge_runs_in_place,
     merge_sort,
     merge_sorted,
     merge_sorted_with_values,
@@ -31,7 +33,7 @@ __all__ = [
     "available_primitives",
     "functional_sort",
     "merge_partitions",
-    "merge_positions",
+    "merge_runs_in_place",
     "merge_sorted_with_values",
     "merge_sort",
     "merge_sorted",

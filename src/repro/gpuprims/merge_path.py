@@ -6,7 +6,17 @@ the ``|A| x |B|`` grid, and that the path's intersections with its
 cross-diagonals split the merge into equally sized, independent
 segments — one per GPU thread block.  :func:`merge_partitions` computes
 these intersections by binary search on the diagonals;
-:func:`merge_sorted` merges the segments (rank-based, vectorized).
+:func:`merge_sorted` then merges each segment sequentially, in linear
+time.  That is the split Merge Path prescribes: binary search only at
+the segment boundaries, and a plain two-finger merge inside each
+segment.  Here the sequential merge (:func:`merge_runs_in_place`) is
+NumPy's stable sort over the two runs laid back to back — timsort
+(radix sort for keys of 16 bits or fewer) finds the two ascending runs
+and merges them once, galloping, so a segment of ``n`` elements costs
+O(n) rather than the O(n log n) of ranking every element by binary
+search.  Stability keeps ties in favour of ``a``, the usual stable-merge
+convention, so keys and payloads come out element-identical to a rank
+merge.
 
 This module provides the functional behaviour of both ``thrust::merge``
 (used for the GPU-local merges of the P2P sort, Section 5.2) and MGPU's
@@ -24,19 +34,26 @@ from repro.errors import SortError
 from repro.runtime.buffer import default_pool
 
 
+def _sorts_before(x, y) -> bool:
+    """``x < y`` in NumPy's sort order, where NaN sorts after numbers."""
+    return bool(x < y or (y != y and x == x))
+
+
 def _diagonal_intersection(a: np.ndarray, b: np.ndarray, diag: int) -> int:
     """Number of elements taken from ``a`` on cross-diagonal ``diag``.
 
     Binary search along the diagonal for the point where the merge path
     crosses it: the largest ``i`` (elements of ``a`` consumed) such that
-    ``a[:i]`` precedes ``b[diag - i:]`` in the merged order.
+    ``a[:i]`` precedes ``b[diag - i:]`` in the merged order.  Keys
+    compare in NumPy's sort order, so NaN tails split where the
+    segment merges expect them.
     """
     lo = max(0, diag - b.size)
     hi = min(diag, a.size)
     while lo < hi:
         mid = (lo + hi) // 2
         # Path goes below-right of (mid, diag-mid) iff a[mid] <= b[diag-mid-1].
-        if a[mid] <= b[diag - mid - 1]:
+        if not _sorts_before(b[diag - mid - 1], a[mid]):
             lo = mid + 1
         else:
             hi = mid
@@ -68,32 +85,19 @@ def merge_partitions(a: np.ndarray, b: np.ndarray,
     return result
 
 
-def merge_positions(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray,
-                                                           np.ndarray]:
-    """Output positions of every ``a`` and ``b`` element in their merge.
+def merge_runs_in_place(values: np.ndarray, split: int) -> np.ndarray:
+    """Merge the sorted runs ``values[:split]`` and ``values[split:]``.
 
-    Element ``a[i]`` lands at ``i +`` (number of ``b`` elements strictly
-    before it); ``b[j]`` at ``j +`` (number of ``a`` elements at or
-    before it).  Ties resolve in favour of ``a`` — the usual stable
-    merge convention.  The positions double as the payload permutation
-    for key-value merging.
+    One stable sort does the merge in place, in linear time: timsort
+    (radix sort for keys of 16 bits or fewer) finds the two ascending
+    runs and gallops through a single merge, with a buffer of at most
+    the shorter run.  Stability keeps ties in favour of the first run.
     """
-    pos_a = np.arange(a.size) + np.searchsorted(b, a, side="left")
-    pos_b = np.arange(b.size) + np.searchsorted(a, b, side="right")
-    return pos_a, pos_b
-
-
-def _rank_merge_into(a: np.ndarray, b: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-    """Vectorized stable merge by output-rank computation, into ``out``.
-
-    ``out`` must not overlap either input — the scatter writes every
-    output position before all input positions have been read.
-    """
-    pos_a, pos_b = merge_positions(a, b)
-    out[pos_a] = a
-    out[pos_b] = b
-    return out
+    if not 0 <= split <= values.size:
+        raise SortError(
+            f"split {split} out of range for {values.size} elements")
+    values.sort(kind="stable")
+    return values
 
 
 def _check_out(out: Optional[np.ndarray], size: int,
@@ -115,22 +119,24 @@ def merge_sorted_with_values(a: np.ndarray, b: np.ndarray,
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Key-value merge: payloads travel with their keys.
 
-    ``out_keys`` / ``out_values`` are optional preallocated
-    destinations (must not overlap the inputs).
+    One stable argsort of the concatenated keys is the merge
+    permutation (linear, as in :func:`merge_sorted`; ties go to ``a``),
+    and both outputs are gathered through it.  ``out_keys`` /
+    ``out_values`` are optional preallocated destinations (must not
+    overlap the inputs).
     """
+    if a.dtype != b.dtype:
+        raise SortError(f"key dtype mismatch: {a.dtype} vs {b.dtype}")
+    if va.dtype != vb.dtype:
+        raise SortError(f"value dtype mismatch: {va.dtype} vs {vb.dtype}")
     if a.size != va.size or b.size != vb.size:
         raise SortError("keys and values must have equal lengths")
     _check_out(out_keys, a.size + b.size, a, b)
     _check_out(out_values, va.size + vb.size, va, vb)
-    keys = (np.empty(a.size + b.size, dtype=a.dtype)
-            if out_keys is None else out_keys)
-    values = (np.empty(va.size + vb.size, dtype=va.dtype)
-              if out_values is None else out_values)
-    pos_a, pos_b = merge_positions(a, b)
-    keys[pos_a] = a
-    keys[pos_b] = b
-    values[pos_a] = va
-    values[pos_b] = vb
+    joined = np.concatenate((a, b))
+    order = np.argsort(joined, kind="stable")
+    keys = np.take(joined, order, out=out_keys)
+    values = np.take(np.concatenate((va, vb)), order, out=out_values)
     return keys, values
 
 
@@ -143,7 +149,7 @@ def merge_sorted(a: np.ndarray, b: np.ndarray, segments: int = 8, *,
     performs, so segment boundaries are covered by tests rather than
     hidden by a monolithic merge.  Pass ``out`` (not overlapping the
     inputs) to merge into a preallocated array; each segment then
-    scatters straight into its output slice with no intermediate.
+    merges straight into its output slice with no intermediate.
     """
     if a.dtype != b.dtype:
         raise SortError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
@@ -158,10 +164,12 @@ def merge_sorted(a: np.ndarray, b: np.ndarray, segments: int = 8, *,
         out = np.empty(a.size + b.size, dtype=a.dtype)
     offset = 0
     for a_lo, a_hi, b_lo, b_hi in merge_partitions(a, b, segments):
-        size = (a_hi - a_lo) + (b_hi - b_lo)
-        _rank_merge_into(a[a_lo:a_hi], b[b_lo:b_hi],
-                         out[offset:offset + size])
-        offset += size
+        split = a_hi - a_lo
+        segment = out[offset:offset + split + (b_hi - b_lo)]
+        segment[:split] = a[a_lo:a_hi]
+        segment[split:] = b[b_lo:b_hi]
+        merge_runs_in_place(segment, split)
+        offset += segment.size
     return out
 
 
@@ -174,10 +182,12 @@ def merge_sort(values: np.ndarray, base: int = 32, *,
     borrowed from the pool — two fixed buffers, no per-level
     allocation.  Pass ``out`` to receive the sorted keys in a
     preallocated array (sorting into the input array itself is
-    allowed).
+    allowed).  ``base`` must be at least 1.
     """
     if values.ndim != 1:
         raise SortError("merge sort expects a one-dimensional array")
+    if base < 1:
+        raise SortError(f"base run length must be >= 1, got {base}")
     n = values.size
     if n <= 1:
         if out is None:

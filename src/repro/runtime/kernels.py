@@ -7,6 +7,14 @@ rate).  With ``machine.fast_functional`` the functional effect is
 computed with NumPy's built-in sort instead — timing is identical, only
 the host-side wall-clock cost of big benchmark runs drops.
 
+Merges are linear in both modes.  The real path runs Merge Path
+(:func:`repro.gpuprims.merge_path.merge_sorted`: balanced segments,
+each merged sequentially); the fast path merges the two adjacent runs
+in place with :func:`repro.gpuprims.merge_path.merge_runs_in_place`,
+the same linear run merge without the segmenting.  Both give the same
+element order — ties go to the first run — so the mode never changes a
+result.
+
 Key-value variants: passing ``values`` makes the kernel carry a payload
 array alongside the keys.  Payload bytes count toward the kernel's
 processed volume, so 8-byte payloads roughly triple an int32 sort's
@@ -20,7 +28,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.errors import RuntimeApiError
-from repro.gpuprims.merge_path import merge_positions, merge_sorted
+from repro.gpuprims.merge_path import (
+    merge_runs_in_place,
+    merge_sorted,
+    merge_sorted_with_values,
+)
 from repro.gpuprims.radix_lsb import argsort_radix_lsb
 from repro.gpuprims.registry import functional_sort
 from repro.runtime.buffer import default_pool
@@ -115,29 +127,26 @@ def merge_two_on_device(machine: "Machine", target: Span, split: int,
     else:
         yield from machine.faults.run_on_device(device, duration)
     if split not in (0, len(view)):
-        a, b = view[:split], view[split:]
-        if values is None:
+        if values is None and machine.fast_functional:
+            # The two runs are already adjacent: merge them in place,
+            # with no scratch buffer.
+            merge_runs_in_place(view, split)
+        elif values is None:
             # The merge scratch comes from the workspace pool — this
             # models the pre-allocated auxiliary buffer of the real
             # implementation rather than a per-merge allocation.
             with default_pool.borrow(len(view), view.dtype) as merged:
-                if machine.fast_functional:
-                    pos_a, pos_b = merge_positions(a, b)
-                    merged[pos_a] = a
-                    merged[pos_b] = b
-                else:
-                    merge_sorted(a, b, out=merged)
+                merge_sorted(view[:split], view[split:], out=merged)
                 view[:] = merged
         else:
             payload = values.view
             with default_pool.borrow(len(view), view.dtype) as merged, \
                     default_pool.borrow(len(payload),
                                         payload.dtype) as merged_values:
-                pos_a, pos_b = merge_positions(a, b)
-                merged[pos_a] = a
-                merged[pos_b] = b
-                merged_values[pos_a] = payload[:split]
-                merged_values[pos_b] = payload[split:]
+                merge_sorted_with_values(
+                    view[:split], view[split:], payload[:split],
+                    payload[split:], out_keys=merged,
+                    out_values=merged_values)
                 view[:] = merged
                 payload[:] = merged_values
     machine.trace.record(phase, device.name, start, bytes=logical)

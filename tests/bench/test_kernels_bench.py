@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.experiments import kernels
 from repro.bench.harness import experiment_by_id
+from repro.errors import ReproError
 
 
 def test_registered_in_harness():
@@ -24,10 +25,12 @@ def test_quick_suite_metrics_and_json(tmp_path):
     json_path = tmp_path / "kernels.json"
     table = kernels.run_kernels(quick=True, repeats=1,
                                 json_path=str(json_path))
-    assert len(table.rows) == 5
+    assert len(table.rows) == 6
+    assert all(row[-1] == "pass" for row in table.rows)
     record = json.loads(json_path.read_text())
     assert record["benchmark"] == "kernels"
     scenarios = record["scenarios"]
+    assert all(scenario["check"] for scenario in scenarios.values())
     for name in ("scatter-100k", "paradis-50k", "lsb-200k", "merge-8x4k"):
         scenario = scenarios[name]
         assert scenario["keys"] > 0
@@ -37,10 +40,10 @@ def test_quick_suite_metrics_and_json(tmp_path):
         assert scenario["ref_wall_s"] > 0
         assert scenario["speedup"] > 0
         assert scenario["ref_source"] == "reference-impl"
-    e2e = scenarios["p2p-8gpu-200k-int32"]
-    assert e2e["wall_s"] > 0
-    # The quick e2e size has no recorded seed baseline.
-    assert "ref_wall_s" not in e2e
+    # The quick mergepath and e2e sizes have no recorded seed baseline.
+    for name in ("mergepath-200k", "p2p-8gpu-200k-int32"):
+        assert scenarios[name]["wall_s"] > 0
+        assert "ref_wall_s" not in scenarios[name]
 
 
 def test_quick_default_json_path_is_protected(tmp_path, monkeypatch):
@@ -53,8 +56,8 @@ def test_quick_default_json_path_is_protected(tmp_path, monkeypatch):
 
 def test_committed_bench_record_meets_targets():
     # The committed record must witness the optimization: >=10x on the
-    # scatter and >=5x on PARADIS at one million keys, and an
-    # end-to-end improvement over the seed tree.
+    # scatter and >=5x on PARADIS at one million keys, a faster Merge
+    # Path merge and an end-to-end improvement over the seed tree.
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
@@ -63,6 +66,9 @@ def test_committed_bench_record_meets_targets():
     assert scenarios["scatter-1m"]["speedup"] >= 10.0
     assert scenarios["paradis-1m"]["speedup"] >= 5.0
     assert scenarios["p2p-8gpu-2m-int32"]["speedup"] > 1.0
+    assert scenarios["mergepath-1m"]["speedup"] > 1.0
+    assert scenarios["mergepath-1m"]["ref_source"] == "seed-tree"
+    assert all(scenario["check"] for scenario in scenarios.values())
 
 
 @pytest.mark.perf
@@ -72,3 +78,15 @@ def test_scatter_beats_reference_by_5x_on_1m_keys():
     assert result.speedup >= 5.0, (
         f"vectorized scatter only {result.speedup:.1f}x over the "
         "per-bucket reference on 1M keys: gross kernel regression")
+
+
+def test_failed_output_check_aborts_suite(monkeypatch):
+    def stub(name, check):
+        return lambda *args: kernels.KernelResult(
+            name=name, keys=1, wall_s=1.0, check=check)
+
+    for scenario in ("scatter", "paradis", "lsb", "merge", "e2e"):
+        monkeypatch.setattr(kernels, f"run_{scenario}", stub(scenario, True))
+    monkeypatch.setattr(kernels, "run_mergepath", stub("mergepath", False))
+    with pytest.raises(ReproError, match="checks failed: mergepath$"):
+        kernels.run_kernels(quick=True, repeats=1, json_path=None)

@@ -104,3 +104,9 @@ class TestMergeSort:
     def test_rejects_2d(self):
         with pytest.raises(SortError):
             merge_sort(np.zeros((3, 3), np.int32))
+
+    @pytest.mark.parametrize("base", [0, -1])
+    def test_rejects_base_below_one(self, base):
+        # base=-1 used to loop forever; base=0 raised a bare ValueError.
+        with pytest.raises(SortError, match="base"):
+            merge_sort(np.arange(10, dtype=np.int32), base=base)
