@@ -22,7 +22,7 @@ SCALE = 2e9 / KEYS     # 2B records
 def _run(sorter, values):
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 1 << 30, size=KEYS).astype(np.int32)
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     return sorter(machine, keys, values=values).duration
 
 

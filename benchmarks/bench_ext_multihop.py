@@ -16,7 +16,7 @@ from repro.sort import P2PConfig, p2p_sort
 
 
 def _transfer_rate(use_relay: bool) -> float:
-    machine = Machine(delta_d22x(), scale=1000, fast_functional=True)
+    machine = Machine(delta_d22x(), scale=1000)
     src = machine.device(0).alloc(1_000_000, np.int32)
     dst = machine.device(3).alloc(1_000_000, np.int32)
 
@@ -49,7 +49,7 @@ def test_ext_multihop_sort_speedup(benchmark):
     scale = 2e9 / PHYSICAL_KEYS
 
     def run(multihop: bool):
-        machine = Machine(delta_d22x(), scale=scale, fast_functional=True)
+        machine = Machine(delta_d22x(), scale=scale)
         return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                         config=P2PConfig(multihop=multihop))
 

@@ -23,8 +23,7 @@ KEYS = 100_000
 def _p2p(billions, **cfg):
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 1 << 30, size=KEYS).astype(np.int32)
-    machine = Machine(ibm_ac922(), scale=billions * 1e9 / KEYS,
-                      fast_functional=True)
+    machine = Machine(ibm_ac922(), scale=billions * 1e9 / KEYS)
     return p2p_sort(machine, keys, gpu_ids=(0, 1, 2, 3),
                     config=P2PConfig(**cfg)).duration
 
@@ -58,8 +57,7 @@ def test_ext_numa_placement(benchmark):
 def _het(billions, gpu_merge):
     rng = np.random.default_rng(6)
     keys = rng.integers(0, 1 << 30, size=KEYS).astype(np.int32)
-    machine = Machine(ibm_ac922(), scale=billions * 1e9 / KEYS,
-                      fast_functional=True)
+    machine = Machine(ibm_ac922(), scale=billions * 1e9 / KEYS)
     return het_sort(machine, keys, gpu_ids=(0, 1),
                     config=HetConfig(gpu_merge_groups=gpu_merge)).duration
 

@@ -20,10 +20,10 @@ def _compare(system: str, gpus, billions: float = 2.0):
     scale = billions * 1e9 / PHYSICAL_KEYS
     spec = system_by_name(system)
     ids = spec.preferred_gpu_set(gpus)
-    rp = rp_sort(Machine(system_by_name(system), scale=scale,
-                         fast_functional=True), data, gpu_ids=ids)
-    pp = p2p_sort(Machine(system_by_name(system), scale=scale,
-                          fast_functional=True), data, gpu_ids=ids)
+    rp = rp_sort(Machine(system_by_name(system), scale=scale), data,
+                 gpu_ids=ids)
+    pp = p2p_sort(Machine(system_by_name(system), scale=scale), data,
+                  gpu_ids=ids)
     return rp, pp
 
 

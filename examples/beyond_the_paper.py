@@ -19,8 +19,7 @@ PHYSICAL = 200_000
 
 
 def machine(system: str, billions: float) -> Machine:
-    return Machine(system_by_name(system), scale=billions * 1e9 / PHYSICAL,
-                   fast_functional=True)
+    return Machine(system_by_name(system), scale=billions * 1e9 / PHYSICAL)
 
 
 def main() -> None:

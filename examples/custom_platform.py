@@ -55,7 +55,7 @@ def main() -> None:
     for build in (budget_box, dream_box):
         durations = {}
         for label, algorithm in (("p2p", p2p_sort), ("het", het_sort)):
-            machine = Machine(build(), scale=SCALE, fast_functional=True)
+            machine = Machine(build(), scale=SCALE)
             config = HetConfig() if label == "het" else None
             result = algorithm(machine, keys, gpu_ids=(0, 1, 2, 3),
                                config=config)

@@ -22,7 +22,7 @@ SCALE = 5_000            # each physical row stands in for 5000
 
 def gpu_sorted_with_rowids(keys):
     """Sort (key, row id) records on 8 simulated GPUs."""
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     row_ids = np.arange(len(keys), dtype=np.int64)
     result = p2p_sort(machine, keys, values=row_ids)
     # Every payload still sits beside its own key.

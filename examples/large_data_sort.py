@@ -20,12 +20,12 @@ SCALE = BILLIONS * 1e9 / PHYSICAL_KEYS
 
 
 def run_variant(keys, config=None):
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     return het_sort(machine, keys, config=config)
 
 
 def run_paradis(keys):
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     buffer = machine.host_buffer(keys.copy())
     start = machine.now
     machine.run(cpu_sort(machine, buffer, primitive="paradis"))

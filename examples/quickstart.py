@@ -28,7 +28,7 @@ def main() -> None:
         ("P2P sort", p2p_sort, (0, 1, 2, 3, 4, 5, 6, 7)),
         ("HET sort", het_sort, (0, 1, 2, 3, 4, 5, 6, 7)),
     ]:
-        machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=SCALE)
         result = algorithm(machine, keys, gpu_ids=gpu_ids)
         assert np.array_equal(result.output, np.sort(keys)), "sort is wrong!"
 

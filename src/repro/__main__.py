@@ -40,7 +40,7 @@ def cmd_sort(args) -> int:
     logical_keys = float(args.keys)
     physical = min(PHYSICAL_KEYS, int(logical_keys))
     scale = max(1.0, logical_keys / physical)
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     dtype = key_dtype(args.dtype)
     keys = generate(physical, args.distribution, dtype, seed=args.seed)
 

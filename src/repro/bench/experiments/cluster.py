@@ -109,7 +109,7 @@ class ScenarioResult:
 def run_scenario(base: str, nodes: int, fabric: str) -> ScenarioResult:
     """Build the cluster, run one hierarchical sort, collect counters."""
     spec = make_cluster(base, nodes, fabric=fabric)
-    machine = Machine(spec, scale=SCALE, fast_functional=True)
+    machine = Machine(spec, scale=SCALE)
     if PROFILE:
         machine.env.profile = SimProfile()
     data = generate(KEYS_PER_NODE * nodes, "uniform", np.int32, seed=SEED)

@@ -30,8 +30,7 @@ def sort_under_load(system: str, algorithm: str, gpus: int,
                     scenario: str, billions: float = 2.0) -> float:
     """Duration of one sort while a background workload runs."""
     spec = system_by_name(system)
-    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS,
-                      fast_functional=True)
+    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS)
     if scenario == "memory scan (40 GB/s)":
         start_memory_scan(machine, gb(40.0))
     elif scenario == "copy stream (1 GPU)":

@@ -36,8 +36,7 @@ def cpu_primitive_duration(system: str, primitive: str,
         crossover = PAPER_SIMD_CROSSOVER_BILLIONS.get(system)
         if crossover is not None and billions > crossover:
             rate *= spec.cpu.sort_rate("paradis") / rate * 0.9
-    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS,
-                      fast_functional=True)
+    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS)
     buffer = machine.host_buffer(make_keys())
     start = machine.env.now
 

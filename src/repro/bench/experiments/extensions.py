@@ -23,7 +23,7 @@ from repro.sort import HetConfig, P2PConfig, het_sort, p2p_sort, rp_sort
 def run_multihop() -> Table:
     """Multi-hop routing on the DELTA: transfer rates and sort impact."""
     def transfer_rate(use_relay: bool) -> float:
-        machine = Machine(delta_d22x(), scale=1000, fast_functional=True)
+        machine = Machine(delta_d22x(), scale=1000)
         src = machine.device(0).alloc(1_000_000, np.int32)
         dst = machine.device(3).alloc(1_000_000, np.int32)
 
@@ -41,7 +41,7 @@ def run_multihop() -> Table:
     scale = 2e9 / PHYSICAL_KEYS
 
     def sort_seconds(multihop: bool) -> float:
-        machine = Machine(delta_d22x(), scale=scale, fast_functional=True)
+        machine = Machine(delta_d22x(), scale=scale)
         return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                         config=P2PConfig(multihop=multihop)).duration
 
@@ -70,10 +70,10 @@ def run_rp_sort() -> Table:
     for system, gpus in (("dgx-a100", 8), ("dgx-a100", 4),
                          ("delta-d22x", 4), ("ibm-ac922", 4)):
         ids = system_by_name(system).preferred_gpu_set(gpus)
-        rp = rp_sort(Machine(system_by_name(system), scale=scale,
-                             fast_functional=True), data, gpu_ids=ids)
-        pp = p2p_sort(Machine(system_by_name(system), scale=scale,
-                              fast_functional=True), data, gpu_ids=ids)
+        rp = rp_sort(Machine(system_by_name(system), scale=scale), data,
+                     gpu_ids=ids)
+        pp = p2p_sort(Machine(system_by_name(system), scale=scale), data,
+                      gpu_ids=ids)
         table.add_row(system, gpus, f"{rp.duration:.3f}",
                       f"{pp.duration:.3f}", f"{rp.p2p_bytes / 1e9:.1f}",
                       f"{pp.p2p_bytes / 1e9:.1f}")
@@ -92,11 +92,10 @@ def run_key_value() -> Table:
                         "DGX A100 (8 GPUs)")
     for name, sorter in (("p2p", p2p_sort), ("het", het_sort),
                          ("rp", rp_sort)):
-        plain = sorter(Machine(system_by_name("dgx-a100"), scale=scale,
-                               fast_functional=True), keys).duration
-        loaded = sorter(Machine(system_by_name("dgx-a100"), scale=scale,
-                                fast_functional=True), keys,
-                        values=values).duration
+        plain = sorter(Machine(system_by_name("dgx-a100"), scale=scale),
+                       keys).duration
+        loaded = sorter(Machine(system_by_name("dgx-a100"), scale=scale),
+                        keys, values=values).duration
         table.add_row(name, f"{plain:.3f}", f"{loaded:.3f}",
                       f"{loaded / plain:.2f}x")
     return table
@@ -108,7 +107,7 @@ def run_numa_placement() -> Table:
     scale = 2e9 / PHYSICAL_KEYS
 
     def run(**cfg) -> float:
-        machine = Machine(ibm_ac922(), scale=scale, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=scale)
         return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                         config=P2PConfig(**cfg)).duration
 
@@ -134,8 +133,7 @@ def run_gpu_merged_groups() -> Table:
         durations = []
         for gpu_merge in (False, True):
             machine = Machine(ibm_ac922(),
-                              scale=billions * 1e9 / PHYSICAL_KEYS,
-                              fast_functional=True)
+                              scale=billions * 1e9 / PHYSICAL_KEYS)
             durations.append(het_sort(
                 machine, data, gpu_ids=(0, 1),
                 config=HetConfig(gpu_merge_groups=gpu_merge)).duration)

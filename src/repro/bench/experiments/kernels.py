@@ -1,12 +1,13 @@
 """Throughput benchmark of the functional kernel layer.
 
 Like ``simcore``, this experiment measures the repository itself rather
-than a paper figure: the *host wall-clock* cost of the functional
-kernels that execute every sort's data movement (the simulated virtual
-time is independent of them).  Each scenario times the vectorized
-production kernel against its retained element-wise reference — the
-seed-tree implementation that doubles as the property-test oracle — on
-the same input:
+than a paper figure: the *host wall-clock* cost of the from-scratch
+functional kernels of :mod:`repro.gpuprims` and :mod:`repro.cpuprims`
+(the simulated virtual time is independent of them), and of one whole
+simulated sort.  Each kernel scenario times the vectorized kernel
+against its retained element-wise reference — the seed-tree
+implementation that doubles as the property-test oracle — on the same
+input:
 
 * **scatter** — :func:`stable_counting_permutation` (one stable C radix
   argsort over the digit array) versus the per-bucket
@@ -23,10 +24,13 @@ the same input:
   baseline is the rank merge's wall-clock (two binary searches per
   element), frozen from the seed tree because that merge now lives in
   the tests as the oracle, not in the source.
-* **e2e** — a complete 8-GPU P2P sort on the DGX A100 with
-  ``fast_functional=False``, i.e. every functional kernel on its hot
-  path; its baseline is the seed tree's wall-clock, measured on the
-  same host (re-measure when porting to other hardware).
+* **e2e** — a complete 8-GPU P2P sort on the DGX A100: the host
+  wall-clock of the whole simulated pipeline, whose kernels take their
+  functional effect from NumPy (:mod:`repro.gpuprims.functional`), not
+  from the kernels above.  Its baseline is the seed tree's wall-clock,
+  measured on the same host (re-measure when porting to other
+  hardware), when the pipeline still ran the from-scratch kernels; the
+  row's speedup is therefore not a kernel speedup.
 
 Every scenario checks its output outside the timed region (against the
 reference, or ``np.sort`` of the input) and reports the outcome in a
@@ -224,14 +228,14 @@ def run_mergepath(n: int, repeats: int) -> KernelResult:
 
 
 def run_e2e(keys: int, repeats: int) -> KernelResult:
-    """Complete 8-GPU P2P sort with the functional kernels live."""
+    """Complete 8-GPU P2P sort: the simulated pipeline's wall-clock."""
     from repro.sort import p2p_sort  # deferred: pulls in the sort stack
 
     data = generate(keys, "uniform", np.int32, seed=42)
     outputs = []
 
     def once() -> None:
-        machine = Machine(dgx_a100(), scale=1000.0, fast_functional=False)
+        machine = Machine(dgx_a100(), scale=1000.0)
         outputs.append(p2p_sort(machine, data).output)
 
     runs = _best_of(once, repeats)
@@ -317,7 +321,10 @@ def run_kernels(quick: bool = False, repeats: Optional[int] = None,
                 "reference implementations (the seed-tree algorithms, "
                 "kept as property-test oracles); the e2e and mergepath "
                 "baselines are seed-tree wall-clocks measured on the "
-                "same host, best of 3"),
+                "same host, best of 3; the e2e row times the whole "
+                "simulated pipeline, whose kernels take their functional "
+                "effect from NumPy, so its speedup is not a kernel "
+                "speedup"),
             "repeats": repeats,
             "scenarios": {r.name: r.to_json() for r in results},
         }

@@ -27,8 +27,7 @@ SYSTEMS = ("ibm-ac922", "delta-d22x", "dgx-a100")
 def merge_duration(system: str, billions: float, runs: int) -> float:
     """Simulated duration of one k-way merge of ``billions`` keys."""
     spec = system_by_name(system)
-    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS,
-                      fast_functional=True)
+    machine = Machine(spec, scale=billions * 1e9 / PHYSICAL_KEYS)
     per_run = PHYSICAL_KEYS // runs
     rng = np.random.default_rng(0)
     arrays = [np.sort(rng.integers(0, 2**31 - 1, size=per_run,

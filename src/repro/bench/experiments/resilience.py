@@ -215,10 +215,10 @@ def run_scenario(algorithm: str, intensity: float,
     scale = BILLIONS * 1e9 / PHYSICAL_KEYS
     data = generate(PHYSICAL_KEYS, "uniform", np.int32, seed=42)
 
-    clean_machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    clean_machine = Machine(dgx_a100(), scale=scale)
     clean = _sort(algorithm, clean_machine, data)
 
-    faulted_machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    faulted_machine = Machine(dgx_a100(), scale=scale)
     plan = FaultPlan.generate(faulted_machine.spec, seed=seed,
                               intensity=intensity, horizon=clean.duration)
     faulted_machine.install_faults(plan)
@@ -261,7 +261,7 @@ def run_recovery_scenario(algorithm: str, kind: str,
     scale = BILLIONS * 1e9 / PHYSICAL_KEYS
     data = generate(PHYSICAL_KEYS, "uniform", np.int32, seed=42)
 
-    clean_machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    clean_machine = Machine(dgx_a100(), scale=scale)
     clean = SortSupervisor(clean_machine).sort(data, algorithm=algorithm)
 
     config = SupervisorConfig()
@@ -276,7 +276,7 @@ def run_recovery_scenario(algorithm: str, kind: str,
     else:
         raise ValueError(f"unknown recovery scenario kind {kind!r}")
 
-    machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=scale)
     if events:
         machine.install_faults(FaultPlan(events=events, seed=seed))
     result = SortSupervisor(machine, config).sort(data,
@@ -324,7 +324,7 @@ def run_cluster_scenario(nodes: int, kind: str, failed_nodes: int = 1,
     data = generate(PHYSICAL_KEYS, "uniform", np.int32, seed=42)
 
     clean_machine = Machine(make_cluster("dgx-a100", nodes, fabric=fabric),
-                            scale=scale, fast_functional=True)
+                            scale=scale)
     clean = hier_sort(clean_machine, data)
     exchange_tail = (clean.phase_durations.get("Exchange", 0.0)
                      + clean.phase_durations.get("NodeMerge", 0.0))
@@ -359,7 +359,7 @@ def run_cluster_scenario(nodes: int, kind: str, failed_nodes: int = 1,
         raise ValueError(f"unknown cluster scenario kind {kind!r}")
 
     machine = Machine(make_cluster("dgx-a100", nodes, fabric=fabric),
-                      scale=scale, fast_functional=True)
+                      scale=scale)
     machine.install_faults(FaultPlan(events=tuple(events), seed=seed))
     result = hier_sort(machine, data)
 

@@ -151,7 +151,7 @@ def _calibrate(system: str) -> Tuple[float, float]:
     """
     spec = system_by_name(system)
     scale = BILLIONS * 1e9 / PHYSICAL_KEYS
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     data = generate(PHYSICAL_KEYS, "uniform", seed=SEED)
     result = SortSupervisor(machine).sort(data, algorithm="p2p")
     rate = result.logical_keys / (result.duration * len(result.gpu_ids))
@@ -163,7 +163,7 @@ def run_load_point(system: str, load: float, jobs: int,
     """One service episode at ``load`` times estimated capacity."""
     scale, rate = _calibrate(system)
     spec = system_by_name(system)
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     # Capacity in jobs/s: all GPUs sorting at the calibrated rate over
     # the mix's mean job size.
     mean_logical = MIX_MEAN_FRACTION * PHYSICAL_KEYS * scale
@@ -202,7 +202,7 @@ def run_breaker_scenario(system: str, jobs: int,
     """
     scale, rate = _calibrate(system)
     spec = system_by_name(system)
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     straggler = spec.num_gpus - 1
     plan = FaultPlan(events=(
         StragglerGpu(at=0.0, gpu=straggler, duration=1e9, slowdown=2.0),),

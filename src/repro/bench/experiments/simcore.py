@@ -148,7 +148,7 @@ def run_het(billions: float) -> ScenarioResult:
     from repro.sort import het_sort  # deferred: pulls in the sort stack
 
     scale = billions * 1e9 / HET_PHYSICAL_KEYS
-    machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=scale)
     data = generate(HET_PHYSICAL_KEYS, "uniform", np.int32, seed=42)
     if PROFILE:
         machine.env.profile = SimProfile()

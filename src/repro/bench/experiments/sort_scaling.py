@@ -57,7 +57,7 @@ def sort_run(system: str, algorithm: str, gpus: int, billions: float,
     """One end-to-end simulated sort; returns the full result."""
     spec = system_by_name(system)
     scale = billions * 1e9 / PHYSICAL_KEYS
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     data = make_keys(distribution, dtype, seed=seed)
     if gpu_ids is None:
         gpu_ids = spec.preferred_gpu_set(gpus)
@@ -82,7 +82,7 @@ def cpu_sort_duration(system: str, billions: float,
     """CPU-only baseline duration (PARADIS by default)."""
     spec = system_by_name(system)
     scale = billions * 1e9 / PHYSICAL_KEYS
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     buffer = machine.host_buffer(make_keys())
     start = machine.env.now
     machine.run(cpu_sort(machine, buffer, primitive=primitive))

@@ -30,11 +30,11 @@ _SCALE = 1000.0
 
 def sort_duration_ms(primitive: str, gpu_model: str = "a100") -> float:
     """Simulated kernel time for 1B int32 on one GPU, in milliseconds."""
-    machine = Machine(dgx_a100(), scale=_SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=_SCALE)
     device = machine.device(0)
     if gpu_model == "v100":
         from repro.hw import ibm_ac922
-        machine = Machine(ibm_ac922(), scale=_SCALE, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=_SCALE)
         device = machine.device(0)
     buffer = device.alloc(_PHYSICAL, np.int32)
     buffer.data[:] = np.random.default_rng(0).integers(

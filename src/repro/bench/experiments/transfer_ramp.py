@@ -27,8 +27,7 @@ def transfer_seconds(system: str, src: Tuple[str, int],
     """Simulated duration of one copy of ``nbytes`` (logical)."""
     physical = 1024
     machine = Machine(system_by_name(system),
-                      scale=max(1.0, nbytes / (physical * 4)),
-                      fast_functional=True)
+                      scale=max(1.0, nbytes / (physical * 4)))
 
     def endpoint(which):
         kind, index = which

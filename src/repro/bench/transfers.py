@@ -75,7 +75,7 @@ def measure_throughput(
     if not transfers:
         raise ReproError("at least one transfer is required")
     spec = spec_or_builder() if callable(spec_or_builder) else spec_or_builder
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
 
     def make_buffer(endpoint: Endpoint):
         kind, index = endpoint

@@ -22,11 +22,10 @@ from repro.cpuprims.multiway_merge import (
 )
 from repro.cpuprims.paradis import paradis_sort
 from repro.cpuprims.radix_simd import radix_sort_buffered_lsb
-from repro.cpuprims.std_sorts import cpu_functional_sort, library_sort
+from repro.cpuprims.std_sorts import library_sort
 
 __all__ = [
     "LoserTree",
-    "cpu_functional_sort",
     "library_sort",
     "multiway_merge",
     "multiway_merge_losertree",

@@ -1,4 +1,4 @@
-"""Library-sort stand-ins and the CPU functional dispatch.
+"""Library-sort stand-ins.
 
 The paper benchmarks PARADIS against gnu_parallel's sort, Intel TBB's
 ``parallel_sort`` and the parallel C++17 ``std::sort`` (Section 6).
@@ -10,32 +10,17 @@ entirely in the calibrated rates of :class:`repro.hw.host.CpuSpec`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
 import numpy as np
 
-from repro.cpuprims.paradis import paradis_sort
-from repro.cpuprims.radix_simd import radix_sort_buffered_lsb
 from repro.errors import SortError
 
 
-def _into(sorted_values: np.ndarray,
-          out: Optional[np.ndarray]) -> np.ndarray:
-    """Deliver a sort result into ``out`` when one was provided."""
-    if out is None:
-        return sorted_values
-    out[:] = sorted_values
-    return out
-
-
-def library_sort(values: np.ndarray, flavour: str = "gnu_parallel", *,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+def library_sort(values: np.ndarray,
+                 flavour: str = "gnu_parallel") -> np.ndarray:
     """Sorted copy via a library-sort stand-in.
 
     ``gnu_parallel`` is a stable multiway mergesort; ``tbb`` and
-    ``std_par`` are unstable quicksort-family sorts.  When ``out`` is
-    the input array itself the sort happens in place with no copy — the
-    path :func:`repro.runtime.cpu_ops.cpu_sort` uses.
+    ``std_par`` are unstable quicksort-family sorts.
     """
     if flavour == "gnu_parallel":
         kind = "stable"
@@ -43,40 +28,4 @@ def library_sort(values: np.ndarray, flavour: str = "gnu_parallel", *,
         kind = "quicksort"
     else:
         raise SortError(f"unknown library sort flavour {flavour!r}")
-    if out is values:
-        out.sort(kind=kind)
-        return out
-    return _into(np.sort(values, kind=kind), out)
-
-
-_DISPATCH: Dict[str, Callable[..., np.ndarray]] = {
-    "paradis": lambda values, *, out=None: _into(paradis_sort(values), out),
-    "simd_lsb": lambda values, *, out=None: _into(
-        radix_sort_buffered_lsb(values), out),
-    "gnu_parallel": lambda values, *, out=None: library_sort(
-        values, "gnu_parallel", out=out),
-    "tbb": lambda values, *, out=None: library_sort(values, "tbb", out=out),
-    "std_par": lambda values, *, out=None: library_sort(
-        values, "std_par", out=out),
-}
-
-
-def available_cpu_primitives() -> List[str]:
-    """Names of the registered CPU sort primitives."""
-    return sorted(_DISPATCH)
-
-
-def cpu_functional_sort(primitive: str) -> Callable[..., np.ndarray]:
-    """The functional implementation behind a CPU primitive name.
-
-    Every registered callable accepts ``(values, *, out=None)``; with
-    ``out`` the sorted keys land in the given array (``out`` may be
-    ``values`` itself, which the library flavours sort in place).
-    """
-    try:
-        return _DISPATCH[primitive]
-    except KeyError:
-        known = ", ".join(available_cpu_primitives())
-        raise SortError(
-            f"unknown CPU sort primitive {primitive!r} (known: {known})"
-        ) from None
+    return np.sort(values, kind=kind)

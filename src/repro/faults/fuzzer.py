@@ -169,8 +169,7 @@ def run_case(case: ChaosCase) -> Outcome:
         spec = make_cluster("dgx-a100", case.nodes, fabric=case.fabric)
     else:
         spec = dgx_a100()
-    machine = Machine(spec, scale=LOGICAL_KEYS / case.n,
-                      fast_functional=True)
+    machine = Machine(spec, scale=LOGICAL_KEYS / case.n)
     machine.install_faults(case.plan)
     try:
         if case.nodes:

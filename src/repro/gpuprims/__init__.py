@@ -13,11 +13,13 @@ whose GPU incarnations the paper evaluates in Table 2:
   (:func:`repro.gpuprims.merge_path.merge_runs_in_place`), and the
   MGPU-style merge sort built on it.
 
-The virtual runtime invokes them through :mod:`repro.gpuprims.registry`
-so the timing model (calibrated rates) stays separate from the
-functional algorithms.
+They are the library the ``kernels`` benchmark measures.  The simulated
+kernels take their functional effect from
+:mod:`repro.gpuprims.functional` instead (NumPy, in NumPy's sort
+order), and their timing from the calibrated rates.
 """
 
+from repro.gpuprims.functional import merge_in_place, sort_in_place
 from repro.gpuprims.merge_path import (
     merge_partitions,
     merge_runs_in_place,
@@ -27,11 +29,9 @@ from repro.gpuprims.merge_path import (
 )
 from repro.gpuprims.radix_lsb import radix_sort_lsb
 from repro.gpuprims.radix_msb import radix_sort_msb
-from repro.gpuprims.registry import available_primitives, functional_sort
 
 __all__ = [
-    "available_primitives",
-    "functional_sort",
+    "merge_in_place",
     "merge_partitions",
     "merge_runs_in_place",
     "merge_sorted_with_values",
@@ -39,4 +39,5 @@ __all__ = [
     "merge_sorted",
     "radix_sort_lsb",
     "radix_sort_msb",
+    "sort_in_place",
 ]

@@ -220,7 +220,7 @@ def _run_instrumented(args):
     budget = QUICK_PHYSICAL_KEYS if args.quick else PHYSICAL_KEYS
     physical = max(1, min(budget, int(logical)))
     scale = max(1.0, logical / physical)
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     recorder = machine.enable_observability(_make_recorder(args))
     _install_faults(machine, spec, args)
     keys = generate(physical, args.distribution, key_dtype("int"),
@@ -292,14 +292,14 @@ def _run_service(args):
     physical = max(1, min(budget, int(logical)))
     scale = max(1.0, logical / physical)
 
-    probe = Machine(spec, scale=scale, fast_functional=True)
+    probe = Machine(spec, scale=scale)
     reference = SortSupervisor(probe).sort(
         generate(physical, args.distribution, key_dtype("int"),
                  seed=args.seed))
     rate = (reference.logical_keys
             / (reference.duration * len(reference.gpu_ids)))
 
-    machine = Machine(spec, scale=scale, fast_functional=True)
+    machine = Machine(spec, scale=scale)
     recorder = machine.enable_observability(_make_recorder(args))
     _install_faults(machine, spec, args)
     workload = WorkloadSpec(

@@ -41,9 +41,9 @@ class Machine:
         multi-billion-key experiments with small physical arrays and a
         large scale (see DESIGN.md).
     fast_functional:
-        Replace the from-scratch functional algorithms with NumPy's
-        sort for the payload effect (timing is unchanged).  Intended
-        for large benchmark runs.
+        Accepted and ignored, so older callers keep working: every
+        kernel takes its functional effect from NumPy
+        (:mod:`repro.gpuprims.functional`).
     """
 
     def __init__(self, spec: SystemSpec, scale: float = 1.0,
@@ -52,7 +52,6 @@ class Machine:
             raise RuntimeApiError(f"scale must be >= 1, got {scale}")
         self.spec = spec
         self.scale = float(scale)
-        self.fast_functional = fast_functional
         self.env = Environment()
         self.net = FlowNetwork(self.env)
         self.trace = Trace(self.env)

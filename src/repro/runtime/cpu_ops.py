@@ -8,6 +8,10 @@ precisely the contention the paper observes for eager merging
 (Section 6.2: "the transfers and the CPU merge compete for host memory
 bandwidth") — here it emerges from the shared-resource model instead of
 being hard-coded.
+
+The functional effect (the host buffer ends up sorted or merged) comes
+from :mod:`repro.gpuprims.functional`, the same NumPy helper the GPU
+kernels use: the primitive picks the calibrated rate, not the result.
 """
 
 from __future__ import annotations
@@ -16,12 +20,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.cpuprims.multiway_merge import (
-    multiway_merge,
-    multiway_merge_with_values,
-)
-from repro.cpuprims.std_sorts import cpu_functional_sort
 from repro.errors import RuntimeApiError
+from repro.gpuprims.functional import sort_in_place
 from repro.runtime.buffer import HostBuffer
 from repro.sim.resources import Direction
 
@@ -54,10 +54,7 @@ def cpu_sort(machine: "Machine", target: HostBuffer,
                                   logical, rate_cap=rate,
                                   label=f"cpu-sort:{primitive}")
     yield flow.done
-    if machine.fast_functional:
-        target.data.sort()
-    else:
-        cpu_functional_sort(primitive)(target.data, out=target.data)
+    sort_in_place(target.data)
     machine.trace.record(phase, f"cpu{target.numa}", start, bytes=logical)
     return target
 
@@ -85,6 +82,10 @@ def cpu_multiway_merge(machine: "Machine", out: np.ndarray,
     if (values_out is None) != (value_runs is None):
         raise RuntimeApiError(
             "values_out and value_runs must be passed together")
+    if value_runs is not None and ([len(v) for v in value_runs]
+                                   != [len(run) for run in runs]):
+        raise RuntimeApiError("need one value run per key run, of equal "
+                              "length")
     logical = out.nbytes * machine.scale
     if values_out is not None:
         logical += values_out.nbytes * machine.scale
@@ -93,20 +94,15 @@ def cpu_multiway_merge(machine: "Machine", out: np.ndarray,
     flow = machine.net.start_flow(_memory_route(machine, numa), logical,
                                   rate_cap=rate, label="cpu-multiway-merge")
     yield flow.done
-    if runs:
-        if values_out is None:
-            if machine.fast_functional:
-                # Concatenate straight into the output buffer and sort
-                # there — no intermediate array (runs never alias out).
-                offset = 0
-                for run in runs:
-                    out[offset:offset + run.size] = run
-                    offset += run.size
-                out.sort()
-            else:
-                multiway_merge(runs, out=out)
-        else:
-            multiway_merge_with_values(runs, value_runs, out=out,
-                                       values_out=values_out)
+    # The runs never alias the outputs: concatenate them there and sort.
+    # A stable sort of concatenated sorted runs is their merge, ties in
+    # run order.
+    offset = 0
+    for index, run in enumerate(runs):
+        out[offset:offset + run.size] = run
+        if values_out is not None:
+            values_out[offset:offset + run.size] = value_runs[index]
+        offset += run.size
+    sort_in_place(out, values_out)
     machine.trace.record(phase, f"cpu{numa}", start, bytes=logical)
     return out

@@ -1,19 +1,11 @@
 """GPU kernel launches: on-device sorting and merging.
 
-Each launch has a functional effect (the NumPy payload is sorted or
-merged with the from-scratch primitives of :mod:`repro.gpuprims`) and a
-timing effect (simulated time advances by the device's calibrated
-rate).  With ``machine.fast_functional`` the functional effect is
-computed with NumPy's built-in sort instead — timing is identical, only
-the host-side wall-clock cost of big benchmark runs drops.
-
-Merges are linear in both modes.  The real path runs Merge Path
-(:func:`repro.gpuprims.merge_path.merge_sorted`: balanced segments,
-each merged sequentially); the fast path merges the two adjacent runs
-in place with :func:`repro.gpuprims.merge_path.merge_runs_in_place`,
-the same linear run merge without the segmenting.  Both give the same
-element order — ties go to the first run — so the mode never changes a
-result.
+Each launch has a timing effect (simulated time advances by the
+device's calibrated rate for the primitive, Table 2) and a functional
+effect (the NumPy payload is sorted or merged).  The functional effect
+comes from :mod:`repro.gpuprims.functional` in NumPy's sort order,
+whatever primitive the launch names: the primitive picks the rate, not
+the result.  Merges keep ties in the first run.
 
 Key-value variants: passing ``values`` makes the kernel carry a payload
 array alongside the keys.  Payload bytes count toward the kernel's
@@ -25,17 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import RuntimeApiError
-from repro.gpuprims.merge_path import (
-    merge_runs_in_place,
-    merge_sorted,
-    merge_sorted_with_values,
-)
-from repro.gpuprims.radix_lsb import argsort_radix_lsb
-from repro.gpuprims.registry import functional_sort
-from repro.runtime.buffer import default_pool
+from repro.gpuprims.functional import merge_in_place, sort_in_place
 from repro.runtime.memcpy import Span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,18 +63,7 @@ def sort_on_device(machine: "Machine", target: Span,
         # it retire on a corpse.  Healthy machines keep the bare timeout
         # above — bit-identical to the pre-fault engine.
         yield from machine.faults.run_on_device(device, duration)
-    if values is None:
-        if machine.fast_functional:
-            view.sort()
-        else:
-            functional_sort(primitive)(view, out=view)
-    else:
-        if machine.fast_functional:
-            order = np.argsort(view, kind="stable")
-        else:
-            order = argsort_radix_lsb(view)
-        view[:] = view[order]
-        values.view[:] = values.view[order]
+    sort_in_place(view, None if values is None else values.view)
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target
 
@@ -127,27 +99,6 @@ def merge_two_on_device(machine: "Machine", target: Span, split: int,
     else:
         yield from machine.faults.run_on_device(device, duration)
     if split not in (0, len(view)):
-        if values is None and machine.fast_functional:
-            # The two runs are already adjacent: merge them in place,
-            # with no scratch buffer.
-            merge_runs_in_place(view, split)
-        elif values is None:
-            # The merge scratch comes from the workspace pool — this
-            # models the pre-allocated auxiliary buffer of the real
-            # implementation rather than a per-merge allocation.
-            with default_pool.borrow(len(view), view.dtype) as merged:
-                merge_sorted(view[:split], view[split:], out=merged)
-                view[:] = merged
-        else:
-            payload = values.view
-            with default_pool.borrow(len(view), view.dtype) as merged, \
-                    default_pool.borrow(len(payload),
-                                        payload.dtype) as merged_values:
-                merge_sorted_with_values(
-                    view[:split], view[split:], payload[:split],
-                    payload[split:], out_keys=merged,
-                    out_values=merged_values)
-                view[:] = merged
-                payload[:] = merged_values
+        merge_in_place(view, split, None if values is None else values.view)
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target

@@ -79,7 +79,7 @@ class Recommendation:
 
 def _probe(spec_factory: Callable[[], SystemSpec], scale: float,
            sorter, keys: np.ndarray, **kwargs) -> Optional[float]:
-    machine = Machine(spec_factory(), scale=scale, fast_functional=True)
+    machine = Machine(spec_factory(), scale=scale)
     try:
         return sorter(machine, keys, **kwargs).duration
     except SortError:

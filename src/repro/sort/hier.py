@@ -57,7 +57,8 @@ from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _pad_value, _Stats
+from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _pad, _Stats,
+                            _unpad)
 from repro.sort.result import SortResult
 from repro.units import US
 
@@ -108,6 +109,8 @@ class _NodePlan:
     chunk: int
     staging: HostBuffer
     host_out: HostBuffer
+    #: The record the shard's padding copies (``None`` without padding).
+    pad: Optional[tuple] = None
 
 
 def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
@@ -123,6 +126,9 @@ def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
     """
     env = machine.env
     chunk = plan.chunk
+    if chunk == 0:
+        # An empty shard (ceil-sharding a few keys): nothing to sort.
+        return
     dtype = plan.staging.dtype
     chunks: List[_Chunk] = []
     if group is None:
@@ -167,6 +173,9 @@ def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
             for i, c in enumerate(chunks)]
         yield env.all_of(dtoh)
         check()
+        if plan.pad is not None:
+            _unpad(plan.shard_stop - plan.shard_start, plan.pad,
+                   plan.host_out.data)
     finally:
         # Also on interrupt / device failure: a replanned epoch must
         # not inherit leaked device allocations from the failed one.
@@ -265,13 +274,14 @@ def _plan_node(machine: Machine, spec: ClusterSpec, node: int,
     numa = spec.node_numa(node)
     padded_data = np.empty(padded, dtype=dtype)
     padded_data[:shard_n] = host_in.data[start:stop]
-    padded_data[shard_n:] = _pad_value(dtype)
+    pad = _pad(padded_data, shard_n) if padded != shard_n else None
     staging = machine.host_buffer(padded_data, numa=numa, pinned=True)
     host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
                                    numa=numa, pinned=True)
     return _NodePlan(node=node, gpu_ids=ids, numa=numa,
                      shard_start=start, shard_stop=stop,
-                     chunk=chunk, staging=staging, host_out=host_out)
+                     chunk=chunk, staging=staging, host_out=host_out,
+                     pad=pad)
 
 
 def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -343,7 +353,7 @@ def _healthy_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     plans: List[_NodePlan] = []
     excluded: List[int] = []
     for k in range(num_nodes):
-        start, stop = k * shard, min((k + 1) * shard, n)
+        start, stop = min(k * shard, n), min((k + 1) * shard, n)
         ids = spec.node_gpu_order(k, per_node)
         plans.append(_plan_node(machine, spec, k, ids, start, stop,
                                 host_in))
@@ -376,8 +386,7 @@ def _healthy_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                  for plan in plans]
         yield env.all_of(local)
 
-        # The sorted shard is the padded run's prefix: pads are
-        # dtype-max sentinels, interchangeable with any real maxima.
+        # The sorted shard is the padded run's prefix (see _unpad).
         runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
                 for plan in plans]
         # Splitter selection reads every node's samples over the
@@ -752,8 +761,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         ledger = ledger_box[0]
         if ledger is None:
             shard = -(-n // len(alive))
-            jobs = [(alive[i], i * shard, min((i + 1) * shard, n))
-                    for i in range(len(alive))]
+            jobs = [(alive[i], min(i * shard, n),
+                     min((i + 1) * shard, n)) for i in range(len(alive))]
             plans = yield from _local_sorts(jobs)
             if "LocalSort" not in completed:
                 completed.append("LocalSort")

@@ -263,10 +263,50 @@ def _merge_chunks(machine: Machine, chunks: List[_Chunk],
         check()
 
 
-def _pad_value(dtype: np.dtype):
-    if dtype.kind == "f":
-        return np.finfo(dtype).max
-    return np.iinfo(dtype).max
+def _pad(keys: np.ndarray, n: int, values: Optional[np.ndarray] = None):
+    """Fill ``keys[n:]`` (and ``values[n:]``) with copies of a maximal record.
+
+    Maximal in NumPy's sort order, where NaNs sort last, so the pads
+    sort into the tail beside the record they copy, never ahead of a
+    real key.  Returns a copy of that record for :func:`_unpad`.
+    """
+    top = int(np.argmax(keys[:n]))
+    record = slice(top, top + 1)
+    keys[n:] = keys[record]
+    if values is None:
+        return keys[record].copy(), None
+    values[n:] = values[record]
+    return keys[record].copy(), values[record].copy()
+
+
+def _same_bits(array: np.ndarray, record: np.ndarray) -> np.ndarray:
+    """Mask of the elements of ``array`` bit-identical to ``record[0]``."""
+    width = array.dtype.itemsize
+    return (array.view(np.uint8).reshape(-1, width)
+            == record.view(np.uint8)).all(axis=1)
+
+
+def _unpad(n: int, pad, keys: np.ndarray,
+           values: Optional[np.ndarray] = None) -> None:
+    """Move the ``n`` real records of sorted, padded ``keys`` to the front.
+
+    ``pad`` is :func:`_pad`'s record.  Bit copies of it all sort into
+    the tail, so dropping the last ``len(keys) - n`` of them keeps the
+    front sorted and a bit-level permutation of the input (records
+    included).  Equal integers are bit-identical, so keys-only integer
+    pads already are the tail.
+    """
+    extra = keys.size - n
+    if extra == 0 or (values is None and keys.dtype.kind in "biu"):
+        return
+    copies = _same_bits(keys, pad[0])
+    if values is not None:
+        copies &= _same_bits(values, pad[1])
+    keep = np.ones(keys.size, dtype=bool)
+    keep[np.flatnonzero(copies)[-extra:]] = False
+    keys[:n] = keys[keep]
+    if values is not None:
+        values[:n] = values[keep]
 
 
 def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -363,7 +403,7 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     staging = host_in
     value_staging = host_values
-    pad_record = None
+    pad = None
     # Padded staging arrays are pure scratch — dead once the HtoD copies
     # have run — so they come from the workspace pool instead of fresh
     # allocations and go back after the run.
@@ -372,24 +412,14 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         padded_data = default_pool.take(padded, dtype)
         borrowed.append(padded_data)
         padded_data[:n] = host_in.data
-        if host_values is None:
-            # Key-only padding: dtype-max sentinels sort to the tail.
-            padded_data[n:] = _pad_value(dtype)
-        else:
-            # Key-value padding duplicates a real maximal record so the
-            # pads are indistinguishable from (and interchangeable
-            # with) a genuine record; the extras are dropped after the
-            # sort without disturbing any real payload.
-            pad_index = int(np.argmax(host_in.data))
-            pad_record = (host_in.data[pad_index],
-                          host_values.data[pad_index])
-            padded_data[n:] = pad_record[0]
+        padded_values = None
+        if host_values is not None:
             padded_values = default_pool.take(padded, host_values.dtype)
             borrowed.append(padded_values)
             padded_values[:n] = host_values.data
-            padded_values[n:] = pad_record[1]
             value_staging = machine.host_buffer(
                 padded_values, numa=host_in.numa, pinned=host_in.pinned)
+        pad = _pad(padded_data, n, padded_values)
         staging = machine.host_buffer(padded_data, numa=host_in.numa,
                                       pinned=host_in.pinned)
     host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
@@ -514,18 +544,11 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             values_out.data[i * chunk:(i + 1) * chunk] = \
                 out_value_buffers[i].data
     duration = machine.env.now - start
+    if pad is not None:
+        _unpad(n, pad, host_out.data,
+               None if values_out is None else values_out.data)
     output = host_out.data[:n]
     output_values = values_out.data[:n] if values_out is not None else None
-    if pad_record is not None:
-        # Drop the duplicated pad records (any copies are equivalent).
-        keys_all = host_out.data
-        vals_all = values_out.data
-        duplicates = np.flatnonzero((keys_all == pad_record[0])
-                                    & (vals_all == pad_record[1]))
-        keep = np.ones(padded, dtype=bool)
-        keep[duplicates[-(padded - n):]] = False
-        output = keys_all[keep]
-        output_values = vals_all[keep]
 
     recovery = machine.resilience_stats.delta(stats_before)
     fault_downtime = (machine.faults.downtime_between(start, machine.env.now)

@@ -12,9 +12,10 @@ every key on the ``A`` side is <= every key on the ``B`` side.
 * ``B[p-1] <= A[n-p]``  (unless ``p == 0``) — the moved prefix of ``B``
   precedes the moved suffix of ``A``.
 
-The set of valid pivots is a contiguous interval (the first condition
-is monotone in ``p``, the second anti-monotone); with duplicate keys it
-can contain many values.  :func:`select_pivot` returns the *leftmost*
+Keys compare in NumPy's sort order (NaNs last), the order the kernels
+sort in.  The set of valid pivots is a contiguous interval (the first
+condition is monotone in ``p``, the second anti-monotone); with
+duplicate keys it can contain many values.  :func:`select_pivot` returns the *leftmost*
 valid pivot — the paper's optimization that minimizes the number of
 keys transferred over the P2P interconnects, and skips the swap
 entirely when the pivot is zero (already-ordered inputs).
@@ -34,6 +35,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import SortError
+from repro.gpuprims.merge_path import sorts_before
+
+
+def _le(x, y) -> bool:
+    """``x <= y`` in NumPy's sort order, where NaNs sort last."""
+    return not sorts_before(y, x)
 
 
 def _check(a: Sequence, b: Sequence) -> int:
@@ -53,9 +60,9 @@ def is_valid_pivot(a: Sequence, b: Sequence, p: int) -> bool:
     n = _check(a, b)
     if not 0 <= p <= n:
         return False
-    if p < n and not a[n - p - 1] <= b[p]:
+    if p < n and not _le(a[n - p - 1], b[p]):
         return False
-    if p > 0 and not b[p - 1] <= a[n - p]:
+    if p > 0 and not _le(b[p - 1], a[n - p]):
         return False
     return True
 
@@ -72,7 +79,7 @@ def select_pivot(a: Sequence, b: Sequence) -> int:
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if mid == n or a[n - mid - 1] <= b[mid]:
+        if mid == n or _le(a[n - mid - 1], b[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -96,7 +103,7 @@ def select_pivot_paper(a: Sequence, b: Sequence) -> int:
     low, high = 0, n
     while low < high:
         mid = high - (high - low) // 2
-        if a[len(a) - mid] <= b[mid - 1]:
+        if _le(a[len(a) - mid], b[mid - 1]):
             high = mid - 1
         else:
             low = mid

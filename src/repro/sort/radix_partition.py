@@ -87,12 +87,15 @@ def _assign_buckets(keys: np.ndarray, splitters: np.ndarray,
     if not ties.size:
         return buckets
     tie_fractions = tie_fractions or {}
-    for value in np.unique(keys[ties]):
-        where = np.flatnonzero(keys == value)
-        first, last = int(lo[where[0]]), int(hi[where[0]])
+    # Group the tied keys by their first equal splitter rather than by
+    # value: NaN keys tie with NaN splitters in the search order but
+    # compare unequal to them.
+    for first in np.unique(lo[ties]):
+        where = ties[lo[ties] == first]
+        first, last = int(first), int(hi[where[0]])
         fractions = tie_fractions.get(
-            value, [(i - first + 1) / (last - first + 1)
-                    for i in range(first, last)])
+            keys[where[0]], [(i - first + 1) / (last - first + 1)
+                             for i in range(first, last)])
         cuts = [int(round(f * where.size)) for f in fractions]
         assignment = np.full(where.size, last, dtype=np.int64)
         start = 0

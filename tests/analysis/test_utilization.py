@@ -75,8 +75,7 @@ class TestLoadImbalance:
         from repro.runtime import Machine
         from repro.sort import p2p_sort
 
-        machine = Machine(ibm_ac922(), scale=20_000,
-                          fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=20_000)
         data = rng.integers(0, 1 << 30, size=100_000).astype(np.int32)
         p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3))
         low, high = load_imbalance(machine.trace, "HtoD")

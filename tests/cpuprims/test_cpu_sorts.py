@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cpuprims import cpu_functional_sort, library_sort, radix_sort_buffered_lsb
-from repro.cpuprims.std_sorts import available_cpu_primitives
+from repro.cpuprims import library_sort, radix_sort_buffered_lsb
 from repro.cpuprims.stream import merge_saturation, stream_bandwidth
 from repro.errors import SortError
 from repro.hw import ibm_ac922
@@ -59,16 +58,6 @@ class TestLibrarySorts:
     def test_unknown_flavour(self):
         with pytest.raises(SortError):
             library_sort(np.zeros(3, np.int32), "bogo")
-
-    def test_dispatch_covers_all_primitives(self, rng):
-        values = rng.integers(0, 1000, size=400).astype(np.int32)
-        for primitive in available_cpu_primitives():
-            sort = cpu_functional_sort(primitive)
-            assert np.array_equal(sort(values), np.sort(values)), primitive
-
-    def test_unknown_primitive(self):
-        with pytest.raises(SortError):
-            cpu_functional_sort("bogosort")
 
 
 class TestStreamModel:

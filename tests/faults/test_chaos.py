@@ -35,7 +35,7 @@ BILLIONS = 2.0
 def _machine(physical: int = PHYSICAL,
              billions: float = BILLIONS) -> Machine:
     scale = billions * 1e9 / physical
-    return Machine(dgx_a100(), scale=scale, fast_functional=True)
+    return Machine(dgx_a100(), scale=scale)
 
 
 def _data(physical: int = PHYSICAL) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The linear run merges against the rank-merge oracle.
 
 Every merge path — Merge Path segments, the key-value merge and the
-device merge kernel in both functional modes — must produce output
+device merge kernel (on machines built with and without the ignored
+``fast_functional`` keyword) — must produce output
 element-identical to the rank merge (ties to the first run), payload
 order included.  Floats are compared bit for bit, so the placement of
 ``-0.0`` against ``+0.0`` and of distinct NaN payloads is checked too.

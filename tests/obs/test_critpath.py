@@ -33,7 +33,7 @@ from repro.sort import p2p_sort
 def _p2p_run():
     # Large enough that transfer/kernel time, not fixed latencies,
     # carries the wall time — the regime the paper measures.
-    machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=1000)
     recorder = machine.enable_observability()
     data = np.random.default_rng(7).integers(
         0, 1 << 24, size=65536).astype(np.int32)
@@ -181,7 +181,7 @@ def _trace_with_gap():
 class TestJobPaths:
     @pytest.fixture(scope="class")
     def episode(self):
-        machine = Machine(ibm_ac922(), scale=1e5, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1e5)
         recorder = machine.enable_observability()
         jobs = [JobSpec(job_id=i, tenant=("acme", "umbrella")[i % 2],
                         arrival_s=0.0, keys=4096, gpus=2,

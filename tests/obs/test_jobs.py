@@ -11,7 +11,7 @@ from repro.serve import JobSpec, ServiceConfig, SortService
 
 
 def _episode():
-    machine = Machine(ibm_ac922(), scale=1e5, fast_functional=True)
+    machine = Machine(ibm_ac922(), scale=1e5)
     machine.enable_observability()
     jobs = [JobSpec(job_id=i, tenant="acme", arrival_s=0.0,
                     keys=4096, gpus=2, algorithm="p2p", seed=i + 1)
@@ -85,7 +85,7 @@ class TestReplanMidPhase:
         from repro.faults import FaultPlan
         from repro.faults.events import GpuFail
 
-        machine = Machine(ibm_ac922(), scale=1e5, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1e5)
         machine.enable_observability()
         if fail_at is not None:
             machine.install_faults(FaultPlan(events=(

@@ -58,8 +58,7 @@ def test_flight_recorder_overhead_and_memory_on_cluster():
                              compact_batch=512)
 
     def cluster_run(ring):
-        machine = Machine(make_cluster("dgx-a100", 16), scale=100,
-                          fast_functional=True)
+        machine = Machine(make_cluster("dgx-a100", 16), scale=100)
         recorder = machine.enable_observability(
             Recorder(ring=ring_config) if ring else None)
         data = np.random.default_rng(9).integers(

@@ -35,7 +35,7 @@ from repro.serve import JobSpec, ServiceConfig, SortService
 
 def _doomed_run(tmp_path, flight_recorder=False):
     """A supervised sort with no replan budget and a mid-run GPU kill."""
-    machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=1000)
     if flight_recorder:
         from repro.obs.recorder import Recorder, RingConfig
 
@@ -121,7 +121,7 @@ class TestFlightRecorderBundle:
 
 class TestQuarantineBundle:
     def test_breaker_trip_dumps_a_quarantine_bundle(self, tmp_path):
-        machine = Machine(ibm_ac922(), scale=1e5, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1e5)
         machine.enable_observability()
         straggler = machine.spec.num_gpus - 1
         machine.install_faults(FaultPlan(events=(
@@ -153,7 +153,7 @@ class TestRobustness:
             raise RuntimeError("bundle writer exploded")
 
         monkeypatch.setattr(pm, "build_bundle", boom)
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         machine.enable_observability()
         machine.install_faults(
             FaultPlan(events=(GpuFail(at=0.004, gpu=3),)))
@@ -166,7 +166,7 @@ class TestRobustness:
         assert supervisor.postmortems == []
 
     def test_no_dir_means_no_dump(self, tmp_path):
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         machine.enable_observability()
         machine.install_faults(
             FaultPlan(events=(GpuFail(at=0.004, gpu=3),)))

@@ -34,7 +34,7 @@ def _data() -> np.ndarray:
 
 
 def _machine(events) -> Machine:
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     machine.install_faults(FaultPlan(events=events))
     return machine
 

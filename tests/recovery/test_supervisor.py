@@ -25,7 +25,7 @@ def _data() -> np.ndarray:
 
 
 def _machine(plan=None) -> Machine:
-    machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=SCALE)
     if plan is not None:
         machine.install_faults(plan)
     return machine

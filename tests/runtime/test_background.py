@@ -16,8 +16,7 @@ from repro.units import gb
 class TestMemoryScan:
     def test_scan_slows_concurrent_copies(self):
         def copy_time(scan: bool) -> float:
-            machine = Machine(ibm_ac922(), scale=1000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=1000)
             if scan:
                 start_memory_scan(machine, gb(100.0))
             host = machine.host_buffer(np.zeros(1_000_000, np.int32))
@@ -53,8 +52,7 @@ class TestCopyStream:
     def test_stream_contends_on_shared_switch(self):
         # A stream on GPU 7 shares pcie_sw3 with GPU 6 on the DGX.
         def copy_time(stream: bool) -> float:
-            machine = Machine(dgx_a100(), scale=1000,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=1000)
             if stream:
                 start_copy_stream(machine, gpu_id=7)
             host = machine.host_buffer(np.zeros(1_000_000, np.int32))

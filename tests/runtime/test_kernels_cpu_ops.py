@@ -20,7 +20,7 @@ class TestSortKernel:
         assert np.array_equal(buffer.data, expected)
 
     def test_duration_matches_table2(self):
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         buffer = machine.device(0).alloc(1_000_000, np.int32)
         machine.run(sort_on_device(machine, span(buffer)))
         assert machine.now * 1e3 == pytest.approx(36.0, rel=0.01)
@@ -28,7 +28,7 @@ class TestSortKernel:
     def test_primitive_changes_duration(self):
         durations = {}
         for primitive in ("thrust", "stehle", "mgpu"):
-            machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+            machine = Machine(dgx_a100(), scale=1000)
             buffer = machine.device(0).alloc(1_000_000, np.int32)
             machine.run(sort_on_device(machine, span(buffer),
                                        primitive=primitive))
@@ -70,7 +70,7 @@ class TestMergeKernel:
             dgx.run(merge_two_on_device(dgx, span(buffer), split=11))
 
     def test_duration_uses_merge_rate(self):
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         buffer = machine.device(0).alloc(1_000_000, np.int32)
         buffer.data[:500_000] = np.arange(500_000)
         buffer.data[500_000:] = np.arange(500_000)
@@ -87,7 +87,7 @@ class TestCpuSort:
         assert np.array_equal(buffer.data, expected)
 
     def test_duration_matches_paradis_rate(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         buffer = machine.host_buffer(np.zeros(1_000_000, np.int32))
         machine.run(cpu_sort(machine, buffer, primitive="paradis"))
         assert machine.now == pytest.approx(4e9 / gb(2.35), rel=0.01)
@@ -115,8 +115,7 @@ class TestCpuMultiwayMerge:
 
     def test_k_factor_slows_wide_merges(self):
         def merge_time(k):
-            machine = Machine(ibm_ac922(), scale=1000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=1000)
             per_run = 1_000_000 // k
             runs = [np.zeros(per_run, np.int32) for _ in range(k)]
             out = np.empty(per_run * k, dtype=np.int32)
@@ -131,8 +130,7 @@ class TestCpuMultiwayMerge:
         from repro.runtime.memcpy import copy_async
 
         def copy_time(with_merge: bool) -> float:
-            machine = Machine(ibm_ac922(), scale=2000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=2000)
             host = machine.host_buffer(np.zeros(2_000_000, np.int32))
             dev = machine.device(0).alloc(2_000_000, np.int32)
 
@@ -150,3 +148,31 @@ class TestCpuMultiwayMerge:
             return machine.now
 
         assert copy_time(with_merge=True) > copy_time(with_merge=False)
+
+
+class TestLegacyFastFunctionalKeyword:
+    """``Machine(spec, fast_functional=...)`` is accepted and ignored."""
+
+    @staticmethod
+    def _run(sort, **machine_kwargs):
+        from repro.sort import het_sort, p2p_sort
+
+        rng = np.random.default_rng(5)
+        keys = rng.standard_normal(20_001).astype(np.float32)
+        keys[::1000] = -0.0
+        machine = Machine(ibm_ac922(), scale=1e5, **machine_kwargs)
+        sorter = {"p2p": p2p_sort, "het": het_sort}[sort]
+        result = sorter(machine, keys, gpu_ids=(0, 1))
+        return result, machine.env.events_retired
+
+    @pytest.mark.parametrize("sort", ["p2p", "het"])
+    def test_keyword_changes_nothing(self, sort):
+        plain, plain_events = self._run(sort)
+        for fast in (True, False):
+            legacy, events = self._run(sort, fast_functional=fast)
+            assert np.array_equal(legacy.output.view(np.uint32),
+                                  plain.output.view(np.uint32))
+            assert legacy.duration == plain.duration
+            assert legacy.phase_durations == plain.phase_durations
+            assert events == plain_events
+

@@ -70,7 +70,7 @@ class TestFunctionalEffect:
 
 class TestTimingModel:
     def test_htod_rate_matches_link(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         host = machine.host_buffer(np.zeros(1_000_000, np.int32))
         dev = machine.device(0).alloc(1_000_000, np.int32)
         run_copy(machine, span(dev), span(host))
@@ -78,13 +78,13 @@ class TestTimingModel:
         assert machine.now == pytest.approx(4e9 / gb(72.0), rel=1e-2)
 
     def test_pageable_buffer_pays_penalty(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         pinned = machine.host_buffer(np.zeros(1_000_000, np.int32))
         dev = machine.device(0).alloc(1_000_000, np.int32)
         run_copy(machine, span(dev), span(pinned))
         pinned_time = machine.now
 
-        machine2 = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine2 = Machine(ibm_ac922(), scale=1000)
         pageable = machine2.host_buffer(np.zeros(1_000_000, np.int32),
                                         pinned=False)
         dev2 = machine2.device(0).alloc(1_000_000, np.int32)
@@ -92,7 +92,7 @@ class TestTimingModel:
         assert machine2.now == pytest.approx(2 * pinned_time, rel=0.05)
 
     def test_host_staged_p2p_is_capped(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         a = machine.device(0).alloc(1_000_000, np.int32)
         b = machine.device(2).alloc(1_000_000, np.int32)
         run_copy(machine, span(b), span(a))
@@ -100,7 +100,7 @@ class TestTimingModel:
         assert 4e9 / machine.now / 1e9 == pytest.approx(32.8, rel=0.02)
 
     def test_local_dtod_uses_device_rate(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         dev = machine.device(0)
         a = dev.alloc(1_000_000, np.int32)
         b = dev.alloc(1_000_000, np.int32)
@@ -108,14 +108,14 @@ class TestTimingModel:
         assert 4e9 / machine.now / 1e9 == pytest.approx(360.0, rel=0.02)
 
     def test_host_to_host_crosses_cpu_interconnect(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         src = machine.host_buffer(np.zeros(1_000_000, np.int32), numa=0)
         dst = machine.host_buffer(np.zeros(1_000_000, np.int32), numa=1)
         run_copy(machine, span(dst), span(src))
         assert 4e9 / machine.now / 1e9 == pytest.approx(41.0, rel=0.02)
 
     def test_phase_recorded_in_trace(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         host = machine.host_buffer(np.zeros(1000, np.int32))
         dev = machine.device(0).alloc(1000, np.int32)
         run_copy(machine, span(dev), span(host), phase="HtoD")
@@ -127,7 +127,7 @@ class TestCopyEngines:
     def test_same_direction_copies_serialize_per_gpu(self):
         # Two HtoD copies to ONE GPU share its single inbound engine, so
         # they serialize rather than halving the link fairly.
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         host = machine.host_buffer(np.zeros(1_000_000, np.int32))
         d1 = machine.device(0).alloc(1_000_000, np.int32)
         d2 = machine.device(0).alloc(1_000_000, np.int32)
@@ -142,7 +142,7 @@ class TestCopyEngines:
         assert machine.now == pytest.approx(2 * 4e9 / gb(72.0), rel=0.02)
 
     def test_opposite_directions_overlap(self):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         host_in = machine.host_buffer(np.zeros(1_000_000, np.int32))
         host_out = machine.host_buffer(np.zeros(1_000_000, np.int32))
         d = machine.device(0).alloc(1_000_000, np.int32)
@@ -166,7 +166,7 @@ class TestCopyEngines:
 
 class TestCopyAll:
     def test_copy_all_runs_concurrently(self):
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         pairs = []
         for gpu_id in (0, 2):
             host = machine.host_buffer(np.zeros(1_000_000, np.int32))

@@ -79,8 +79,7 @@ class TestMultihopCopy:
         from repro.runtime.memcpy import copy_async
 
         def timed(use_relay: bool) -> float:
-            machine = Machine(delta_d22x(), scale=1000,
-                              fast_functional=True)
+            machine = Machine(delta_d22x(), scale=1000)
             src = machine.device(0).alloc(1_000_000, np.int32)
             dst = machine.device(3).alloc(1_000_000, np.int32)
 
@@ -98,8 +97,7 @@ class TestMultihopCopy:
 
     def test_pipelining_improves_with_blocks(self):
         def timed(blocks: int) -> float:
-            machine = Machine(delta_d22x(), scale=1000,
-                              fast_functional=True)
+            machine = Machine(delta_d22x(), scale=1000)
             src = machine.device(0).alloc(1_000_000, np.int32)
             dst = machine.device(3).alloc(1_000_000, np.int32)
 
@@ -143,8 +141,7 @@ class TestSortIntegration:
         data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
 
         def run(multihop: bool):
-            machine = Machine(delta_d22x(), scale=2_000_000,
-                              fast_functional=True)
+            machine = Machine(delta_d22x(), scale=2_000_000)
             return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                             config=P2PConfig(multihop=multihop))
 
@@ -159,8 +156,7 @@ class TestSortIntegration:
         data = rng.integers(0, 1 << 30, size=2048).astype(np.int32)
 
         def run(multihop: bool):
-            machine = Machine(dgx_a100(), scale=1_000_000,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=1_000_000)
             return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                             config=P2PConfig(multihop=multihop)).duration
 
@@ -173,8 +169,7 @@ class TestSortIntegration:
         data = rng.integers(0, 1 << 30, size=2048).astype(np.int32)
 
         def run(multihop: bool):
-            machine = Machine(ibm_ac922(), scale=1_000_000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=1_000_000)
             return p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3),
                             config=P2PConfig(multihop=multihop)).duration
 

@@ -30,7 +30,7 @@ SCALE = 1e5
 
 
 def _machine(plan=None) -> Machine:
-    machine = Machine(ibm_ac922(), scale=SCALE, fast_functional=True)
+    machine = Machine(ibm_ac922(), scale=SCALE)
     if plan is not None:
         machine.install_faults(plan)
     return machine

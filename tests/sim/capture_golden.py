@@ -34,7 +34,7 @@ CASES = {
 
 def run_case(algorithm: str, physical: int, billions: float):
     scale = billions * 1e9 / physical
-    machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    machine = Machine(dgx_a100(), scale=scale)
     data = generate(physical, "uniform", np.int32, seed=42)
     sort = p2p_sort if algorithm == "p2p" else het_sort
     result = sort(machine, data)

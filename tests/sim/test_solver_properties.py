@@ -441,7 +441,7 @@ def test_profile_counts_scoped_fills_on_a_cluster_sort(monkeypatch):
 
     monkeypatch.setattr(FlowNetwork, "_reallocate", counting)
     machine = Machine(make_cluster("dgx-a100", 4, fabric="fat-tree"),
-                      scale=64_000.0, fast_functional=True)
+                      scale=64_000.0)
     profile = machine.env.profile = SimProfile()
     data = np.random.default_rng(3).integers(
         0, 1 << 30, 4 * 4096, dtype=np.int32)

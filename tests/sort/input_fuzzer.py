@@ -129,7 +129,8 @@ def case_for_seed(seed: int) -> InputCase:
     sort = SORTS[seed % len(SORTS)]
     dtype = np.dtype(DTYPES[int(rng.integers(len(DTYPES)))])
     gpus = int(rng.choice((2, 4, 8))) if sort != "hier" else 8
-    n = int(rng.integers(2, 300))
+    # A hierarchical sort needs a key per node.
+    n = int(rng.integers(HIER_NODES if sort == "hier" else 1, 300))
     runs, total = [], 0
     while total < n:
         length = int(rng.integers(1, n - total + 1))
@@ -232,11 +233,12 @@ def _variants(case: InputCase) -> Iterator[InputCase]:
     if case.values is not None:
         yield replace(case, values=None)
     n = case.keys.size
+    fewest = HIER_NODES if case.sort == "hier" else 1
     size = n // 2
     while size >= 1:
         for start in range(0, n, size):
             keep = np.r_[0:start, min(n, start + size):n]
-            if keep.size == 0:
+            if keep.size < fewest:
                 continue
             yield replace(case, keys=case.keys[keep],
                           values=(None if case.values is None

@@ -95,8 +95,7 @@ class TestEndToEndOrderEffect:
         optimized = best_gpu_order_for_p2p(spec, (0, 1, 2, 3))
 
         def run(order):
-            machine = Machine(delta_d22x(), scale=2_000_000,
-                              fast_functional=True)
+            machine = Machine(delta_d22x(), scale=2_000_000)
             return p2p_sort(machine, data, gpu_ids=order)
 
         default = run((0, 1, 2, 3))

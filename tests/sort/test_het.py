@@ -14,7 +14,7 @@ from repro.sort import HetConfig, het_sort
 
 def out_of_core_machine(scale=3_000_000):
     """A machine scaled so 60k physical keys span several chunk groups."""
-    return Machine(ibm_ac922(), scale=scale, fast_functional=False)
+    return Machine(ibm_ac922(), scale=scale)
 
 
 class TestInCore:
@@ -154,8 +154,7 @@ class TestPaperBehaviours:
         data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
 
         def run(algorithm):
-            machine = Machine(ibm_ac922(), scale=2_000_000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=2_000_000)
             return algorithm(machine, data, gpu_ids=(0, 1)).duration
 
         # Section 6.1.1: P2P sort outperforms HET sort on NVLink pairs.
@@ -165,8 +164,7 @@ class TestPaperBehaviours:
         data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
 
         def run(approach):
-            machine = Machine(dgx_a100(), scale=1_000_000,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=1_000_000)
             return het_sort(machine, data, gpu_ids=(0, 2),
                             config=HetConfig(approach=approach)).duration
 

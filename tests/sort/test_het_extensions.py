@@ -11,7 +11,7 @@ from repro.sort import HetConfig, P2PConfig, het_sort, p2p_sort
 
 
 def out_of_core(scale=3_000_000):
-    return Machine(ibm_ac922(), scale=scale, fast_functional=False)
+    return Machine(ibm_ac922(), scale=scale)
 
 
 class TestGpuMergedGroups:
@@ -51,8 +51,7 @@ class TestGpuMergedGroups:
         scale = 32e9 / keys.size
 
         def run(gpu_merge: bool) -> float:
-            machine = Machine(ibm_ac922(), scale=scale,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=scale)
             return het_sort(machine, keys, gpu_ids=(0, 1),
                             config=HetConfig(
                                 gpu_merge_groups=gpu_merge)).duration
@@ -93,8 +92,7 @@ class TestNumaPlacement:
         scale = 2e9 / keys.size
 
         def run(**cfg) -> float:
-            machine = Machine(ibm_ac922(), scale=scale,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=scale)
             return p2p_sort(machine, keys, gpu_ids=(0, 1, 2, 3),
                             config=P2PConfig(**cfg)).duration
 
@@ -111,7 +109,7 @@ class TestNumaPlacement:
 
     def test_redistribution_phase_recorded(self, rng):
         keys = rng.integers(0, 1 << 30, size=50_000).astype(np.int32)
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         result = p2p_sort(machine, keys, gpu_ids=(0, 1, 2, 3),
                           config=P2PConfig(input_placement="numa-local"))
         assert "Redistribute" in result.phase_durations
@@ -119,7 +117,7 @@ class TestNumaPlacement:
     def test_no_redistribution_for_local_gpus_only(self, rng):
         # GPUs 0 and 1 live on node 0 already: nothing to shuffle.
         keys = rng.integers(0, 1 << 30, size=50_000).astype(np.int32)
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         result = p2p_sort(machine, keys, gpu_ids=(0, 1),
                           config=P2PConfig(input_placement="numa-local"))
         assert "Redistribute" not in result.phase_durations
@@ -131,8 +129,7 @@ class TestNumaPlacement:
         scale = 2e9 / keys.size
 
         def run(placement) -> float:
-            machine = Machine(dgx_a100(), scale=scale,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=scale)
             return p2p_sort(machine, keys,
                             config=P2PConfig(
                                 input_placement=placement,

@@ -31,7 +31,7 @@ def _data(seed=42, n=KEYS):
 
 def _machine(nodes=4, fabric="fat-tree", plan=None):
     machine = Machine(make_cluster("dgx-a100", nodes, fabric=fabric),
-                      scale=SCALE, fast_functional=True)
+                      scale=SCALE)
     if plan is not None:
         machine.install_faults(plan)
     return machine

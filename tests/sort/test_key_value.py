@@ -124,8 +124,7 @@ class TestP2PKeyValue:
         scale = 2e9 / keys.size
 
         def run(with_values):
-            machine = Machine(dgx_a100(), scale=scale,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=scale)
             return p2p_sort(machine, keys,
                             values=values if with_values else None).duration
 
@@ -178,9 +177,9 @@ class TestRPKeyValue:
     def test_exchange_volume_includes_payload(self, rng):
         keys = rng.integers(0, 1 << 30, size=40_000).astype(np.int32)
         values = np.arange(40_000, dtype=np.int64)
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=False)
+        machine = Machine(dgx_a100(), scale=1000)
         with_payload = rp_sort(machine, keys, values=values)
-        machine2 = Machine(dgx_a100(), scale=1000, fast_functional=False)
+        machine2 = Machine(dgx_a100(), scale=1000)
         without = rp_sort(machine2, keys)
         assert with_payload.p2p_bytes == pytest.approx(
             3.0 * without.p2p_bytes, rel=0.01)

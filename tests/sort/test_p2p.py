@@ -89,7 +89,7 @@ class TestValidation:
             p2p_sort(ac922, np.empty(0, dtype=np.int32))
 
     def test_oversized_data_rejected(self):
-        machine = Machine(ibm_ac922(), scale=1e9, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1e9)
         data = np.zeros(100_000, dtype=np.int32)  # 400 TB logical
         with pytest.raises(SortError, match="HET sort"):
             p2p_sort(machine, data, gpu_ids=(0, 1))
@@ -124,7 +124,7 @@ class TestResultMetadata:
         assert result.p2p_bytes == pytest.approx(1024 * 4)
 
     def test_logical_keys_respect_scale(self, rng):
-        machine = Machine(ibm_ac922(), scale=1000, fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=1000)
         data = rng.integers(0, 100, size=1024).astype(np.int32)
         result = p2p_sort(machine, data, gpu_ids=(0, 1))
         assert result.logical_keys == 1024 * 1000
@@ -139,11 +139,9 @@ class TestConfigVariants:
 
     def test_serialized_swap_sorts_and_is_slower(self, rng):
         data = rng.integers(0, 1 << 20, size=4096).astype(np.int32)
-        fast = p2p_sort(Machine(ibm_ac922(), scale=2_000_000,
-                                fast_functional=True),
+        fast = p2p_sort(Machine(ibm_ac922(), scale=2_000_000),
                         data, gpu_ids=(0, 1))
-        slow = p2p_sort(Machine(ibm_ac922(), scale=2_000_000,
-                                fast_functional=True),
+        slow = p2p_sort(Machine(ibm_ac922(), scale=2_000_000),
                         data, gpu_ids=(0, 1),
                         config=P2PConfig(out_of_place_swap=False))
         assert np.array_equal(slow.output, np.sort(data))
@@ -161,8 +159,7 @@ class TestGpuOrderEffect:
         data = rng.integers(0, 1 << 20, size=4096).astype(np.int32)
 
         def run(order):
-            machine = Machine(ibm_ac922(), scale=2_000_000,
-                              fast_functional=True)
+            machine = Machine(ibm_ac922(), scale=2_000_000)
             return p2p_sort(machine, data, gpu_ids=order).duration
 
         # Section 5.4: (0, 1, 2, 3) pairs NVLink-connected GPUs in the
@@ -173,8 +170,7 @@ class TestGpuOrderEffect:
         data = rng.integers(0, 1 << 20, size=4096).astype(np.int32)
 
         def run(order):
-            machine = Machine(dgx_a100(), scale=2_000_000,
-                              fast_functional=True)
+            machine = Machine(dgx_a100(), scale=2_000_000)
             return p2p_sort(machine, data, gpu_ids=order).duration
 
         assert run((0, 1, 2, 3)) == pytest.approx(run((0, 3, 1, 2)),

@@ -42,8 +42,7 @@ class TestRedistribute:
                                  [(i * 100, (i + 1) * 100)
                                   for i in range(4)],
                                  placement=pl.NUMA_LOCAL)
-        machine = Machine(ibm_ac922(), scale=10_000_000,
-                          fast_functional=True)
+        machine = Machine(ibm_ac922(), scale=10_000_000)
         remade = pl.place_chunks(machine,
                                  machine.host_buffer(host_in.data.copy()),
                                  (0, 1, 2, 3),

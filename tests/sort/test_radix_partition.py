@@ -107,7 +107,7 @@ class TestValidation:
         assert np.array_equal(result.output, np.sort(data))
 
     def test_oversized_data_rejected(self):
-        machine = Machine(dgx_a100(), scale=1e9, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1e9)
         with pytest.raises(SortError, match="RP sort needs"):
             rp_sort(machine, np.zeros(200_000, np.int32))
 
@@ -123,7 +123,7 @@ class TestResultMetadata:
 
     def test_exchange_volume_bounded(self, rng):
         # Expected cross-GPU volume is ~ n * (g-1)/g.
-        machine = Machine(dgx_a100(), scale=1000, fast_functional=True)
+        machine = Machine(dgx_a100(), scale=1000)
         data = rng.integers(0, 1 << 30, size=80_000).astype(np.int32)
         result = rp_sort(machine, data)
         expected = data.nbytes * 1000 * 7 / 8
@@ -134,20 +134,16 @@ class TestPaperHypothesis:
     def test_rp_moves_less_data_than_p2p_sort(self, rng):
         data = rng.integers(0, 1 << 30, size=100_000).astype(np.int32)
         scale = 2e9 / data.size
-        rp = rp_sort(Machine(dgx_a100(), scale=scale,
-                             fast_functional=True), data)
-        pp = p2p_sort(Machine(dgx_a100(), scale=scale,
-                              fast_functional=True), data)
+        rp = rp_sort(Machine(dgx_a100(), scale=scale), data)
+        pp = p2p_sort(Machine(dgx_a100(), scale=scale), data)
         # Section 7: keys cross the interconnect only once.
         assert rp.p2p_bytes < 0.5 * pp.p2p_bytes
 
     def test_rp_beats_p2p_sort_on_nvswitch(self, rng):
         data = rng.integers(0, 1 << 30, size=100_000).astype(np.int32)
         scale = 2e9 / data.size
-        rp = rp_sort(Machine(dgx_a100(), scale=scale,
-                             fast_functional=True), data)
-        pp = p2p_sort(Machine(dgx_a100(), scale=scale,
-                              fast_functional=True), data)
+        rp = rp_sort(Machine(dgx_a100(), scale=scale), data)
+        pp = p2p_sort(Machine(dgx_a100(), scale=scale), data)
         assert rp.duration < pp.duration
 
     def test_rp_does_not_beat_p2p_on_xbus_topology(self, rng):
@@ -155,10 +151,8 @@ class TestPaperHypothesis:
         # the X-Bus, so RP sort loses its edge.
         data = rng.integers(0, 1 << 30, size=100_000).astype(np.int32)
         scale = 2e9 / data.size
-        rp = rp_sort(Machine(ibm_ac922(), scale=scale,
-                             fast_functional=True), data,
+        rp = rp_sort(Machine(ibm_ac922(), scale=scale), data,
                      gpu_ids=(0, 1, 2, 3))
-        pp = p2p_sort(Machine(ibm_ac922(), scale=scale,
-                              fast_functional=True), data,
+        pp = p2p_sort(Machine(ibm_ac922(), scale=scale), data,
                       gpu_ids=(0, 1, 2, 3))
         assert rp.duration > 0.9 * pp.duration
