@@ -34,7 +34,7 @@ from repro.errors import SortError
 from repro.runtime.buffer import default_pool
 
 
-def sorts_before(x, y) -> bool:
+def _sorts_before(x, y) -> bool:
     """``x < y`` in NumPy's sort order, where NaN sorts after numbers."""
     return bool(x < y or (y != y and x == x))
 
@@ -53,7 +53,7 @@ def _diagonal_intersection(a: np.ndarray, b: np.ndarray, diag: int) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         # Path goes below-right of (mid, diag-mid) iff a[mid] <= b[diag-mid-1].
-        if not sorts_before(b[diag - mid - 1], a[mid]):
+        if not _sorts_before(b[diag - mid - 1], a[mid]):
             lo = mid + 1
         else:
             hi = mid
