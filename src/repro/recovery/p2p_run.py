@@ -42,7 +42,7 @@ from repro.runtime.buffer import HostBuffer
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import merge_two_on_device, sort_on_device
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.p2p import P2PConfig, _Chunk, _pad, _Stats, _unpad
+from repro.sort.p2p import P2PConfig, _Chunk, _pad, _Stats
 from repro.sort.p2p import _merge_chunks
 
 
@@ -71,8 +71,7 @@ class P2PRun:
         padded_data = sup.pool.take(self.padded, self.dtype)
         self._borrowed: List[np.ndarray] = [padded_data]
         padded_data[:self.n] = host_in.data
-        self.pad = (_pad(padded_data, self.n)
-                    if self.padded != self.n else None)
+        _pad(padded_data, self.n)
         self.staging = machine.host_buffer(padded_data, numa=host_in.numa,
                                            pinned=host_in.pinned)
         self.host_out = machine.host_buffer(
@@ -155,15 +154,11 @@ class P2PRun:
 
     def finalize(self) -> np.ndarray:
         if self.cpu_output is not None:
-            output = self.cpu_output
-        elif self.use_staged_output:
+            return self.cpu_output[:self.n]
+        if self.use_staged_output:
             assert self._merged_ck is not None
-            output = np.concatenate(self._merged_ck.payloads)
-        else:
-            output = self.host_out.data
-        if self.pad is not None:
-            _unpad(self.n, self.pad, output)
-        return output[:self.n]
+            return np.concatenate(self._merged_ck.payloads)[:self.n]
+        return self.host_out.data[:self.n]
 
     def result_fields(self) -> dict:
         g = len(self.ids)

@@ -57,8 +57,7 @@ from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _pad, _Stats,
-                            _unpad)
+from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _pad, _Stats
 from repro.sort.result import SortResult
 from repro.units import US
 
@@ -109,8 +108,6 @@ class _NodePlan:
     chunk: int
     staging: HostBuffer
     host_out: HostBuffer
-    #: The record the shard's padding copies (``None`` without padding).
-    pad: Optional[tuple] = None
 
 
 def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
@@ -173,9 +170,6 @@ def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
             for i, c in enumerate(chunks)]
         yield env.all_of(dtoh)
         check()
-        if plan.pad is not None:
-            _unpad(plan.shard_stop - plan.shard_start, plan.pad,
-                   plan.host_out.data)
     finally:
         # Also on interrupt / device failure: a replanned epoch must
         # not inherit leaked device allocations from the failed one.
@@ -274,14 +268,13 @@ def _plan_node(machine: Machine, spec: ClusterSpec, node: int,
     numa = spec.node_numa(node)
     padded_data = np.empty(padded, dtype=dtype)
     padded_data[:shard_n] = host_in.data[start:stop]
-    pad = _pad(padded_data, shard_n) if padded != shard_n else None
+    _pad(padded_data, shard_n)
     staging = machine.host_buffer(padded_data, numa=numa, pinned=True)
     host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
                                    numa=numa, pinned=True)
     return _NodePlan(node=node, gpu_ids=ids, numa=numa,
                      shard_start=start, shard_stop=stop,
-                     chunk=chunk, staging=staging, host_out=host_out,
-                     pad=pad)
+                     chunk=chunk, staging=staging, host_out=host_out)
 
 
 def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -386,7 +379,7 @@ def _healthy_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                  for plan in plans]
         yield env.all_of(local)
 
-        # The sorted shard is the padded run's prefix (see _unpad).
+        # The sorted shard is the padded run's prefix (see _pad).
         runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
                 for plan in plans]
         # Splitter selection reads every node's samples over the

@@ -263,50 +263,24 @@ def _merge_chunks(machine: Machine, chunks: List[_Chunk],
         check()
 
 
-def _pad(keys: np.ndarray, n: int, values: Optional[np.ndarray] = None):
+def _pad(keys: np.ndarray, n: int,
+         values: Optional[np.ndarray] = None) -> None:
     """Fill ``keys[n:]`` (and ``values[n:]``) with copies of a maximal record.
 
-    Maximal in NumPy's sort order, where NaNs sort last, so the pads
-    sort into the tail beside the record they copy, never ahead of a
-    real key.  Returns a copy of that record for :func:`_unpad`.
+    Maximal in NumPy's sort order (NaNs last), so no real key sorts
+    after a pad.  The pads start as the last records of the last chunk
+    and stay there: a pivot swap never moves them (every key ties with
+    or precedes a pad, so the pivot stops at the first one), and every
+    merge keeps ties in the first run while the pads' run comes second.
+    The first ``n`` sorted records are therefore the real ones, bit for
+    bit.
     """
-    top = int(np.argmax(keys[:n]))
-    record = slice(top, top + 1)
-    keys[n:] = keys[record]
-    if values is None:
-        return keys[record].copy(), None
-    values[n:] = values[record]
-    return keys[record].copy(), values[record].copy()
-
-
-def _same_bits(array: np.ndarray, record: np.ndarray) -> np.ndarray:
-    """Mask of the elements of ``array`` bit-identical to ``record[0]``."""
-    width = array.dtype.itemsize
-    return (array.view(np.uint8).reshape(-1, width)
-            == record.view(np.uint8)).all(axis=1)
-
-
-def _unpad(n: int, pad, keys: np.ndarray,
-           values: Optional[np.ndarray] = None) -> None:
-    """Move the ``n`` real records of sorted, padded ``keys`` to the front.
-
-    ``pad`` is :func:`_pad`'s record.  Bit copies of it all sort into
-    the tail, so dropping the last ``len(keys) - n`` of them keeps the
-    front sorted and a bit-level permutation of the input (records
-    included).  Equal integers are bit-identical, so keys-only integer
-    pads already are the tail.
-    """
-    extra = keys.size - n
-    if extra == 0 or (values is None and keys.dtype.kind in "biu"):
+    if keys.size == n:
         return
-    copies = _same_bits(keys, pad[0])
+    top = int(np.argmax(keys[:n]))
+    keys[n:] = keys[top:top + 1]
     if values is not None:
-        copies &= _same_bits(values, pad[1])
-    keep = np.ones(keys.size, dtype=bool)
-    keep[np.flatnonzero(copies)[-extra:]] = False
-    keys[:n] = keys[keep]
-    if values is not None:
-        values[:n] = values[keep]
+        values[n:] = values[top:top + 1]
 
 
 def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -403,7 +377,6 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     staging = host_in
     value_staging = host_values
-    pad = None
     # Padded staging arrays are pure scratch — dead once the HtoD copies
     # have run — so they come from the workspace pool instead of fresh
     # allocations and go back after the run.
@@ -419,7 +392,7 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             padded_values[:n] = host_values.data
             value_staging = machine.host_buffer(
                 padded_values, numa=host_in.numa, pinned=host_in.pinned)
-        pad = _pad(padded_data, n, padded_values)
+        _pad(padded_data, n, padded_values)
         staging = machine.host_buffer(padded_data, numa=host_in.numa,
                                       pinned=host_in.pinned)
     host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
@@ -544,9 +517,6 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             values_out.data[i * chunk:(i + 1) * chunk] = \
                 out_value_buffers[i].data
     duration = machine.env.now - start
-    if pad is not None:
-        _unpad(n, pad, host_out.data,
-               None if values_out is None else values_out.data)
     output = host_out.data[:n]
     output_values = values_out.data[:n] if values_out is not None else None
 

@@ -79,6 +79,24 @@ class TestPadding:
         result = hier_sort(Machine(make_cluster("dgx-a100", 4)), keys)
         assert_sorted_permutation(result.output, keys)
 
+    @pytest.mark.parametrize("gpus", [2, 8])
+    def test_pads_never_displace_distinct_nan_maxima(self, gpus):
+        # The maxima tie with the pads but differ in bits: a pad that
+        # overtook one would drop its payload from the output.
+        nans = (0x7FC00000, PAYLOAD_NAN, 0x7FC00123, 0xFFC00000) * 8
+        keys = float32_keys(4093, 9, nans)
+        values = np.arange(keys.size, dtype=np.int64)
+        ids = dgx_a100().preferred_gpu_set(gpus)
+        plain = p2p_sort(Machine(dgx_a100()), keys, gpu_ids=ids)
+        assert_sorted_permutation(plain.output, keys)
+        records = p2p_sort(Machine(dgx_a100()), keys, gpu_ids=ids,
+                           values=values)
+        assert_same_records(records.output, records.output_values, keys,
+                            values)
+        supervised = SortSupervisor(Machine(dgx_a100())).sort(
+            keys, gpu_ids=ids)
+        assert_sorted_permutation(supervised.output, keys)
+
     def test_hier_empty_shard(self):
         # Ceil-sharding 5 keys over 4 nodes leaves the last node none.
         keys = np.array([5, 3, 9, 1, 7], dtype=np.int32)
