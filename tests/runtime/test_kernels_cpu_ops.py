@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import RuntimeApiError
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge, cpu_sort
@@ -112,6 +113,24 @@ class TestCpuMultiwayMerge:
         with pytest.raises(Exception):
             ac922.run(cpu_multiway_merge(
                 ac922, out, [np.zeros(4, np.int32)]))
+
+    def test_merges_records_stably(self, ac922):
+        runs = [np.array([1, 3, 3], np.int32), np.array([2, 3], np.int32)]
+        value_runs = [np.array([10, 11, 12]), np.array([20, 21])]
+        out = np.empty(5, np.int32)
+        values_out = np.empty(5, np.int64)
+        ac922.run(cpu_multiway_merge(ac922, out, runs, values_out=values_out,
+                                     value_runs=value_runs))
+        assert out.tolist() == [1, 2, 3, 3, 3]
+        assert values_out.tolist() == [10, 20, 11, 12, 21]
+
+    def test_value_run_mismatch_rejected(self, ac922):
+        runs = [np.zeros(3, np.int32), np.zeros(2, np.int32)]
+        with pytest.raises(RuntimeApiError, match="one value run"):
+            ac922.run(cpu_multiway_merge(
+                ac922, np.empty(5, np.int32), runs,
+                values_out=np.empty(5, np.int64),
+                value_runs=[np.zeros(3, np.int64)]))
 
     def test_k_factor_slows_wide_merges(self):
         def merge_time(k):

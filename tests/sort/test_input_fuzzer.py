@@ -1,4 +1,4 @@
-"""The input fuzzer: 600 seeded special-value inputs against every sort.
+"""The input fuzzer: 400 seeded special-value inputs against every sort.
 
 Every case must come out in NumPy's sort order as a bit-level
 permutation of its input (records included); any crash or wrong output
@@ -18,7 +18,7 @@ from tests.sort.input_fuzzer import (
     shrink,
 )
 
-SEEDS = range(600)
+SEEDS = range(400)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
