@@ -8,8 +8,7 @@ int8 to float64, and keys assembled from random, few-distinct,
 all-equal, sorted, reverse and special-value runs (±0.0, ±NaN with and
 without payload bits, signalling NaNs, ±inf, the dtype's extremes).
 Sizes are often not a multiple of the GPU count, so the padding paths
-run.
-Sorts that carry records also get an int64 payload half the time.
+run.  Sorts that carry records also get an int64 payload half the time.
 
 The contract under test (:func:`run_case`) is NumPy's sort order:
 
