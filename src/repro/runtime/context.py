@@ -14,7 +14,7 @@ benchmarks — runs as processes inside a machine:
 
 from __future__ import annotations
 
-from typing import Generator, List, Union
+from typing import Dict, Generator, List, Set, Union
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class Machine:
         self.resilience = ResiliencePolicy()
         #: Machine-wide recovery counters (sorts snapshot/delta these).
         self.resilience_stats = ResilienceStats()
+        #: Sources of the copies in flight, by ``id`` of the array that
+        #: owns their memory; see :func:`repro.runtime.memcpy.before_write`.
+        self.in_flight: Dict[int, Set] = {}
 
     def install_faults(self, plan):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the machine.

@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import RuntimeApiError
 from repro.gpuprims.functional import sort_in_place
 from repro.runtime.buffer import HostBuffer
+from repro.runtime.memcpy import before_write
 from repro.sim.resources import Direction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +55,7 @@ def cpu_sort(machine: "Machine", target: HostBuffer,
                                   logical, rate_cap=rate,
                                   label=f"cpu-sort:{primitive}")
     yield flow.done
+    before_write(machine, target.data)
     sort_in_place(target.data)
     machine.trace.record(phase, f"cpu{target.numa}", start, bytes=logical)
     return target
@@ -94,6 +96,7 @@ def cpu_multiway_merge(machine: "Machine", out: np.ndarray,
     flow = machine.net.start_flow(_memory_route(machine, numa), logical,
                                   rate_cap=rate, label="cpu-multiway-merge")
     yield flow.done
+    before_write(machine, out, values_out)
     # The runs never alias the outputs: concatenate them there and sort.
     # A stable sort of concatenated sorted runs is their merge, ties in
     # run order.

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import RuntimeApiError
 from repro.gpuprims.functional import merge_in_place, sort_in_place
-from repro.runtime.memcpy import Span
+from repro.runtime.memcpy import Span, before_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import Machine
@@ -63,7 +63,9 @@ def sort_on_device(machine: "Machine", target: Span,
         # it retire on a corpse.  Healthy machines keep the bare timeout
         # above — bit-identical to the pre-fault engine.
         yield from machine.faults.run_on_device(device, duration)
-    sort_in_place(view, None if values is None else values.view)
+    value_view = None if values is None else values.view
+    before_write(machine, view, value_view)
+    sort_in_place(view, value_view)
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target
 
@@ -99,6 +101,8 @@ def merge_two_on_device(machine: "Machine", target: Span, split: int,
     else:
         yield from machine.faults.run_on_device(device, duration)
     if split not in (0, len(view)):
-        merge_in_place(view, split, None if values is None else values.view)
+        value_view = None if values is None else values.view
+        before_write(machine, view, value_view)
+        merge_in_place(view, split, value_view)
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target

@@ -3,8 +3,12 @@
 :func:`copy_async` is the single entry point for every transfer kind the
 paper exercises — HtoD, DtoH, host-staged and direct P2P, and
 device-local copies.  It spawns a flow over the routed path (charging
-simulated time under bandwidth sharing) and moves the NumPy payload on
-completion.
+simulated time under bandwidth sharing) and moves the NumPy payload
+once, on completion: the copy reads its source when it lands.  While it
+is in flight the source stays registered on the machine, and every
+functional write calls :func:`before_write` first, which snapshots the
+sources it would overwrite (copy-on-conflict).  A landed copy therefore
+always holds its source as of issue time.
 
 All copy process functions are generators meant to run under
 ``machine.env.process`` (or ``yield from`` inside another process).
@@ -63,6 +67,45 @@ def span(buffer: Buffer, start: int = 0, stop: Optional[int] = None) -> Span:
             f"span [{start}:{stop}) out of range for buffer of "
             f"{len(buffer.data)} elements")
     return Span(buffer, start, stop)
+
+
+class _Read:
+    """The source of one copy in flight.
+
+    ``payload`` stays ``None`` unless a conflicting write snapshots the
+    source; the copy lands ``payload`` if set, else ``source`` itself.
+    """
+
+    __slots__ = ("source", "payload")
+
+    def __init__(self, source: np.ndarray):
+        self.source = source
+        self.payload = None
+
+
+def before_write(machine: "Machine", *targets: Optional[np.ndarray]) -> None:
+    """Snapshot the in-flight copy sources a write to ``targets`` hits.
+
+    Every functional write calls this first: a copy landing, the device
+    sort and merge kernels, and the CPU sort and merge.  The 3n
+    pipeline's in-place transfer swap is the case that needs it: the
+    next inbound chunk overwrites a buffer the outbound copy still
+    drains (Section 5.3, Figure 10).  Sources are registered by the
+    array that owns their memory (NumPy collapses every view's ``base``
+    to it), so a target no copy reads costs one dict lookup.  ``None``
+    targets (an absent payload array) are skipped.
+    """
+    in_flight = machine.in_flight
+    for target in targets:
+        if target is None:
+            continue
+        base = target.base
+        reads = in_flight.get(id(target if base is None else base))
+        if reads:
+            for read in reads:
+                if (read.payload is None
+                        and np.may_share_memory(read.source, target)):
+                    read.payload = read.source.copy()
 
 
 def _node_of(machine: "Machine", buffer: Buffer) -> str:
@@ -132,11 +175,6 @@ def copy_async(machine: "Machine", dst: Span, src: Span,
     # Reserve the copy's span id up front so the flows it spawns can be
     # parented beneath it on the timeline while the copy is in flight.
     span_id = machine.trace.allocate_id() if phase is not None else None
-    # Snapshot the payload when the copy is issued: the 3n pipeline's
-    # in-place transfer swap overwrites the source region with the next
-    # inbound chunk while this copy drains it (Section 5.3, Figure 10).
-    payload = src.view.copy()
-
     if machine.faults is not None:
         # New copies touching a hard-failed GPU (or the host memory of
         # a dead cluster node) raise immediately: the memory is gone,
@@ -148,27 +186,46 @@ def copy_async(machine: "Machine", dst: Span, src: Span,
             elif isinstance(buffer, HostBuffer):
                 machine.faults.check_host(buffer.numa)
 
-    if kind == "DtoD":
-        device = src.buffer.device
-        yield env.timeout(device.spec.launch_overhead_s)
-        memory = machine.spec.topology.node(device.name).memory
-        route_hops = ((memory, Direction.FWD), (memory, Direction.REV))
-        rate = device.spec.local_copy_rate
-        if device.compute_slowdown != 1.0:
-            # Straggler GPUs drive their kernel-driven local copies at
-            # the same reduced speed as their kernels.
-            rate /= device.compute_slowdown
-        flow = machine.net.start_flow(
-            route_hops, logical, rate_cap=rate,
-            label=f"DtoD@{device.name}")
-        if machine.obs is not None and span_id is not None:
-            machine.obs.attach_flow(flow, span_id)
-        yield flow.done
-    else:
-        yield from _routed_copy(machine, dst, src, kind, logical,
-                                span_id=span_id)
+    # The payload moves once, when the copy lands.  Until then the
+    # source is registered so that a write over it (the 3n pipeline's
+    # in-place transfer swap, Section 5.3) snapshots it first.
+    source = src.view
+    base = source.base
+    owner = id(source if base is None else base)
+    read = _Read(source)
+    reads = machine.in_flight.get(owner)
+    if reads is None:
+        reads = machine.in_flight[owner] = set()
+    reads.add(read)
+    try:
+        if kind == "DtoD":
+            device = src.buffer.device
+            yield env.timeout(device.spec.launch_overhead_s)
+            memory = machine.spec.topology.node(device.name).memory
+            route_hops = ((memory, Direction.FWD), (memory, Direction.REV))
+            rate = device.spec.local_copy_rate
+            if device.compute_slowdown != 1.0:
+                # Straggler GPUs drive their kernel-driven local copies
+                # at the same reduced speed as their kernels.
+                rate /= device.compute_slowdown
+            flow = machine.net.start_flow(
+                route_hops, logical, rate_cap=rate,
+                label=f"DtoD@{device.name}")
+            if machine.obs is not None and span_id is not None:
+                machine.obs.attach_flow(flow, span_id)
+            yield flow.done
+        else:
+            yield from _routed_copy(machine, dst, src, kind, logical,
+                                    span_id=span_id)
+    finally:
+        # The owner's entry is this set for as long as it holds a read.
+        reads.discard(read)
+        if not reads:
+            del machine.in_flight[owner]
 
-    dst.view[:] = payload
+    target = dst.view
+    before_write(machine, target)
+    target[:] = source if read.payload is None else read.payload
     if phase is not None:
         actor = _node_of(machine, dst.buffer if kind != "DtoH"
                          else src.buffer)

@@ -419,15 +419,15 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         placed_values = pl.place_chunks(machine, value_staging, ids,
                                         ranges,
                                         placement=config.input_placement)
-    out_buffers = [pl.output_buffer_for(machine, gpu_id, chunk, dtype,
-                                        config.input_placement,
-                                        staging.numa)
-                   for gpu_id in ids]
+    out_buffers = [pl.output_buffer_for(machine, gpu_id, host_out, start,
+                                        stop, config.input_placement)
+                   for gpu_id, (start, stop) in zip(ids, ranges)]
     out_value_buffers = None
-    if host_values is not None:
+    if values_out is not None:
         out_value_buffers = [pl.output_buffer_for(
-            machine, gpu_id, chunk, host_values.dtype,
-            config.input_placement, staging.numa) for gpu_id in ids]
+            machine, gpu_id, values_out, start, stop,
+            config.input_placement)
+            for gpu_id, (start, stop) in zip(ids, ranges)]
 
     stats = _Stats()
     start = machine.env.now
@@ -508,14 +508,6 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                                  id=root_id)
         for array in borrowed:
             default_pool.give(array)
-    # Assemble the full output array (with numa-local placement the
-    # sorted slices physically live on both nodes; this view is for the
-    # caller's convenience and is not charged).
-    for i in range(g):
-        host_out.data[i * chunk:(i + 1) * chunk] = out_buffers[i].data
-        if values_out is not None:
-            values_out.data[i * chunk:(i + 1) * chunk] = \
-                out_value_buffers[i].data
     duration = machine.env.now - start
     output = host_out.data[:n]
     output_values = values_out.data[:n] if values_out is not None else None

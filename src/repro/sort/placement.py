@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.memcpy import copy_async, span
@@ -95,11 +93,16 @@ def redistribute(machine: Machine, host_in: HostBuffer,
     return None
 
 
-def output_buffer_for(machine: Machine, gpu_id: int, size: int, dtype,
-                      placement: str, default_numa: int) -> HostBuffer:
-    """Host buffer for one GPU's output slice under ``placement``."""
+def output_buffer_for(machine: Machine, gpu_id: int, out: HostBuffer,
+                      start: int, stop: int, placement: str) -> HostBuffer:
+    """Pinned host buffer over ``out[start:stop]``, one GPU's output slice.
+
+    The GPU's DtoH copy lands straight in the sort's output array; under
+    ``numa-local`` placement the slice is charged to the GPU's own NUMA
+    node, otherwise to ``out``'s.
+    """
     if placement == NUMA_LOCAL:
         numa = machine.spec.gpu_numa[machine.spec.gpu_name(gpu_id)]
     else:
-        numa = default_numa
-    return machine.host_buffer(np.empty(size, dtype=dtype), numa=numa)
+        numa = out.numa
+    return HostBuffer(out.data[start:stop], numa=numa, pinned=True)

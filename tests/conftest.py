@@ -45,3 +45,17 @@ def dgx() -> Machine:
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def copy_oracle(monkeypatch):
+    """Check every copy of the test against its issue-time source bytes.
+
+    See :mod:`tests.runtime.copy_oracle`; fails the test if a copy
+    landed other bytes than it was issued with.
+    """
+    from tests.runtime.copy_oracle import install
+
+    oracle = install(monkeypatch)
+    yield oracle
+    oracle.assert_clean()

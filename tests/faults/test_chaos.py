@@ -111,6 +111,7 @@ def _run_chaos(algorithm: str):
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("algorithm", ["p2p", "het"])
+@pytest.mark.usefixtures("copy_oracle")
 def test_chaos_scenario_degrades_gracefully(algorithm):
     clean, (first, second), (timeline_a, timeline_b) = _run_chaos(algorithm)
 

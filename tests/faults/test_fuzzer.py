@@ -46,6 +46,7 @@ def _check(seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
+@pytest.mark.usefixtures("copy_oracle")
 def test_chaos_smoke(seed):
     _check(seed)
 
@@ -72,6 +73,7 @@ def _check_cluster(seed: int) -> None:
 # the event loop before the recovery driver saw them) — they stay in
 # the smoke subset as regression canaries.
 @pytest.mark.parametrize("seed", CLUSTER_SMOKE_SEEDS)
+@pytest.mark.usefixtures("copy_oracle")
 def test_cluster_chaos_smoke(seed):
     _check_cluster(seed)
 

@@ -126,6 +126,7 @@ class TestReplanning:
         assert result.replans >= 1
 
 
+@pytest.mark.usefixtures("copy_oracle")
 class TestSpeculation:
     def test_mid_run_straggler_loses_to_a_backup(self, clean_p2p):
         plan = FaultPlan(events=(StragglerGpu(

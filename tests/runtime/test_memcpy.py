@@ -5,9 +5,13 @@ import pytest
 
 from repro.errors import RuntimeApiError
 from repro.hw import dgx_a100, ibm_ac922
-from repro.runtime import Machine
+from repro.runtime import Machine, memcpy
+from repro.runtime.cpu_ops import cpu_multiway_merge
+from repro.runtime.kernels import merge_two_on_device, sort_on_device
 from repro.runtime.memcpy import copy_all, copy_async, span
+from repro.sim.engine import Interrupt
 from repro.units import gb
+from tests.runtime.copy_oracle import install
 
 
 def run_copy(machine, dst, src, phase=None):
@@ -66,6 +70,137 @@ class TestFunctionalEffect:
         ac922.run(scenario())
         assert np.all(out.data == 42)       # old contents drained out
         assert np.all(staging.data == 7)    # new contents arrived
+
+
+def landing_times(machine, *copies):
+    """Process: run ``copies`` concurrently; returns each one's end time."""
+    ends = [None] * len(copies)
+
+    def timed(index, process):
+        yield from process
+        ends[index] = machine.now
+
+    yield machine.env.all_of([machine.env.process(timed(i, copy))
+                              for i, copy in enumerate(copies)])
+    return ends
+
+
+class TestCopyOnConflict:
+    """A copy reads its source on landing; conflicting writes snapshot it.
+
+    Every test runs under the copy oracle, and calls ``memcpy.copy_async``
+    through the module so the oracle's wrapper is the one called.
+    """
+
+    @pytest.fixture
+    def machine(self):
+        # 4 GB logical per 1000 int32 keys: copies last tens of ms.
+        return Machine(ibm_ac922(), scale=1e6)
+
+    def test_swap_with_the_inbound_copy_issued_first(self, machine,
+                                                     copy_oracle):
+        src = machine.host_buffer(np.full(1000, 7, np.int32))
+        staging = machine.device(0).alloc(1000, np.int32)
+        staging.data[:] = 42
+        # A pageable destination slows the outbound copy, so the inbound
+        # one lands first and overwrites the outbound's source.
+        out = machine.host_buffer(np.zeros(1000, np.int32), pinned=False)
+        inbound = memcpy.copy_async(machine, span(staging), span(src))
+        outbound = memcpy.copy_async(machine, span(out), span(staging))
+        landed_in, landed_out = machine.run(
+            landing_times(machine, inbound, outbound))
+        assert landed_in < landed_out
+        assert np.all(out.data == 42)
+        assert np.all(staging.data == 7)
+
+    @pytest.mark.parametrize("kernel", ["sort", "merge"])
+    def test_kernel_writing_a_range_a_dtoh_still_reads(self, machine, rng,
+                                                        kernel,
+                                                        copy_oracle):
+        keys = rng.integers(0, 1000, size=1000, dtype=np.int32)
+        device = machine.device(0).alloc(1000, np.int32)
+        device.data[:] = keys
+        out = machine.host_buffer(np.zeros(1000, np.int32))
+        target = span(device, 100, 120)
+        if kernel == "sort":
+            launch = sort_on_device(machine, target)
+            expected = np.sort(keys[100:120])
+        else:
+            device.data[100:110].sort()
+            device.data[110:120].sort()
+            keys = device.data.copy()
+            launch = merge_two_on_device(machine, target, split=10)
+            expected = np.sort(keys[100:120])
+        dtoh = memcpy.copy_async(machine, span(out), span(device))
+        kernel_done, copy_done = machine.run(
+            landing_times(machine, launch, dtoh))
+        assert kernel_done < copy_done
+        assert np.array_equal(out.data, keys)
+        assert np.array_equal(device.data[100:120], expected)
+
+    def test_cpu_merge_over_an_in_flight_source(self, machine, copy_oracle):
+        host = machine.host_buffer(np.arange(1000, dtype=np.int32)[::-1]
+                                   .copy())
+        issued = host.data.copy()
+        device = machine.device(0).alloc(1000, np.int32)
+        runs = [np.array([1, 5, 9], np.int32), np.array([2, 3], np.int32)]
+        htod = memcpy.copy_async(machine, span(device), span(host))
+        merge = cpu_multiway_merge(machine, host.data[10:15], runs)
+        copy_done, merge_done = machine.run(
+            landing_times(machine, htod, merge))
+        assert merge_done < copy_done
+        assert np.array_equal(device.data, issued)
+        assert host.data[10:15].tolist() == [1, 2, 3, 5, 9]
+
+    def test_source_freed_while_its_copy_is_in_flight(self, machine,
+                                                      copy_oracle):
+        device = machine.device(0).alloc(1000, np.int32)
+        device.data[:] = 5
+        out = machine.host_buffer(np.zeros(1000, np.int32))
+
+        def scenario():
+            copy = machine.env.process(
+                memcpy.copy_async(machine, span(out), span(device)))
+            yield machine.env.timeout(1e-6)
+            device.free()
+            yield copy
+
+        machine.run(scenario())
+        assert np.all(out.data == 5)
+        assert machine.device(0).allocated_logical == 0.0
+
+    def test_a_failed_copy_leaves_no_registered_source(self, machine):
+        host = machine.host_buffer(np.ones(1000, np.int32))
+        device = machine.device(0).alloc(1000, np.int32)
+
+        def scenario():
+            copy = machine.env.process(
+                memcpy.copy_async(machine, span(device), span(host)))
+            yield machine.env.timeout(1e-6)
+            copy.interrupt("cancelled")
+            with pytest.raises(Interrupt):
+                yield copy
+
+        machine.run(scenario())
+        assert machine.in_flight == {}
+
+    def test_oracle_catches_an_untracked_write(self, machine, monkeypatch):
+        # A plain NumPy write bypasses copy-on-conflict; the oracle sees
+        # the copy land other bytes than it was issued with.
+        oracle = install(monkeypatch)
+        host = machine.host_buffer(np.ones(1000, np.int32))
+        device = machine.device(0).alloc(1000, np.int32)
+
+        def scenario():
+            copy = machine.env.process(
+                memcpy.copy_async(machine, span(device), span(host)))
+            yield machine.env.timeout(1e-6)
+            host.data[:] = 2
+            yield copy
+
+        machine.run(scenario())
+        assert oracle.checked == 1
+        assert len(oracle.mismatches) == 1
 
 
 class TestTimingModel:

@@ -13,6 +13,8 @@ from repro.runtime.multihop import (
     relay_gpu_ids,
 )
 
+pytestmark = pytest.mark.usefixtures("copy_oracle")
+
 
 class TestRelayDiscovery:
     def test_delta_relays_exist_for_unlinked_pairs(self, delta):

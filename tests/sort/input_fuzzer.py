@@ -10,6 +10,12 @@ without payload bits, signalling NaNs, ±inf, the dtype's extremes).
 Sizes are often not a multiple of the GPU count, so the padding paths
 run.  Sorts that carry records also get an int64 payload half the time.
 
+Those HET cases are in-core.  :func:`out_of_core_case_for_seed` derives
+out-of-core HET cases instead: the 2n or the 3n pipeline, keys or int64
+records, and a machine scale that streams at least
+:data:`OUT_OF_CORE_GROUPS` chunk groups through every GPU set, so the
+3n pipeline's in-place transfer swap runs on random inputs too.
+
 The contract under test (:func:`run_case`) is NumPy's sort order:
 
 * integer keys come out bit-identical to ``np.sort(kind="stable")``;
@@ -47,6 +53,8 @@ HIER_NODES = 4
 #: Logical bytes per physical byte; keeps simulated phases realistic
 #: while every input stays a few hundred keys.
 SCALE = 1e5
+#: Fewest chunk groups an out-of-core HET case streams.
+OUT_OF_CORE_GROUPS = 3
 
 #: Float bit patterns worth a run of their own: +0, -0, +inf, -inf,
 #: quiet NaNs of both signs, NaNs with payload bits, a signalling NaN,
@@ -72,6 +80,9 @@ class InputCase:
     keys: np.ndarray
     #: int64 payloads (one per key), or ``None`` for a keys-only sort.
     values: Optional[np.ndarray] = None
+    #: HET pipeline (``"2n"``/``"3n"``) of an out-of-core ``het`` case;
+    #: ``None`` sorts in-core.
+    approach: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,17 @@ def case_for_seed(seed: int) -> InputCase:
     gpus = int(rng.choice((2, 4, 8))) if sort != "hier" else 8
     # A hierarchical sort needs a key per node.
     n = int(rng.integers(HIER_NODES if sort == "hier" else 1, 300))
+    keys = _keys_of(rng, dtype, n)
+    values = None
+    if sort in RECORD_SORTS and rng.random() < 0.5:
+        values = rng.permutation(n).astype(np.int64)
+    return InputCase(seed=seed, sort=sort, gpus=gpus, keys=keys,
+                     values=values)
+
+
+def _keys_of(rng: np.random.Generator, dtype: np.dtype,
+             n: int) -> np.ndarray:
+    """``n`` keys assembled from runs of random shapes."""
     runs, total = [], 0
     while total < n:
         length = int(rng.integers(1, n - total + 1))
@@ -139,11 +161,51 @@ def case_for_seed(seed: int) -> InputCase:
     keys = np.concatenate(runs)
     if rng.random() < 0.5:
         keys = rng.permutation(keys)
-    values = None
-    if sort in RECORD_SORTS and rng.random() < 0.5:
-        values = rng.permutation(n).astype(np.int64)
-    return InputCase(seed=seed, sort=sort, gpus=gpus, keys=keys,
-                     values=values)
+    return keys
+
+
+def out_of_core_case_for_seed(seed: int) -> InputCase:
+    """Derive the out-of-core HET case for ``seed``.
+
+    Seeds alternate the 2n and 3n pipelines, and keys-only and int64
+    records every second seed, so any four consecutive seeds cover all
+    four combinations.
+    """
+    rng = np.random.default_rng(seed ^ 0x3E7C0)
+    dtype = np.dtype(DTYPES[int(rng.integers(len(DTYPES)))])
+    gpus = int(rng.choice((1, 2, 4, 8)))
+    n = int(rng.integers(OUT_OF_CORE_GROUPS * gpus, 300))
+    keys = _keys_of(rng, dtype, n)
+    values = (rng.permutation(n).astype(np.int64) if seed // 2 % 2
+              else None)
+    return InputCase(seed=seed, sort="het", gpus=gpus, keys=keys,
+                     values=values, approach=("2n", "3n")[seed % 2])
+
+
+def out_of_core_setup(case: InputCase):
+    """``(machine, gpu_ids, config)`` that run ``case`` out of core.
+
+    The machine scale sizes each chunk to ``n / (gpus *
+    OUT_OF_CORE_GROUPS)`` keys (rounded down), so the HET sort streams
+    at least that many chunk groups.
+    """
+    from repro.runtime import Machine
+    from repro.sort.het import HetConfig
+
+    spec = dgx_a100()
+    gpu_ids = spec.preferred_gpu_set(case.gpus)
+    config = HetConfig(approach=case.approach)
+    record = case.keys.dtype.itemsize
+    if case.values is not None:
+        record += case.values.dtype.itemsize
+    chunk = case.keys.size // (case.gpus * OUT_OF_CORE_GROUPS)
+    capacity = min(spec.gpu_specs[spec.gpu_name(gpu_id)].memory_bytes
+                   for gpu_id in gpu_ids)
+    # Half a key of headroom keeps float rounding from shrinking the
+    # chunk capacity below ``chunk``.
+    scale = (capacity * config.memory_budget
+             / (config.buffers_per_gpu() * record * (chunk + 0.5)))
+    return Machine(spec, scale=scale), gpu_ids, config
 
 
 def sort_case(case: InputCase):
@@ -152,6 +214,13 @@ def sort_case(case: InputCase):
 
     keys = case.keys.copy()
     values = None if case.values is None else case.values.copy()
+    if case.approach is not None:
+        from repro.sort import het_sort
+
+        machine, gpu_ids, config = out_of_core_setup(case)
+        result = het_sort(machine, keys, gpu_ids=gpu_ids, config=config,
+                          values=values)
+        return result.output, result.output_values
     if case.sort == "hier":
         from repro.hw.cluster import make_cluster
         from repro.sort import hier_sort
@@ -234,6 +303,8 @@ def _variants(case: InputCase) -> Iterator[InputCase]:
         yield replace(case, values=None)
     n = case.keys.size
     fewest = HIER_NODES if case.sort == "hier" else 1
+    if case.approach is not None:
+        fewest = OUT_OF_CORE_GROUPS * case.gpus
     size = n // 2
     while size >= 1:
         for start in range(0, n, size):
@@ -281,6 +352,8 @@ def describe_case(case: InputCase) -> str:
     lines = [f"seed={case.seed} sort={case.sort} gpus={case.gpus} "
              f"dtype={keys.dtype} n={keys.size} "
              f"payload={'int64' if case.values is not None else 'none'}"]
+    if case.approach is not None:
+        lines[0] += f" out-of-core approach={case.approach}"
     if keys.size <= 64:
         lines.append("key bits: " + " ".join(
             f"0x{int(word):0{2 * keys.dtype.itemsize}X}"

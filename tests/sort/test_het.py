@@ -65,6 +65,7 @@ class TestInCore:
         assert np.array_equal(result.output, np.sort(data))
 
 
+@pytest.mark.usefixtures("copy_oracle")
 class TestOutOfCore:
     @pytest.mark.parametrize("approach", ["2n", "3n"])
     def test_multiple_chunk_groups(self, approach, rng):

@@ -2,34 +2,65 @@
 
 Every case must come out in NumPy's sort order as a bit-level
 permutation of its input (records included); any crash or wrong output
-is shrunk to a minimal failing input and printed.
+is shrunk to a minimal failing input and printed.  Out-of-core HET cases
+(2n and 3n pipelines) get their own seeds.  Every case runs under the
+copy oracle: each copy must land its source bytes as of issue time.
 """
 
 import numpy as np
 import pytest
 
+from repro.sort.het import chunk_capacity_for
 from tests.sort.input_fuzzer import (
+    OUT_OF_CORE_GROUPS,
     SORTS,
     InputCase,
     case_for_seed,
     contract_problems,
     describe_case,
+    out_of_core_case_for_seed,
+    out_of_core_setup,
     run_case,
     shrink,
 )
 
 SEEDS = range(400)
+OUT_OF_CORE_SEEDS = range(120)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_input_case(seed):
-    case = case_for_seed(seed)
+def _check(case: InputCase, oracle) -> None:
     outcome = run_case(case)
+    assert oracle.checked
     if outcome.failed:
         minimal = shrink(case)
         pytest.fail(
-            f"input seed {seed} {outcome.status}: {outcome.detail}\n"
+            f"input seed {case.seed} {outcome.status}: {outcome.detail}\n"
             f"minimal failing case:\n{describe_case(minimal)}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_input_case(seed, copy_oracle):
+    _check(case_for_seed(seed), copy_oracle)
+
+
+@pytest.mark.parametrize("seed", OUT_OF_CORE_SEEDS)
+def test_out_of_core_het_case(seed, copy_oracle):
+    _check(out_of_core_case_for_seed(seed), copy_oracle)
+
+
+def test_out_of_core_seeds_stream_chunk_groups():
+    cases = [out_of_core_case_for_seed(seed) for seed in OUT_OF_CORE_SEEDS]
+    assert {(case.approach, case.values is not None) for case in cases} \
+        == {("2n", False), ("2n", True), ("3n", False), ("3n", True)}
+    for case in cases:
+        machine, gpu_ids, config = out_of_core_setup(case)
+        capacity = chunk_capacity_for(
+            machine, [machine.device(i) for i in gpu_ids], config,
+            case.keys.dtype,
+            None if case.values is None else case.values.dtype,
+            case.keys.size)
+        groups = -(-case.keys.size // (capacity * len(gpu_ids)))
+        assert groups >= OUT_OF_CORE_GROUPS, describe_case(case)
 
 
 def test_seeds_cover_every_sort_dtype_and_payload():

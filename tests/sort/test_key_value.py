@@ -146,6 +146,7 @@ class TestHetKeyValue:
 
     @pytest.mark.parametrize("approach", ["2n", "3n"])
     @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.usefixtures("copy_oracle")
     def test_out_of_core(self, approach, eager, rng):
         machine = Machine(ibm_ac922(), scale=3_000_000)
         keys, values = kv_workload(rng, 50_000, hi=1 << 30)

@@ -71,17 +71,20 @@ class TestRedistribute:
 
 class TestOutputBuffers:
     def test_local_outputs_land_on_gpu_nodes(self, ac922):
-        buffer = pl.output_buffer_for(ac922, gpu_id=3, size=10,
-                                      dtype=np.int32,
-                                      placement=pl.NUMA_LOCAL,
-                                      default_numa=0)
+        out = ac922.host_buffer(np.zeros(40, np.int32), pinned=False)
+        buffer = pl.output_buffer_for(ac922, gpu_id=3, out=out, start=30,
+                                      stop=40, placement=pl.NUMA_LOCAL)
         assert buffer.numa == 1
+        assert buffer.pinned
+        assert np.shares_memory(buffer.data, out.data[30:40])
 
     def test_node0_outputs_use_the_default(self, ac922):
-        buffer = pl.output_buffer_for(ac922, gpu_id=3, size=10,
-                                      dtype=np.int32,
-                                      placement=pl.NODE0, default_numa=0)
+        out = ac922.host_buffer(np.zeros(40, np.int32))
+        buffer = pl.output_buffer_for(ac922, gpu_id=3, out=out, start=30,
+                                      stop=40, placement=pl.NODE0)
         assert buffer.numa == 0
+        assert np.shares_memory(buffer.data, out.data[30:40])
+        assert len(buffer) == 10
 
 
 class TestPivotHistory:
