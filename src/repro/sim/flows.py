@@ -295,6 +295,8 @@ class FlowNetwork:
         refs = self._refs
         disjoint = not finished and not any(
             refs.get(id(resource), 0) for resource in flow.resources)
+        if disjoint and self._unsettled:
+            disjoint = not self._stale_neighbours()
         self._insert(flow)
         if flow.size <= flow._finish_threshold:
             # Sub-epsilon (but non-zero) flow: make sure the next sweep
@@ -610,15 +612,15 @@ class FlowNetwork:
             self._finish(flow)
             finished.append(flow)
         refs = self._refs
-        for done in finished:
-            for resource in done.resources:
-                if refs.get(id(resource), 0):
-                    # A surviving flow shares a resource with a finished
-                    # one; its effective capacity changed.
-                    self._reallocate(finished)
-                    if self.obs is not None:
-                        self.obs.rates_changed(self)
-                    return
+        shared = any(refs.get(id(resource), 0)
+                     for done in finished for resource in done.resources)
+        if shared or (self._unsettled and self._stale_neighbours()):
+            # A surviving flow shares a resource with a finished one;
+            # its effective capacity changed.
+            self._reallocate(finished)
+            if self.obs is not None:
+                self.obs.rates_changed(self)
+            return
         # Disjoint removal: every surviving flow keeps its rate and its
         # already-scheduled completion.
         self.fast_finishes += 1
@@ -626,6 +628,14 @@ class FlowNetwork:
             # Even without a reallocation the finished flows' links
             # dropped their contribution — refresh the link gauges.
             self.obs.rates_changed(self)
+
+    def _stale_neighbours(self) -> bool:
+        """Whether a flow in ``_unsettled`` shares a resource with a live
+        flow, whose rate then waits for a reallocation (a fast path must
+        not skip it)."""
+        refs = self._refs
+        return any(refs.get(id(resource), 0)
+                   for done in self._unsettled for resource in done.resources)
 
     def _allocate_single(self, flow: Flow) -> None:
         """Fast path: rate a flow whose resources nobody else crosses.

@@ -300,6 +300,29 @@ def test_scoped_refill_matches_global_fill(resource_specs, ops,
                 _assert_matches_global(net)
 
 
+@pytest.mark.parametrize("fast_path", ["disjoint start", "disjoint finish"])
+def test_fast_paths_settle_an_abort_that_found_its_flow_done(env, net,
+                                                              fast_path):
+    # The abort's catch-up sweep finishes `done` without a refill, so
+    # `survivor` keeps its shared rate until the next reallocation; a
+    # fast-path start or finish elsewhere must not skip that refill.
+    link = Resource("r0", 1.0)
+    other = Resource("r1", 1.0)
+    if fast_path == "disjoint finish":
+        net.start_flow([(other, FWD)], 1e-3, label="elsewhere")
+    done, survivor = net.start_flows([
+        ([(link, FWD)], 1e-9, None, "done"),
+        ([(link, FWD)], 1.0, None, "survivor")])
+    net.abort_flow(done)
+    assert survivor.rate == 0.5
+    if fast_path == "disjoint start":
+        net.start_flow([], 1e-3, rate_cap=1.0, label="elsewhere")
+    else:
+        env.run(until=2e-3)
+    _assert_matches_global(net)
+    assert survivor.rate == 1.0
+
+
 def test_opposite_directions_share_one_component(env, net):
     # FWD and REV of one duplex link share no membership key, but the
     # duplex factor couples their capacities.
