@@ -63,7 +63,9 @@ bit-identical to filling every flow:
   component's own fill would;
 * flows finished by a catch-up sweep are seeds too, including sweeps
   that no reallocation followed (kept in ``_unsettled`` until the next
-  one), so no neighbour keeps a rate a global fill would have replaced.
+  one, which the fast-path start and finish do not skip while such a
+  flow has a live neighbour), so no neighbour keeps a rate a global
+  fill would have replaced.
 
 Completions are still restaged for *every* active flow, with fresh
 tokens and event ids, exactly as after a global fill.  A scoped restage
