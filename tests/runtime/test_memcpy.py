@@ -88,8 +88,9 @@ def landing_times(machine, *copies):
 class TestCopyOnConflict:
     """A copy reads its source on landing; conflicting writes snapshot it.
 
-    Every test runs under the copy oracle, and calls ``memcpy.copy_async``
-    through the module so the oracle's wrapper is the one called.
+    Copies are issued as ``memcpy.copy_async``, through the module, so
+    that the copy oracle's wrapper is the one called where it is
+    installed.
     """
 
     @pytest.fixture

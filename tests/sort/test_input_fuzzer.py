@@ -30,12 +30,12 @@ OUT_OF_CORE_SEEDS = range(120)
 
 def _check(case: InputCase, oracle) -> None:
     outcome = run_case(case)
-    assert oracle.checked
     if outcome.failed:
         minimal = shrink(case)
         pytest.fail(
             f"input seed {case.seed} {outcome.status}: {outcome.detail}\n"
             f"minimal failing case:\n{describe_case(minimal)}")
+    assert oracle.checked
 
 
 @pytest.mark.parametrize("seed", SEEDS)
