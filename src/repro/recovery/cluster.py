@@ -1,6 +1,6 @@
 """Cluster-tier exchange bookkeeping for the hierarchical sort.
 
-The faulted :func:`~repro.sort.hier.hier_sort` path runs its
+The :func:`~repro.sort.hier.hier_sort` epoch driver runs its
 cross-node all-to-all as a ledger of *contributions*: one sorted run
 per input slice, held in one node's host memory, partitioned by the
 epoch's fixed splitters into per-range segments.  Every segment whose
@@ -167,10 +167,12 @@ class ExchangeLedger:
         parts: List[np.ndarray] = []
         for contribution in sorted(self.contributions,
                                    key=lambda c: c.cid):
+            lo, hi = contribution.segment(rng, self.num_ranges)
+            if hi <= lo:
+                # Empty segments are never pending, so never delivered.
+                continue
             if contribution.node == owner:
-                lo, hi = contribution.segment(rng, self.num_ranges)
-                if hi > lo:
-                    parts.append(contribution.run[lo:hi])
+                parts.append(contribution.run[lo:hi])
             elif (contribution.cid, rng) in self.delivered:
                 parts.append(self.inbox[(contribution.cid, rng)].data)
             else:

@@ -14,7 +14,8 @@ benchmarks — runs as processes inside a machine:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Set, Union
+from contextlib import contextmanager
+from typing import Dict, Generator, List, Optional, Set, Union
 
 import numpy as np
 
@@ -75,6 +76,21 @@ class Machine:
         #: Sources of the copies in flight, by ``id`` of the array that
         #: owns their memory; see :func:`repro.runtime.memcpy.before_write`.
         self.in_flight: Dict[int, Set] = {}
+
+    @contextmanager
+    def resilience_override(self, policy: Optional[ResiliencePolicy]):
+        """Scope ``policy`` to one call; ``None`` keeps the machine's.
+
+        The machine's own policy is restored on exit, error paths
+        included, so a per-call override never leaks onto the machine.
+        """
+        saved = self.resilience
+        if policy is not None:
+            self.resilience = policy
+        try:
+            yield
+        finally:
+            self.resilience = saved
 
     def install_faults(self, plan):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the machine.

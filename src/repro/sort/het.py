@@ -433,13 +433,8 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     unless ``gpu_merge_groups`` is on); recovery work is reported on
     the result.
     """
-    saved_policy = machine.resilience
-    if resilience is not None:
-        machine.resilience = resilience
-    try:
+    with machine.resilience_override(resilience):
         return _het_sort(machine, data, gpu_ids, config, values)
-    finally:
-        machine.resilience = saved_policy
 
 
 def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],

@@ -3,22 +3,31 @@
 The paper's algorithms stop at one machine; this module scales them out
 to the multi-node clusters of :mod:`repro.hw.cluster`.  Three phases:
 
-1. **LocalSort** — every node runs the P2P sort pipeline (HtoD, device
-   sort, recursive merge with block swaps, DtoH) over its own GPUs and
-   its shard of the input, exactly as :func:`repro.sort.p2p.p2p_sort`
-   would on the standalone machine.  Nodes proceed concurrently.
+1. **LocalSort** — every node runs the P2P sort pipeline
+   (:func:`repro.sort.p2p.p2p_pipeline`: HtoD, device sort, recursive
+   merge with block swaps, DtoH) over its own GPUs and its shard of the
+   input, exactly as :func:`repro.sort.p2p.p2p_sort` would on the
+   standalone machine.  Nodes proceed concurrently.
 2. **Exchange** — deterministic sampled splitters partition every
    node-local run into per-destination segments; the segments cross
    the fabric in ``N - 1`` all-to-all waves (round ``r``: node ``k``
-   sends to node ``(k + r) % N``).  A healthy cluster launches each
-   wave as one batched flow set (:meth:`FlowNetwork.start_flows`), so
-   a 64-node wave pays a single progressive fill instead of 63
-   superseded intermediate ones; under an installed fault plan the
-   copies fall back to the per-copy resilient path with retries,
-   re-routes and watchdogs.
+   sends to node ``(k + r) % N``).  Without a fault plan each wave is
+   one batched flow set (:meth:`FlowNetwork.start_flows`), so a
+   64-node wave pays a single progressive fill instead of 63
+   superseded intermediate ones.  With a fault plan installed each
+   segment is its own resilient copy (retries, re-routes, watchdogs)
+   and lands durably on its own, so a failing wave keeps what it
+   delivered.
 3. **NodeMerge** — each node multiway-merges its own segment with the
    received ones on the CPU (the HET sort's host-merge primitive), so
    the global output is the concatenation of per-node merges.
+
+One epoch driver runs every sort.  A fault-free run is that driver
+with nothing installed: its phases run as plain processes, exactly as
+fast as they can.  A fault plan or a deadline makes each phase a
+shielded :class:`~repro.recovery.tasks.TaskGroup`, so a node loss or
+an expired budget stops the phase cleanly and the driver replans or
+returns a typed partial result.
 
 Degenerate shapes are exact: a 1-node cluster skips phases 2 and 3
 entirely and adds *zero* simulated events over the plain P2P sort —
@@ -54,10 +63,9 @@ from repro.recovery.tasks import TaskGroup
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
-from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _pad, _Stats
+from repro.sort.p2p import P2PConfig, _pad, _Stats, p2p_pipeline
 from repro.sort.result import SortResult
 from repro.units import US
 
@@ -84,15 +92,13 @@ class HierConfig:
     #: Exchange-wave re-executions after transient (non-fatal) wave
     #: failures before giving up with RecoveryError.
     max_wave_replays: int = 4
-    #: Wall-clock budget in simulated seconds for the faulted path;
-    #: exceeding it returns a typed partial result
-    #: (``deadline_exceeded=True``, ``output=None``).  ``None``
-    #: disables the budget.
+    #: Budget in simulated seconds for the whole sort; exceeding it
+    #: returns a typed partial result (``deadline_exceeded=True``,
+    #: ``output=None``).  ``None`` disables the budget.
     deadline_s: Optional[float] = None
     #: Directory for post-mortem bundles: a terminal SortError /
-    #: RecoveryError on the faulted path dumps a provenance-stamped
-    #: snapshot (failing wave, fabric tier, fault timeline) there
-    #: before propagating.
+    #: RecoveryError dumps a provenance-stamped snapshot (failing
+    #: phase, fabric tier, fault timeline) there before propagating.
     postmortem_dir: Optional[str] = None
 
 
@@ -102,81 +108,11 @@ class _NodePlan:
 
     node: int
     gpu_ids: Tuple[int, ...]
-    numa: int
     shard_start: int
     shard_stop: int
     chunk: int
     staging: HostBuffer
     host_out: HostBuffer
-
-
-def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
-                    stats: _Stats, group: Optional[TaskGroup] = None):
-    """Process: one node's P2P pipeline (mirrors ``p2p_sort``'s run).
-
-    With ``group`` set (the elastic path) every concurrent batch runs
-    under the group's shields: a node death aborts *all* of the node's
-    flows in the same instant, and simultaneous bare process failures
-    under one ``all_of`` crash the event loop — shielded, they collapse
-    into the group's single recorded failure, raised once by
-    ``check()`` after the barrier.
-    """
-    env = machine.env
-    chunk = plan.chunk
-    if chunk == 0:
-        # An empty shard (ceil-sharding a few keys): nothing to sort.
-        return
-    dtype = plan.staging.dtype
-    chunks: List[_Chunk] = []
-    if group is None:
-        spawn = env.process
-        check = lambda: None  # noqa: E731
-    else:
-        spawn = (lambda gen:
-                 group.spawn(gen, name=f"t{len(group.procs)}"))
-
-        def check():
-            if group.failure is not None:
-                raise group.failure
-    try:
-        for gpu_id in plan.gpu_ids:
-            device = machine.device(gpu_id)
-            primary = device.alloc(chunk, dtype, label=f"chunk{gpu_id}")
-            aux = device.alloc(chunk, dtype, label=f"aux{gpu_id}")
-            chunks.append(_Chunk(device, primary, aux))
-
-        htod = []
-        for i, c in enumerate(chunks):
-            htod.append(spawn(copy_async(
-                machine, span(c.primary),
-                span(plan.staging, i * chunk, (i + 1) * chunk),
-                phase="HtoD")))
-        yield env.all_of(htod)
-        check()
-
-        sorts = [spawn(sort_on_device(
-            machine, span(c.primary), primitive=config.primitive,
-            phase="Sort"))
-            for c in chunks]
-        yield env.all_of(sorts)
-        check()
-
-        yield from _merge_chunks(machine, chunks, config, stats,
-                                 spawn=spawn, check=check)
-
-        dtoh = [spawn(copy_async(
-            machine, span(plan.host_out, i * chunk, (i + 1) * chunk),
-            span(c.primary), phase="DtoH"))
-            for i, c in enumerate(chunks)]
-        yield env.all_of(dtoh)
-        check()
-    finally:
-        # Also on interrupt / device failure: a replanned epoch must
-        # not inherit leaked device allocations from the failed one.
-        for c in chunks:
-            for buffer in c.all_buffers():
-                if not buffer.released:
-                    buffer.free()
 
 
 def _select_splitters(runs: Sequence[np.ndarray], num_nodes: int,
@@ -205,20 +141,13 @@ def _exchange_wave(machine: Machine, copies):
     """Process: one all-to-all wave of host-to-host fabric copies.
 
     ``copies`` is a list of ``(dst_buffer, src_buffer, start, stop,
-    src_cpu, dst_cpu)``.  Healthy cluster: resolve every route, charge
-    the wave's worst hop latency once, then launch the whole wave as a
-    single batched allocation — semantically N simultaneous copies,
-    one progressive fill.  Under faults, each copy runs the resilient
-    per-copy path instead (retries, re-routes, watchdog).
+    src_cpu, dst_cpu)``.  Resolve every route, charge the wave's worst
+    hop latency once, then launch the whole wave as a single batched
+    allocation — semantically N simultaneous copies, one progressive
+    fill.  An interrupt (an expired deadline) takes the wave's flows
+    out of the network.
     """
     env = machine.env
-    if machine.faults is not None:
-        procs = [env.process(copy_async(
-            machine, span(dst), span(src, start, stop), phase="Exchange"))
-            for dst, src, start, stop, _s, _d in copies]
-        if procs:
-            yield env.all_of(procs)
-        return
     topology = machine.spec.topology
     started = env.now
     requests = []
@@ -238,7 +167,13 @@ def _exchange_wave(machine: Machine, copies):
     if machine.obs is not None:
         for flow, span_id in zip(flows, span_ids):
             machine.obs.attach_flow(flow, span_id)
-    yield env.all_of([flow.done for flow in flows])
+    try:
+        yield env.all_of([flow.done for flow in flows])
+    except BaseException:
+        for flow in flows:
+            if flow.active:
+                machine.net.abort_flow(flow)
+        raise
     for (dst, src, start, stop, _src_cpu, dst_cpu), span_id, request in zip(
             copies, span_ids, requests):
         dst.data[:] = src.data[start:stop]
@@ -272,8 +207,7 @@ def _plan_node(machine: Machine, spec: ClusterSpec, node: int,
     staging = machine.host_buffer(padded_data, numa=numa, pinned=True)
     host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
                                    numa=numa, pinned=True)
-    return _NodePlan(node=node, gpu_ids=ids, numa=numa,
-                     shard_start=start, shard_stop=stop,
+    return _NodePlan(node=node, gpu_ids=ids, shard_start=start, shard_stop=stop,
                      chunk=chunk, staging=staging, host_out=host_out)
 
 
@@ -291,14 +225,14 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  Under an installed fault plan the sort runs the
-    elastic path: nodes already dead at planning time are excluded for
-    free, each surviving node re-plans its local sort over the largest
-    power-of-two prefix of its surviving GPUs, the cross-node exchange
-    is wave-checkpointed through an
+    included).  The sort is elastic: nodes already dead at planning
+    time are excluded for free, each surviving node re-plans its local
+    sort over the largest power-of-two prefix of its surviving GPUs,
+    the cross-node exchange is wave-checkpointed through an
     :class:`~repro.recovery.cluster.ExchangeLedger` (a node lost
     mid-exchange replays only what its death invalidated), and
     node-level replans are bounded by ``config.max_node_replans``.
+    ``config.deadline_s`` bounds the whole sort in simulated time.
     """
     config = config or HierConfig()
     spec = machine.spec
@@ -322,186 +256,13 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         raise SortError(
             f"gpus_per_node must be a power of two, got {per_node}")
 
-    saved_policy = machine.resilience
-    if resilience is not None:
-        machine.resilience = resilience
-    try:
-        if machine.faults is not None:
-            return _faulted_sort(machine, spec, config, host_in, per_node)
-        return _healthy_sort(machine, spec, config, host_in, per_node)
-    finally:
-        machine.resilience = saved_policy
+    with machine.resilience_override(resilience):
+        return _sort(machine, spec, config, host_in, per_node)
 
 
-def _healthy_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
-                  host_in: HostBuffer, per_node: int) -> SortResult:
-    """The fault-free path: bit-identical to the pre-recovery engine."""
-    n = len(host_in.data)
-    num_nodes = spec.num_nodes
-    dtype = host_in.dtype
-    itemsize = dtype.itemsize
-
-    # -- shard the input and plan every node's local phase -----------------
-    shard = -(-n // num_nodes)
-    plans: List[_NodePlan] = []
-    excluded: List[int] = []
-    for k in range(num_nodes):
-        start, stop = min(k * shard, n), min((k + 1) * shard, n)
-        ids = spec.node_gpu_order(k, per_node)
-        plans.append(_plan_node(machine, spec, k, ids, start, stop,
-                                host_in))
-
-    node_stats = [_Stats() for _ in range(num_nodes)]
-    stats_before = machine.resilience_stats.snapshot()
-    start_time = machine.env.now
-    root_id = None
-    if machine.obs is not None:
-        root_id = machine.trace.allocate_id()
-        machine.trace.push_parent(root_id)
-
-    merged_out: List[Optional[np.ndarray]] = [None] * num_nodes
-
-    def run():
-        env = machine.env
-        if num_nodes == 1:
-            # Degenerate cluster: the local sort *is* the global sort.
-            # Run it inline — no wrapper process, no splitters, no
-            # exchange, no host merge — so the event stream is exactly
-            # the plain P2P pipeline's.
-            plan = plans[0]
-            yield from _node_local_run(machine, plan, config.local,
-                                       node_stats[0])
-            merged_out[0] = plan.host_out.data[
-                :plan.shard_stop - plan.shard_start]
-            return
-        local = [env.process(_node_local_run(machine, plan, config.local,
-                                             node_stats[plan.node]))
-                 for plan in plans]
-        yield env.all_of(local)
-
-        # The sorted shard is the padded run's prefix (see _pad).
-        runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
-                for plan in plans]
-        # Splitter selection reads every node's samples over the
-        # fabric; charged as latency-bound remote reads, like the P2P
-        # sort's pivot probes.
-        probes = num_nodes * config.samples_per_node
-        yield env.timeout(probes * config.splitter_probe_latency_s)
-        splitters = _select_splitters(runs, num_nodes,
-                                      config.samples_per_node)
-        bounds = [np.searchsorted(run, splitters, side="left")
-                  for run in runs]
-
-        def segment(src: int, dst: int) -> Tuple[int, int]:
-            lo = 0 if dst == 0 else int(bounds[src][dst - 1])
-            hi = (runs[src].size if dst == num_nodes - 1
-                  else int(bounds[src][dst]))
-            return lo, hi
-
-        # Receive buffers: node i's incoming segment from every other
-        # node, allocated in i's local host memory.
-        inbox: Dict[Tuple[int, int], HostBuffer] = {}
-        for dst in range(num_nodes):
-            for src in range(num_nodes):
-                if src == dst:
-                    continue
-                lo, hi = segment(src, dst)
-                if hi > lo:
-                    inbox[(src, dst)] = machine.host_buffer(
-                        hi - lo, dtype=dtype, numa=plans[dst].numa)
-
-        # All-to-all in N-1 waves; round r pairs node k with node
-        # (k + r) % N, so every wave is a perfect matching of
-        # disjoint source/destination nodes.
-        for r in range(1, num_nodes):
-            copies = []
-            for src in range(num_nodes):
-                dst = (src + r) % num_nodes
-                key = (src, dst)
-                if key not in inbox:
-                    continue
-                lo, hi = segment(src, dst)
-                copies.append((inbox[key], plans[src].host_out, lo, hi,
-                               spec.node_cpu_name(src),
-                               spec.node_cpu_name(dst)))
-            if copies:
-                yield from _exchange_wave(machine, copies)
-
-        merges = []
-        for dst in range(num_nodes):
-            parts = []
-            for src in range(num_nodes):
-                if src == dst:
-                    lo, hi = segment(src, dst)
-                    if hi > lo:
-                        parts.append(runs[src][lo:hi])
-                elif (src, dst) in inbox:
-                    parts.append(inbox[(src, dst)].data)
-            total = sum(part.size for part in parts)
-            out = np.empty(total, dtype=dtype)
-            merged_out[dst] = out
-            if total:
-                merges.append(env.process(cpu_multiway_merge(
-                    machine, out, parts, numa=plans[dst].numa,
-                    phase="NodeMerge")))
-        if merges:
-            yield env.all_of(merges)
-
-    try:
-        machine.run(run())
-    finally:
-        if root_id is not None:
-            machine.trace.pop_parent()
-            machine.trace.record("HierSort", "sort", start_time,
-                                 bytes=n * itemsize * machine.scale,
-                                 id=root_id)
-    duration = machine.env.now - start_time
-    output = np.concatenate([part for part in merged_out
-                             if part is not None and part.size])
-
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (machine.faults.downtime_between(
-        start_time, machine.env.now)
-        if machine.faults is not None else 0.0)
-    degraded = bool(excluded or recovery.retries or recovery.reroutes
-                    or recovery.timeouts or fault_downtime > 0.0)
-
-    pivots: List[int] = []
-    p2p_bytes = 0.0
-    for stats in node_stats:
-        pivots.extend(stats.pivots)
-        p2p_bytes += stats.p2p_bytes
-    all_ids = tuple(gpu_id for plan in plans for gpu_id in plan.gpu_ids)
-    g = len(plans[0].gpu_ids)
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("HtoD", "Sort", "Merge", "DtoH",
-                          "Exchange", "NodeMerge")}
-    return SortResult(
-        algorithm="hier",
-        system=spec.name,
-        gpu_ids=all_ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
-        p2p_bytes=p2p_bytes,
-        merge_stages=2 * int(math.log2(g)) - 1 if g > 1 else 0,
-        pivots=tuple(pivots),
-        output=output,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=tuple(excluded),
-    )
-
-
-def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
-                  host_in: HostBuffer, per_node: int) -> SortResult:
-    """The elastic path: epoch state machine with wave checkpointing.
+def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
+          host_in: HostBuffer, per_node: int) -> SortResult:
+    """The epoch driver with wave checkpointing.
 
     The sort runs as a sequence of *epochs*.  Each epoch sorts whatever
     input slices are not durably sorted yet (everything on the first
@@ -512,9 +273,18 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     between survivors stay durable — and the next epoch replays only
     the invalidated work.  Transient (non-fatal) exchange failures
     replay just the failing wave.
+
+    What the run can observe picks how each phase runs.  Phases are
+    shielded task groups only when something can stop them early (a
+    fault plan or a deadline); otherwise their tasks are plain
+    processes.  Exchange segments are per-delivery resilient copies
+    only under a fault plan; otherwise each wave is one batched flow
+    set.  A fault-free run therefore has exactly the event stream of
+    the plain pipeline.
     """
     env = machine.env
     faults = machine.faults
+    shielded = faults is not None or config.deadline_s is not None
     n = len(host_in.data)
     num_nodes = spec.num_nodes
     dtype = host_in.dtype
@@ -525,7 +295,7 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     excluded: List[int] = []
     node_stats: List[_Stats] = []
     plan_ids: Dict[int, Tuple[int, ...]] = {}
-    counters = {"node_replans": 0, "waves_replayed": 0,
+    counters = {"node_replans": 0, "waves_replayed": 0, "wave_retries": 0,
                 "checkpoints": 0, "restored": 0}
     completed: List[str] = []
     deadline_hit = [False]
@@ -550,6 +320,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         machine.trace.push_parent(root_id)
 
     def node_dead_now(k: int) -> bool:
+        if faults is None:
+            return False
         if k in faults.failed_node_ids():
             return True
         survivors, _ = surviving_gpu_ids(
@@ -580,14 +352,36 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             ids = tuple(survivors[:keep])
         return _plan_node(machine, spec, k, ids, start, stop, host_in)
 
-    def run_phase(name: str, spawner):
-        """Process: run one phase's tasks under a shielded TaskGroup."""
+    def run_phase(name: str, tasks, inline: bool = False):
+        """Process: run one phase's tasks, shielded when it can stop.
+
+        ``tasks`` is a list of ``(label, make)``; ``make(spawn, check)``
+        returns a task's generator, given the supervision seam its
+        inner processes use (``None``, ``None`` unshielded).  With
+        ``inline`` a lone unshielded task runs in the caller's process.
+        """
         failing["phase"] = name
         failing["started"] = env.now
+        if not shielded:
+            if inline and len(tasks) == 1:
+                yield from tasks[0][1](None, None)
+                return
+            procs = [env.process(make(None, None)) for _label, make in tasks]
+            if procs:
+                yield env.all_of(procs)
+            return
         group = TaskGroup(env, name=name)
 
+        def spawn(gen):
+            return group.spawn(gen, name=f"t{len(group.procs)}")
+
+        def check():
+            if group.failure is not None:
+                raise group.failure
+
         def body():
-            spawner(group)
+            for label, make in tasks:
+                group.spawn(make(spawn, check), name=label)
             return None
             yield  # pragma: no cover - makes ``body`` a generator
 
@@ -618,38 +412,42 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                     continue
             raise
 
-    def _local_one(plan: _NodePlan, job: Tuple[int, int, int],
-                   stats: _Stats, group: TaskGroup):
-        yield from _node_local_run(machine, plan, config.local, stats,
-                                   group=group)
-        sorted_cache[job] = plan
+    def _local_task(plan: _NodePlan, job: Tuple[int, int, int],
+                    stats: _Stats):
+        chunk = plan.chunk
+        ranges = [(i * chunk, (i + 1) * chunk)
+                  for i in range(len(plan.gpu_ids))]
+
+        def make(spawn, check):
+            yield from p2p_pipeline(
+                machine, plan.gpu_ids,
+                [span(plan.staging, lo, hi) for lo, hi in ranges],
+                [span(plan.host_out, lo, hi) for lo, hi in ranges],
+                config.local, stats, spawn=spawn, check=check)
+            sorted_cache[job] = plan
+        return make
 
     def _local_sorts(jobs: List[Tuple[int, int, int]]):
         """Process: sort every job not already durably sorted."""
         plans: List[Optional[_NodePlan]] = [None] * len(jobs)
-        fresh: List[int] = []
+        tasks = []
         for i, job in enumerate(jobs):
             cached = sorted_cache.get(job)
             if cached is not None:
                 plans[i] = cached
                 plan_ids.setdefault(job[0], cached.gpu_ids)
-            else:
-                fresh.append(i)
-        if fresh:
+                continue
+            k, start, stop = job
+            plans[i] = plan_alive_node(k, start, stop)
+            plan_ids[k] = plans[i].gpu_ids
+            # One stats record per job keeps the pivots in job order.
             stats = _Stats()
             node_stats.append(stats)
-            for i in fresh:
-                k, start, stop = jobs[i]
-                plans[i] = plan_alive_node(k, start, stop)
-                plan_ids[k] = plans[i].gpu_ids
-
-            def spawner(group):
-                for i in fresh:
-                    group.spawn(_local_one(plans[i], jobs[i], stats,
-                                           group),
-                                name=f"local{jobs[i]}")
-
-            yield from run_phase("LocalSort", spawner)
+            tasks.append((f"local{job}", _local_task(plans[i], job, stats)))
+        if tasks:
+            # A lone job is a 1-node cluster's whole sort: inline, its
+            # event stream is exactly the plain P2P pipeline's.
+            yield from run_phase("LocalSort", tasks, inline=True)
         return plans
 
     def _reshard(slices: List[Tuple[int, int]],
@@ -679,75 +477,95 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                     plan.node, plan.shard_start, plan.shard_stop,
                     plan.host_out, plan.shard_stop - plan.shard_start)
 
-    def _deliver(ledger: ExchangeLedger, c, rng: int):
+    def _inbox(ledger: ExchangeLedger, c, rng: int):
+        """The receive buffer of ``c``'s segment for range ``rng``."""
         lo, hi = c.segment(rng, ledger.num_ranges)
-        owner = ledger.range_owner[rng]
         key = (c.cid, rng)
         buf = ledger.inbox.get(key)
         if buf is None or len(buf.data) != hi - lo:
+            owner = ledger.range_owner[rng]
             buf = machine.host_buffer(hi - lo, dtype=dtype,
                                       numa=spec.node_numa(owner))
             ledger.inbox[key] = buf
+        return buf, lo, hi
+
+    def _landed(key: Tuple[int, int], ledger: ExchangeLedger) -> None:
+        ledger.delivered.add(key)
+        ever_delivered.add(key)
+
+    def _deliver(ledger: ExchangeLedger, c, rng: int):
+        buf, lo, hi = _inbox(ledger, c, rng)
         yield from copy_async(machine, span(buf), span(c.host, lo, hi),
                               phase="Exchange")
         # Durability is per-delivery, not per-wave: a wave that fails
         # halfway still keeps the segments that landed.
-        ledger.delivered.add(key)
-        ever_delivered.add(key)
+        _landed((c.cid, rng), ledger)
+
+    def _wave(ledger: ExchangeLedger, batch):
+        copies = []
+        for c, rng in batch:
+            buf, lo, hi = _inbox(ledger, c, rng)
+            copies.append((buf, c.host, lo, hi, spec.node_cpu_name(c.node),
+                           spec.node_cpu_name(ledger.range_owner[rng])))
+        yield from _exchange_wave(machine, copies)
+        for c, rng in batch:
+            _landed((c.cid, rng), ledger)
 
     def _exchange(ledger: ExchangeLedger, alive: List[int]):
-        """Process: drive pending deliveries in checkpointed waves."""
+        """Process: drive pending deliveries in checkpointed waves.
+
+        A successful wave delivers its whole batch, so the waves are
+        planned once, in ``(cid, range)`` order within each wave.
+        """
         idx = {k: i for i, k in enumerate(alive)}
         a = len(alive)
-        while True:
-            pairs = ledger.pending()
-            if not pairs:
-                return
-            by_wave: Dict[int, List] = {}
-            for c, rng in pairs:
-                r = (idx[ledger.range_owner[rng]] - idx[c.node]) % a
-                by_wave.setdefault(r, []).append((c, rng))
-            r = min(by_wave)
-            batch = sorted(by_wave[r], key=lambda p: (p[0].cid, p[1]))
+        by_wave: Dict[int, List] = {}
+        for c, rng in ledger.pending():
+            r = (idx[ledger.range_owner[rng]] - idx[c.node]) % a
+            by_wave.setdefault(r, []).append((c, rng))
+        for r in sorted(by_wave):
+            batch = by_wave[r]
             if any((c.cid, rng) in ever_delivered for c, rng in batch):
                 counters["waves_replayed"] += 1
-
-            def spawner(group, batch=batch):
-                for c, rng in batch:
-                    group.spawn(_deliver(ledger, c, rng),
-                                name=f"deliver{c.cid}:{rng}")
-
-            yield from run_phase(f"Exchange[wave {r}]", spawner)
+            name = f"Exchange[wave {r}]"
+            if faults is None:
+                tasks = [("wave", lambda spawn, check, batch=batch:
+                          _wave(ledger, batch))]
+                yield from run_phase(name, tasks, inline=True)
+                continue
+            tasks = [(f"deliver{c.cid}:{rng}",
+                      lambda spawn, check, c=c, rng=rng:
+                      _deliver(ledger, c, rng))
+                     for c, rng in batch]
+            yield from run_phase(name, tasks)
+            # Only deliveries a fault can invalidate are recovery
+            # points worth counting.
             counters["checkpoints"] += 1
             if machine.obs is not None:
-                machine.obs.checkpointed(f"Exchange[wave {r}]",
-                                         len(batch), env.now)
+                machine.obs.checkpointed(name, len(batch), env.now)
 
     def _merge_one(ledger: ExchangeLedger, rng: int, owner: int,
                    out: np.ndarray, parts: List[np.ndarray]):
-        if out.size:
-            yield from cpu_multiway_merge(machine, out, parts,
-                                          numa=spec.node_numa(owner),
-                                          phase="NodeMerge")
+        yield from cpu_multiway_merge(machine, out, parts,
+                                      numa=spec.node_numa(owner),
+                                      phase="NodeMerge")
         ledger.merged[rng] = out
 
-    def _merges(ledger: ExchangeLedger, alive: List[int]):
-        todo = ledger.unmerged_ranges()
-        if not todo:
-            return
-        work = []
-        for rng in todo:
+    def _merges(ledger: ExchangeLedger):
+        tasks = []
+        for rng in ledger.unmerged_ranges():
             owner = ledger.range_owner[rng]
             parts = ledger.merge_parts(rng)
-            total = sum(part.size for part in parts)
-            work.append((rng, owner, np.empty(total, dtype=dtype), parts))
-
-        def spawner(group):
-            for rng, owner, out, parts in work:
-                group.spawn(_merge_one(ledger, rng, owner, out, parts),
-                            name=f"merge{rng}")
-
-        yield from run_phase("NodeMerge", spawner)
+            out = np.empty(sum(part.size for part in parts), dtype=dtype)
+            if not out.size:
+                ledger.merged[rng] = out
+                continue
+            tasks.append((f"merge{rng}",
+                          lambda spawn, check, rng=rng, owner=owner,
+                          out=out, parts=parts:
+                          _merge_one(ledger, rng, owner, out, parts)))
+        if tasks:
+            yield from run_phase("NodeMerge", tasks)
 
     def _epoch(alive: List[int]):
         """Process: one attempt at finishing the sort on ``alive``."""
@@ -766,6 +584,9 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 return
             runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
                     for plan in plans]
+            # Splitter selection reads every node's samples over the
+            # fabric; charged as latency-bound remote reads, like the
+            # P2P sort's pivot probes.
             probes = len(alive) * config.samples_per_node
             yield env.timeout(probes * config.splitter_probe_latency_s)
             if deadline is not None and deadline.processed:
@@ -787,7 +608,7 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         yield from _exchange(ledger, alive)
         if "Exchange" not in completed:
             completed.append("Exchange")
-        yield from _merges(ledger, alive)
+        yield from _merges(ledger)
         if "NodeMerge" not in completed:
             completed.append("NodeMerge")
 
@@ -809,8 +630,15 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             counters["restored"] += len(ledger.delivered)
         return survivors
 
+    def _charge(counter: str, budget: int, what: str, phase: str,
+                exc: BaseException) -> None:
+        counters[counter] += 1
+        if counters[counter] > budget:
+            raise RecoveryError(
+                f"giving up after {budget} {what} (last failure in "
+                f"{phase}: {exc})") from exc
+
     def run():
-        wave_retries = 0
         while True:
             alive = [k for k in range(num_nodes) if k not in dead]
             # Nodes already dead (at planning time, or lost quietly
@@ -829,12 +657,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 phase = failing["phase"] or "LocalSort"
                 newly = [k for k in alive if node_dead_now(k)]
                 if newly:
-                    counters["node_replans"] += 1
-                    if counters["node_replans"] > config.max_node_replans:
-                        raise RecoveryError(
-                            f"giving up after {config.max_node_replans} "
-                            f"node replans (last failure in {phase}: "
-                            f"{exc})") from exc
+                    _charge("node_replans", config.max_node_replans,
+                            "node replans", phase, exc)
                     survivors = _absorb_deaths(newly, alive, exc)
                     now = env.now
                     machine.trace.record("Replan", "hier", now)
@@ -847,20 +671,12 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                                   for gpu in spec.gpu_ids_of_node(k)),
                             now)
                 elif phase.startswith("Exchange"):
-                    wave_retries += 1
                     counters["waves_replayed"] += 1
-                    if wave_retries > config.max_wave_replays:
-                        raise RecoveryError(
-                            f"giving up after {config.max_wave_replays} "
-                            f"wave replays (last failure in {phase}: "
-                            f"{exc})") from exc
+                    _charge("wave_retries", config.max_wave_replays,
+                            "wave replays", phase, exc)
                 else:
-                    counters["node_replans"] += 1
-                    if counters["node_replans"] > config.max_node_replans:
-                        raise RecoveryError(
-                            f"giving up after {config.max_node_replans} "
-                            f"node replans (last failure in {phase}: "
-                            f"{exc})") from exc
+                    _charge("node_replans", config.max_node_replans,
+                            "node replans", phase, exc)
 
     try:
         machine.run(run())
@@ -898,7 +714,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                                  for rng in range(ledger.num_ranges)])
 
     recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = faults.downtime_between(start_time, env.now)
+    fault_downtime = (faults.downtime_between(start_time, env.now)
+                      if faults is not None else 0.0)
     degraded = bool(excluded or excluded_nodes or counters["node_replans"]
                     or counters["waves_replayed"] or recovery.retries
                     or recovery.reroutes or recovery.timeouts

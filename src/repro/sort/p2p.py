@@ -35,7 +35,7 @@ from repro.faults.policy import ResiliencePolicy
 from repro.runtime.buffer import DeviceBuffer, HostBuffer, default_pool
 from repro.runtime.context import Machine
 from repro.runtime.kernels import sort_on_device
-from repro.runtime.memcpy import copy_async, span
+from repro.runtime.memcpy import Span, copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
 from repro.sort.pivot import is_valid_pivot, select_pivot, select_pivot_paper
 from repro.sort.result import SortResult
@@ -283,6 +283,88 @@ def _pad(keys: np.ndarray, n: int,
         values[n:] = values[top:top + 1]
 
 
+def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
+                 sources: Sequence[Span], outputs: Sequence[Span],
+                 config: P2PConfig, stats: _Stats,
+                 value_sources: Optional[Sequence[Span]] = None,
+                 value_outputs: Optional[Sequence[Span]] = None,
+                 spawn=None, check=None):
+    """Process: the P2P sort of one GPU set (steps 1-4 of Algorithm 2).
+
+    GPU ``gpu_ids[i]`` copies ``sources[i]`` (and ``value_sources[i]``)
+    in, every GPU sorts its chunk, :func:`_merge_chunks` merges the
+    chunks, and GPU ``i``'s sorted chunk lands in ``outputs[i]`` (and
+    ``value_outputs[i]``).  All spans have one length, the chunk size;
+    chunks of size 0 have nothing to sort.  ``spawn``/``check`` are the
+    supervision seam of :func:`_merge_chunks`.  The device buffers are
+    freed on every exit, so a replanned run never inherits a failed
+    one's allocations.
+    """
+    chunk = len(sources[0])
+    if chunk == 0:
+        return
+    env = machine.env
+    if spawn is None:
+        spawn = env.process
+    if check is None:
+        check = _no_check
+    dtype = sources[0].buffer.data.dtype
+    value_dtype = (value_sources[0].buffer.data.dtype
+                   if value_sources is not None else None)
+    chunks: List[_Chunk] = []
+    try:
+        for gpu_id in gpu_ids:
+            device = machine.device(gpu_id)
+            primary = device.alloc(chunk, dtype, label=f"chunk{gpu_id}")
+            aux = device.alloc(chunk, dtype, label=f"aux{gpu_id}")
+            value_primary = value_aux = None
+            if value_dtype is not None:
+                value_primary = device.alloc(chunk, value_dtype,
+                                             label=f"vals{gpu_id}")
+                value_aux = device.alloc(chunk, value_dtype,
+                                         label=f"vaux{gpu_id}")
+            chunks.append(_Chunk(device, primary, aux,
+                                 value_primary, value_aux))
+
+        htod = []
+        for i, c in enumerate(chunks):
+            htod.append(spawn(copy_async(
+                machine, span(c.primary), sources[i], phase="HtoD")))
+            if c.has_values:
+                htod.append(spawn(copy_async(
+                    machine, span(c.value_primary), value_sources[i],
+                    phase="HtoD")))
+        yield env.all_of(htod)
+        check()
+
+        sorts = [spawn(sort_on_device(
+            machine, span(c.primary), primitive=config.primitive,
+            phase="Sort",
+            values=span(c.value_primary) if c.has_values else None))
+            for c in chunks]
+        yield env.all_of(sorts)
+        check()
+
+        yield from _merge_chunks(machine, chunks, config, stats,
+                                 spawn=spawn, check=check)
+
+        dtoh = []
+        for i, c in enumerate(chunks):
+            dtoh.append(spawn(copy_async(
+                machine, outputs[i], span(c.primary), phase="DtoH")))
+            if c.has_values:
+                dtoh.append(spawn(copy_async(
+                    machine, value_outputs[i], span(c.value_primary),
+                    phase="DtoH")))
+        yield env.all_of(dtoh)
+        check()
+    finally:
+        for c in chunks:
+            for buffer in c.all_buffers():
+                if not buffer.released:
+                    buffer.free()
+
+
 def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
              gpu_ids: Optional[Sequence[int]] = None,
              config: Optional[P2PConfig] = None,
@@ -308,13 +390,8 @@ def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     the largest power-of-two prefix of the survivors; recovery work
     (retries, re-routes, downtime) is reported on the result.
     """
-    saved_policy = machine.resilience
-    if resilience is not None:
-        machine.resilience = resilience
-    try:
+    with machine.resilience_override(resilience):
         return _p2p_sort(machine, data, gpu_ids, config, values)
-    finally:
-        machine.resilience = saved_policy
 
 
 def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -412,13 +489,17 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         raise SortError(
             f"unknown input_placement {config.input_placement!r}")
     ranges = [(i * chunk, (i + 1) * chunk) for i in range(g)]
+    charged = (config.input_placement == pl.NUMA_LOCAL
+               and config.charge_redistribution)
     placed = pl.place_chunks(machine, staging, ids, ranges,
-                             placement=config.input_placement)
+                             placement=config.input_placement,
+                             charge_redistribution=charged)
     placed_values = None
     if host_values is not None:
         placed_values = pl.place_chunks(machine, value_staging, ids,
                                         ranges,
-                                        placement=config.input_placement)
+                                        placement=config.input_placement,
+                                        charge_redistribution=charged)
     out_buffers = [pl.output_buffer_for(machine, gpu_id, host_out, start,
                                         stop, config.input_placement)
                    for gpu_id, (start, stop) in zip(ids, ranges)]
@@ -442,61 +523,18 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         machine.trace.push_parent(root_id)
 
     def run():
-        env = machine.env
-        if (config.input_placement == pl.NUMA_LOCAL
-                and config.charge_redistribution):
+        if charged:
             yield from pl.redistribute(machine, staging, placed)
             if placed_values is not None:
                 yield from pl.redistribute(machine, value_staging,
                                            placed_values)
-        chunks: List[_Chunk] = []
-        for gpu_id in ids:
-            device = machine.device(gpu_id)
-            primary = device.alloc(chunk, dtype, label=f"chunk{gpu_id}")
-            aux = device.alloc(chunk, dtype, label=f"aux{gpu_id}")
-            value_primary = value_aux = None
-            if host_values is not None:
-                value_primary = device.alloc(chunk, host_values.dtype,
-                                             label=f"vals{gpu_id}")
-                value_aux = device.alloc(chunk, host_values.dtype,
-                                         label=f"vaux{gpu_id}")
-            chunks.append(_Chunk(device, primary, aux,
-                                 value_primary, value_aux))
-
-        htod = []
-        for i, c in enumerate(chunks):
-            htod.append(env.process(copy_async(
-                machine, span(c.primary),
-                span(placed[i].staging), phase="HtoD")))
-            if c.has_values:
-                htod.append(env.process(copy_async(
-                    machine, span(c.value_primary),
-                    span(placed_values[i].staging), phase="HtoD")))
-        yield env.all_of(htod)
-
-        sorts = [env.process(sort_on_device(
-            machine, span(c.primary), primitive=config.primitive,
-            phase="Sort",
-            values=span(c.value_primary) if c.has_values else None))
-            for c in chunks]
-        yield env.all_of(sorts)
-
-        yield from _merge_chunks(machine, chunks, config, stats)
-
-        dtoh = []
-        for i, c in enumerate(chunks):
-            dtoh.append(env.process(copy_async(
-                machine, span(out_buffers[i]),
-                span(c.primary), phase="DtoH")))
-            if c.has_values:
-                dtoh.append(env.process(copy_async(
-                    machine, span(out_value_buffers[i]),
-                    span(c.value_primary), phase="DtoH")))
-        yield env.all_of(dtoh)
-
-        for c in chunks:
-            for buffer in c.all_buffers():
-                buffer.free()
+        yield from p2p_pipeline(
+            machine, ids, [span(c.staging) for c in placed],
+            [span(b) for b in out_buffers], config, stats,
+            value_sources=(None if placed_values is None
+                           else [span(c.staging) for c in placed_values]),
+            value_outputs=(None if out_value_buffers is None
+                           else [span(b) for b in out_value_buffers]))
 
     try:
         machine.run(run())

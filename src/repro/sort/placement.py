@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.memcpy import copy_async, span
@@ -47,25 +49,29 @@ class PlacedChunk:
 def place_chunks(machine: Machine, host_in: HostBuffer,
                  gpu_ids: Sequence[int],
                  ranges: Sequence[Tuple[int, int]],
-                 placement: str = NODE0) -> List[PlacedChunk]:
+                 placement: str = NODE0,
+                 charge_redistribution: bool = False) -> List[PlacedChunk]:
     """Stage per-GPU input chunks according to ``placement``.
 
     ``ranges`` gives each GPU's ``(start, stop)`` slice of the input.
-    With ``node0`` every chunk is a view of the original buffer; with
-    ``numa-local`` each chunk gets a staging buffer on its GPU's NUMA
-    node (copy the payload now, charge the transfer separately via
-    :func:`redistribute`).
+    A chunk staged on the input's own NUMA node (every chunk under
+    ``node0``) is a view of the input.  Under ``numa-local`` every
+    other chunk gets a staging buffer on its GPU's node, and its
+    payload moves there once: by the charged :func:`redistribute` with
+    ``charge_redistribution``, or here, uncharged, without it.
     """
     chunks: List[PlacedChunk] = []
     for gpu_id, (start, stop) in zip(gpu_ids, ranges):
+        view = host_in.data[start:stop]
+        numa = host_in.numa
         if placement == NUMA_LOCAL:
             numa = machine.spec.gpu_numa[machine.spec.gpu_name(gpu_id)]
-            staging = machine.host_buffer(
-                host_in.data[start:stop].copy(), numa=numa,
-                pinned=host_in.pinned)
+        if numa == host_in.numa:
+            staging = HostBuffer(view, numa=numa, pinned=host_in.pinned)
         else:
-            staging = HostBuffer(host_in.data[start:stop],
-                                 numa=host_in.numa, pinned=host_in.pinned)
+            staging = machine.host_buffer(
+                np.empty_like(view) if charge_redistribution
+                else view.copy(), numa=numa, pinned=host_in.pinned)
         chunks.append(PlacedChunk(gpu_id=gpu_id, staging=staging,
                                   src_start=start, src_stop=stop))
     return chunks
@@ -74,10 +80,11 @@ def place_chunks(machine: Machine, host_in: HostBuffer,
 def redistribute(machine: Machine, host_in: HostBuffer,
                  chunks: Sequence[PlacedChunk],
                  phase: str = "Redistribute"):
-    """Process: charge the host-to-host moves of off-node chunks.
+    """Process: move the off-node chunks' payloads, charging the time.
 
     Chunks staged on the input's own node cost nothing; the others pay
-    one concurrent host-to-host flow each over the CPU interconnect.
+    one concurrent host-to-host flow each over the CPU interconnect,
+    whose copy lands the payload (see :func:`place_chunks`).
     """
     env = machine.env
     procs = []

@@ -90,6 +90,32 @@ class TestCorrectness:
             hier_sort(machine, _data(), config=HierConfig(gpus_per_node=3))
 
 
+class TestEmptySegments:
+    """Inputs whose splitters leave some node-to-node segments empty
+    sort with and without a fault plan: an empty segment is never
+    delivered, so the merge must not wait for it."""
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["no-plan", "empty-plan"])
+    def test_sorted_int64_input(self, plan):
+        data = generate(50_000, "sorted", np.int64, seed=3)
+        machine = Machine(make_cluster("dgx-a100", 4, fabric="fat-tree"))
+        if plan is not None:
+            machine.install_faults(plan)
+        result = hier_sort(machine, data)
+        assert np.array_equal(result.output, np.sort(data))
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["no-plan", "empty-plan"])
+    def test_seven_keys_over_six_nodes(self, plan):
+        data = _data(seed=4, n=7)
+        machine = Machine(make_cluster("dgx-a100", 6))
+        if plan is not None:
+            machine.install_faults(plan)
+        result = hier_sort(machine, data)
+        assert np.array_equal(result.output, np.sort(data))
+
+
 class TestDeterminism:
     def test_replay_is_bit_identical(self):
         """Cluster episodes replay bit-identically under a fixed seed."""

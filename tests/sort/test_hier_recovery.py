@@ -119,6 +119,17 @@ class TestNodeLossRecovery:
         assert runs[0] == runs[1]
 
 
+    def test_postmortem_without_a_fault_plan(self, tmp_path):
+        # A terminal failure dumps its bundle whether or not a fault
+        # plan is installed: here a node shard too large for its GPUs.
+        machine = Machine(make_cluster("dgx-a100", 2), scale=1e8)
+        with pytest.raises(SortError, match="exceeding") as info:
+            hier_sort(machine, _data(), config=HierConfig(
+                postmortem_dir=str(tmp_path)))
+        assert len(info.value.postmortems) == 1
+        assert list(tmp_path.iterdir())
+
+
 class TestWaveReplay:
     def test_transient_exchange_failure_replays_the_wave(self):
         # A brief leaf outage mid-exchange on a 4-node fat-tree (no
@@ -159,6 +170,17 @@ class TestDeadlineBudget:
         assert result.deadline_exceeded
         assert result.output is None
         assert result.degraded
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["no-plan", "empty-plan"])
+    def test_deadline_holds_with_or_without_a_fault_plan(self, plan):
+        clean = _clean_run()
+        result = hier_sort(_machine(plan=plan), _data(), config=HierConfig(
+            deadline_s=0.5 * clean.duration))
+        assert result.deadline_exceeded
+        assert result.output is None
+        assert result.duration == pytest.approx(0.5 * clean.duration)
+        assert "NodeMerge" not in result.completed_phases
 
     def test_generous_deadline_changes_nothing(self):
         data = _data(seed=31)

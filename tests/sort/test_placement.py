@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.data import generate
 from repro.hw import ibm_ac922
 from repro.runtime import Machine
+from repro.sort import P2PConfig, p2p_sort
 from repro.sort import placement as pl
 
 
@@ -60,6 +62,42 @@ class TestRedistribute:
         assert machine.now == pytest.approx(8e9 / (41e9 * 0.95),
                                             rel=0.02)
         assert len(chunks) == 4
+
+    def test_charged_move_is_the_only_move(self, ac922, host_in):
+        # Charged placement leaves each off-node payload to the
+        # Redistribute copy: it reads the input when it runs, so an
+        # input written after placement shows up in every chunk.
+        chunks = pl.place_chunks(ac922, host_in, (0, 1, 2, 3),
+                                 [(i * 100, (i + 1) * 100)
+                                  for i in range(4)],
+                                 placement=pl.NUMA_LOCAL,
+                                 charge_redistribution=True)
+        host_in.data[:] = np.arange(400, dtype=np.int32)
+        ac922.run(pl.redistribute(ac922, host_in, chunks))
+        for i, chunk in enumerate(chunks):
+            assert np.array_equal(chunk.staging.data,
+                                  np.arange(i * 100, (i + 1) * 100))
+
+    def test_p2p_sort_moves_each_off_node_chunk_once(self, monkeypatch):
+        # Every Redistribute copy must carry its payload: a destination
+        # that already holds it was moved twice.
+        landed_before = []
+        real_copy = pl.copy_async
+
+        def recording_copy(machine, dst, src, phase=None):
+            landed_before.append(np.array_equal(dst.view, src.view))
+            return real_copy(machine, dst, src, phase=phase)
+
+        monkeypatch.setattr(pl, "copy_async", recording_copy)
+        machine = Machine(ibm_ac922(), scale=1000)
+        data = generate(40_000, "uniform", np.int64, seed=5)
+        values = np.arange(40_000, dtype=np.int64)
+        result = p2p_sort(machine, data, values=values,
+                          config=P2PConfig(input_placement=pl.NUMA_LOCAL))
+        assert np.array_equal(result.output, np.sort(data))
+        assert np.array_equal(data[result.output_values], result.output)
+        assert landed_before == [False] * 4
+        assert result.phase_durations["Redistribute"] > 0.0
 
     def test_all_local_is_free(self, ac922, host_in):
         chunks = pl.place_chunks(ac922, host_in, (0, 1),
