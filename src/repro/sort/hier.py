@@ -544,26 +544,25 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             if machine.obs is not None:
                 machine.obs.checkpointed(name, len(batch), env.now)
 
-    def _merge_one(ledger: ExchangeLedger, rng: int, owner: int,
-                   out: np.ndarray, parts: List[np.ndarray]):
-        yield from cpu_multiway_merge(machine, out, parts,
-                                      numa=spec.node_numa(owner),
-                                      phase="NodeMerge")
+    def _merge_one(ledger: ExchangeLedger, rng: int,
+                   parts: List[np.ndarray]):
+        out = np.empty(sum(part.size for part in parts), dtype=dtype)
+        yield from cpu_multiway_merge(
+            machine, out, parts, numa=spec.node_numa(ledger.range_owner[rng]),
+            phase="NodeMerge")
         ledger.merged[rng] = out
 
     def _merges(ledger: ExchangeLedger):
         tasks = []
         for rng in ledger.unmerged_ranges():
-            owner = ledger.range_owner[rng]
+            # Every part is a non-empty segment.
             parts = ledger.merge_parts(rng)
-            out = np.empty(sum(part.size for part in parts), dtype=dtype)
-            if not out.size:
-                ledger.merged[rng] = out
+            if not parts:
+                ledger.merged[rng] = np.empty(0, dtype=dtype)
                 continue
             tasks.append((f"merge{rng}",
-                          lambda spawn, check, rng=rng, owner=owner,
-                          out=out, parts=parts:
-                          _merge_one(ledger, rng, owner, out, parts)))
+                          lambda spawn, check, rng=rng, parts=parts:
+                          _merge_one(ledger, rng, parts)))
         if tasks:
             yield from run_phase("NodeMerge", tasks)
 

@@ -500,14 +500,15 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                                         ranges,
                                         placement=config.input_placement,
                                         charge_redistribution=charged)
-    out_buffers = [pl.output_buffer_for(machine, gpu_id, host_out, start,
-                                        stop, config.input_placement)
-                   for gpu_id, (start, stop) in zip(ids, ranges)]
-    out_value_buffers = None
+    outputs = [span(pl.output_buffer_for(machine, gpu_id, host_out, start,
+                                         stop, config.input_placement))
+               for gpu_id, (start, stop) in zip(ids, ranges)]
+    value_sources = value_outputs = None
     if values_out is not None:
-        out_value_buffers = [pl.output_buffer_for(
+        value_sources = [span(c.staging) for c in placed_values]
+        value_outputs = [span(pl.output_buffer_for(
             machine, gpu_id, values_out, start, stop,
-            config.input_placement)
+            config.input_placement))
             for gpu_id, (start, stop) in zip(ids, ranges)]
 
     stats = _Stats()
@@ -529,12 +530,9 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                 yield from pl.redistribute(machine, value_staging,
                                            placed_values)
         yield from p2p_pipeline(
-            machine, ids, [span(c.staging) for c in placed],
-            [span(b) for b in out_buffers], config, stats,
-            value_sources=(None if placed_values is None
-                           else [span(c.staging) for c in placed_values]),
-            value_outputs=(None if out_value_buffers is None
-                           else [span(b) for b in out_value_buffers]))
+            machine, ids, [span(c.staging) for c in placed], outputs,
+            config, stats, value_sources=value_sources,
+            value_outputs=value_outputs)
 
     try:
         machine.run(run())
