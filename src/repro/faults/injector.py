@@ -502,7 +502,7 @@ class FaultInjector:
         self._mark_down(resource)
         # Precomputed routes may cross the downed link; drop them so
         # the next lookup re-resolves against the live link state.
-        self.machine.spec.topology.invalidate_routes()
+        self.machine.spec.topology.invalidate_routes([resource])
         for flow in self.machine.net.flows_crossing(resource):
             self.machine.net.abort_flow(flow, TransientTransferError(
                 f"link {resource.name} went down under flow "
@@ -510,7 +510,8 @@ class FaultInjector:
         yield self.env.timeout(event.duration)
         if self._mark_up(resource):
             # The link is back: cached avoid-set detours are stale too.
-            self.machine.spec.topology.invalidate_routes()
+            self.machine.spec.topology.invalidate_routes([resource],
+                                                         restored=True)
         self._close(record)
 
     def _run_link_flap(self, event: LinkFlap):
@@ -518,14 +519,15 @@ class FaultInjector:
         for cycle in range(event.cycles):
             record = self._open("link_flap", resource.name)
             self._mark_down(resource)
-            self.machine.spec.topology.invalidate_routes()
+            self.machine.spec.topology.invalidate_routes([resource])
             for flow in self.machine.net.flows_crossing(resource):
                 self.machine.net.abort_flow(flow, TransientTransferError(
                     f"link {resource.name} flapped down under flow "
                     f"{flow.label!r}"))
             yield self.env.timeout(event.down_s)
             if self._mark_up(resource):
-                self.machine.spec.topology.invalidate_routes()
+                self.machine.spec.topology.invalidate_routes(
+                    [resource], restored=True)
             self._close(record)
             if cycle + 1 < event.cycles:
                 yield self.env.timeout(event.up_s)
@@ -540,19 +542,17 @@ class FaultInjector:
         if flushed:
             # One batched flush for the whole switch going dark, not
             # one flush per attached link.
-            self.machine.spec.topology.invalidate_routes()
+            self.machine.spec.topology.invalidate_routes(resources)
         for resource in resources:
             for flow in self.machine.net.flows_crossing(resource):
                 self.machine.net.abort_flow(flow, TransientTransferError(
                     f"fabric switch {name} went down under flow "
                     f"{flow.label!r}"))
         yield self.env.timeout(event.duration)
-        restored = False
-        for resource in resources:
-            if self._mark_up(resource):
-                restored = True
-        if restored:
-            self.machine.spec.topology.invalidate_routes()
+        back = [resource for resource in resources
+                if self._mark_up(resource)]
+        if back:
+            self.machine.spec.topology.invalidate_routes(back, restored=True)
         self._close(record)
 
     def _run_node_down(self, event: NodeDown) -> None:
@@ -581,14 +581,14 @@ class FaultInjector:
                 dead_resources.append(memory)
         # NIC uplinks go down permanently (their restored events never
         # fire; check_host keeps new copies from parking on them).
-        flushed = False
+        downed = []
         for link_name in spec.node_nic_links(node):
             resource = self._by_name[link_name]
             dead_resources.append(resource)
             if self._mark_down(resource):
-                flushed = True
-        if flushed:
-            self.machine.spec.topology.invalidate_routes()
+                downed.append(resource)
+        if downed:
+            self.machine.spec.topology.invalidate_routes(downed)
         for memory_name in spec.node_host_memories(node):
             dead_resources.append(self._by_name[memory_name])
         for resource in dead_resources:

@@ -22,7 +22,8 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import TopologyError
 from repro.hw.links import LinkKind
@@ -124,10 +125,11 @@ class RouteTable:
     breakdown reads to prove route lookup is off the hot path).
 
     Link up/down events from :mod:`repro.faults` call
-    :meth:`invalidate`; dropping the whole table is semantically safe
-    because the resilient runtime overlays down links through ``avoid``
-    sets, but invalidation keeps the table from pinning Route objects
-    for dead link states forever.
+    :meth:`invalidate` with the links they touched.  A route never reads
+    link state — the resilient runtime overlays down links through
+    ``avoid`` sets — so no entry is ever wrong; invalidation keeps the
+    table from pinning Route objects for dead link states forever, and
+    drops only the entries the changed links concern.
     """
 
     __slots__ = ("_table", "hits", "misses", "invalidations", "miss_wall_s")
@@ -156,17 +158,37 @@ class RouteTable:
               route: Route) -> None:
         self._table[key] = route
 
-    def invalidate(self) -> None:
-        """Drop every cached route (topology or link-state change).
+    def invalidate(self, resources: Optional[Collection[int]] = None,
+                   restored: bool = False) -> None:
+        """Drop cached routes after a topology or link-state change.
+
+        Without ``resources`` (the ``id()`` of link resources) every
+        route goes.  With them, a link that went down drops the routes
+        whose hops cross one of them, and a link that came back
+        (``restored``) drops the routes whose avoid set names one: the
+        detours around it.  Every other entry stays a cache hit.
 
         A flush of an already-empty table is free and not counted, so
         the ``invalidations`` stat measures real cache churn rather
         than topology construction (every ``add_edge`` invalidates).
         """
-        if not self._table:
+        table = self._table
+        if not table:
             return
-        self._table.clear()
         self.invalidations += 1
+        if resources is None:
+            table.clear()
+            return
+        if restored:
+            stale = [key for key in table
+                     if key[2] is not None
+                     and not key[2].isdisjoint(resources)]
+        else:
+            stale = [key for key, route in table.items()
+                     if any(id(resource) in resources
+                            for resource, _d in route.hops)]
+        for key in stale:
+            del table[key]
 
     def stats(self) -> Dict[str, float]:
         """Counters for bench records and the ``--profile`` breakdown."""
@@ -228,14 +250,18 @@ class Topology:
         self.routes.invalidate()
         return edge
 
-    def invalidate_routes(self) -> None:
+    def invalidate_routes(self, resources: Optional[Iterable[Resource]] = None,
+                          restored: bool = False) -> None:
         """Drop cached routes after a link-state change.
 
         The fault injector calls this on every link down *and* up
-        window edge so stale paths never outlive the event that made
-        them wrong; the next :meth:`route` call recomputes on demand.
+        window edge with the links concerned (see
+        :meth:`RouteTable.invalidate`); the next :meth:`route` call
+        recomputes on demand.
         """
-        self.routes.invalidate()
+        self.routes.invalidate(
+            None if resources is None else {id(r) for r in resources},
+            restored)
 
     def tier_of(self, resource_name: str) -> str:
         """Telemetry tier of a link resource (by name)."""

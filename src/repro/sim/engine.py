@@ -359,23 +359,26 @@ class SimProfile:
 class ArrayCalendar:
     """Array-of-struct event calendar for flow completions.
 
-    Completion events are the engine's fast path: a full reallocation
+    Completion events are the engine's fast path: a reallocation
     reschedules *every* active flow, so representing each completion as
     a Python heap entry (the previous ``_Completion`` event objects)
     made reallocation cost O(F) object constructions plus O(F log F)
     heap pushes — and every superseded entry was later popped again as
-    a no-op.  This calendar stores completions as parallel NumPy arrays
-    of ``(time, seq, flow slot, token)`` instead:
+    a no-op.  This calendar stores completions as parallel arrays of
+    ``(time, seq, flow slot, token)`` instead:
 
-    * a full reallocation *stages* the new completion set in O(1) —
-      slot, sequence-id and token arrays are recorded, and every
-      previously staged or materialized entry is discarded in bulk
-      (counted in :attr:`invalidated`: the engine retired them without
+    * a reallocation *stages* the new completion set in O(1) — slot,
+      sequence-id and token arrays are recorded, and every previously
+      staged or materialized entry is discarded in bulk (counted in
+      :attr:`invalidated`: the engine retired them without
       dispatching);
-    * the stage is *rebuilt* lazily at the next ``peek``/``step`` —
-      completion times are computed vectorized and sorted once, which
-      batches any number of same-timestamp reallocations into a single
-      O(F log F) pass;
+    * the stage is *rebuilt* lazily, when the engine next needs the
+      calendar's head: the owner is first asked to ``settle`` (the flow
+      network computes the rates it deferred), then completion times
+      are computed vectorized and sorted once, which batches any number
+      of same-timestamp reallocations into a single O(F log F) pass.
+      The sorted columns are kept as plain Python lists, so the
+      per-step :meth:`head` and :meth:`pop` never box NumPy scalars;
     * single disjoint-flow completions (the fast-start path) go to a
       small side heap, merged at the head.
 
@@ -392,17 +395,18 @@ class ArrayCalendar:
 
     __slots__ = ("env", "times", "eids", "slots", "tokens", "ptr",
                  "_extra", "_staged", "dirty", "invalidated",
-                 "dispatch", "times_of", "valid_of")
+                 "dispatch", "times_of", "valid_of", "settle")
 
     def __init__(self, env: "Environment", dispatch: Callable,
-                 times_of: Callable, valid_of: Callable):
+                 times_of: Callable, valid_of: Callable,
+                 settle: Optional[Callable] = None):
         self.env = env
         #: Materialized entries, sorted by (time, eid); consumed from
         #: ``ptr`` forward.
-        self.times = np.empty(0)
-        self.eids = np.empty(0, dtype=np.int64)
-        self.slots = np.empty(0, dtype=np.int64)
-        self.tokens = np.empty(0, dtype=np.int64)
+        self.times: List[float] = []
+        self.eids: List[int] = []
+        self.slots: List[int] = []
+        self.tokens: List[int] = []
         self.ptr = 0
         #: Singly pushed entries: (time, eid, slot, token) tuples.
         self._extra: List[tuple] = []
@@ -424,6 +428,9 @@ class ArrayCalendar:
         #: ``valid_of(slots, tokens) -> bool ndarray`` — which staged
         #: entries are still current at rebuild.
         self.valid_of = valid_of
+        #: ``settle()`` — bring the state ``times_of`` reads up to date
+        #: before a rebuild, or ``None``.
+        self.settle = settle
 
     def __len__(self) -> int:
         staged = len(self._staged[0]) if self.dirty and self._staged else 0
@@ -435,7 +442,7 @@ class ArrayCalendar:
         if self._staged is not None:
             self.invalidated += len(self._staged[0])
         self.invalidated += len(self.times) - self.ptr
-        self.times = np.empty(0)
+        self.times = self.eids = self.slots = self.tokens = []
         self.ptr = 0
         self._staged = (slots, eids, tokens)
         self.dirty = True
@@ -453,15 +460,17 @@ class ArrayCalendar:
         slots = slots[mask]
         times = self.times_of(slots)
         order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.eids = eids[mask][order]
-        self.slots = slots[order]
-        self.tokens = tokens[mask][order]
+        self.times = times[order].tolist()
+        self.eids = eids[mask][order].tolist()
+        self.slots = slots[order].tolist()
+        self.tokens = tokens[mask][order].tolist()
         self.ptr = 0
 
     def head(self) -> Optional[tuple]:
         """(time, eid) of the earliest entry, or ``None`` when empty."""
         if self.dirty:
+            if self.settle is not None:
+                self.settle()
             prof = self.env._profile
             if prof is None:
                 self._rebuild()
@@ -470,15 +479,16 @@ class ArrayCalendar:
                 self._rebuild()
                 prof.schedule_s += perf_counter() - t0
                 prof.rebuilds += 1
-        array_key = None
-        if self.ptr < len(self.times):
-            array_key = (self.times[self.ptr], int(self.eids[self.ptr]))
-        if self._extra:
-            extra = self._extra[0]
-            extra_key = (extra[0], extra[1])
-            if array_key is None or extra_key < array_key:
-                return extra_key
-        return array_key
+        ptr = self.ptr
+        extra = self._extra
+        if ptr < len(self.times):
+            key = (self.times[ptr], self.eids[ptr])
+            if extra and (extra[0][0], extra[0][1]) < key:
+                return extra[0][0], extra[0][1]
+            return key
+        if extra:
+            return extra[0][0], extra[0][1]
+        return None
 
     def pop(self) -> tuple:
         """Remove and return the earliest entry (time, slot, token).
@@ -486,18 +496,15 @@ class ArrayCalendar:
         Callers must have checked :meth:`head` first; the head call
         also rebuilds a dirty stage.
         """
-        if self.ptr < len(self.times):
-            array_key = (self.times[self.ptr], int(self.eids[self.ptr]))
-        else:
-            array_key = None
-        if self._extra and (array_key is None
-                            or (self._extra[0][0], self._extra[0][1])
-                            < array_key):
-            time, _eid, slot, token = heapq.heappop(self._extra)
-            return time, slot, token
         i = self.ptr
+        extra = self._extra
+        if extra and (i >= len(self.times)
+                      or (extra[0][0], extra[0][1])
+                      < (self.times[i], self.eids[i])):
+            time, _eid, slot, token = heapq.heappop(extra)
+            return time, slot, token
         self.ptr = i + 1
-        return float(self.times[i]), int(self.slots[i]), int(self.tokens[i])
+        return self.times[i], self.slots[i], self.tokens[i]
 
 
 class Environment:
@@ -557,13 +564,16 @@ class Environment:
                                         else 0)
 
     def register_calendar(self, dispatch: Callable, times_of: Callable,
-                          valid_of: Callable) -> ArrayCalendar:
+                          valid_of: Callable,
+                          settle: Optional[Callable] = None
+                          ) -> ArrayCalendar:
         """Attach the array completion calendar (one per environment)."""
         if self._calendar is not None:
             raise SimulationError(
                 "environment already has an array calendar; one flow "
                 "network per environment")
-        self._calendar = ArrayCalendar(self, dispatch, times_of, valid_of)
+        self._calendar = ArrayCalendar(self, dispatch, times_of, valid_of,
+                                       settle)
         return self._calendar
 
     def _reserve_eids(self, count: int) -> int:
@@ -617,17 +627,30 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         when = self._queue[0][0] if self._queue else float("inf")
         cal = self._calendar
-        if cal is not None:
+        # A due object event at the current instant is next whatever
+        # the calendar holds: a dirty stage stays unsettled (see step).
+        if cal is not None and not (cal.dirty and when <= self._now):
             key = cal.head()
             if key is not None and key[0] < when:
                 return key[0]
         return when
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event.
+
+        While the calendar holds a dirty stage and an object event is
+        due at the current instant, that event runs without settling
+        the stage, so the flow network settles once per instant — when
+        the clock is about to move — rather than once per event.  A
+        staged completion lies at or after the instant that staged it;
+        one due at that very instant (a residue under one ulp of the
+        clock) then runs after the instant's object events instead of
+        in sequence order.
+        """
         queue = self._queue
         cal = self._calendar
-        if cal is not None:
+        if cal is not None and not (cal.dirty and queue
+                                    and queue[0][0] <= self._now):
             cal_key = cal.head()
             if cal_key is not None and (
                     not queue or cal_key < (queue[0][0], queue[0][1])):

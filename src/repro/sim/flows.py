@@ -21,19 +21,22 @@ thousands of flow arrivals (see :mod:`repro.sim.solver`):
 * per-flow hot state (remaining bytes, rate, cap, completion token)
   lives in the parallel NumPy arrays of a :class:`~repro.sim.solver.FlowTable`;
   the :class:`Flow` objects expose it through properties;
-* a reallocation refills only the flows its change can reach (see
-  *Component-scoped refill* below), with the dict reference solver for
-  small components and the vectorized one
+* changes are *marked*, not filled: a start, finish or abort that can
+  re-rate other flows records its seeds and stages the completion
+  calendar, and the network *settles* — fills and sets the rates —
+  once per simulated instant (see *Settling once per instant* below);
+* a settle refills only the flows the instant's changes can reach (see
+  *Component-scoped refill*), with the dict reference solver for small
+  components and the vectorized one
   (:func:`~repro.sim.solver.water_fill_arrays`, bit-identical to the
   reference) for wide ones;
 * progress sweeps advance every flow with one vectorized subtraction —
   all active flows share a single last-advanced timestamp;
 * completions live in the engine's :class:`~repro.sim.engine.ArrayCalendar`:
-  a full reallocation *stages* the whole completion set in O(1) and the
-  calendar sorts it once, lazily, so a burst of same-instant starts or
-  finishes costs one rebuild instead of N heap storms.  Stale entries
-  are invalidated by token, exactly like the previous per-object
-  completion events.
+  a mark *stages* the whole completion set in O(1) and the calendar
+  sorts it once, lazily, when the engine next needs its head.  Stale
+  entries are invalidated by token, exactly like the previous
+  per-object completion events.
 
 A Python-dict membership index (packed ``(id(resource) << 1 | direction
 bit)`` key -> arrival-ordered flow dict) is still maintained: the
@@ -41,19 +44,39 @@ observability recorder, the diagnostics in error paths, the reference
 solver and the component walk all read it, and keeping it costs
 O(route) per transition.
 
+**Settling once per instant.**  Many changes share a simulated instant
+(a completion frees a link and its waiter starts the next copy; a fault
+aborts every flow on a link), and no byte moves within an instant, so
+only the rates the instant ends with matter.  A change therefore only
+*marks*: it appends its seeds (the flows it started, finished or
+aborted, including flows a catch-up sweep finished) to a pending list
+and restages the calendar with fresh tokens and event ids for every
+active flow — reserved at the mark, exactly as a fill per change
+reserved them, so event order is unchanged.  The network *settles*
+(refills the components the pending seeds reach) when the engine is
+about to move the clock — the calendar's rebuild asks for it — or when
+anything reads a rate (:attr:`Flow.rate`, :meth:`utilization`,
+:attr:`delivered`).  The settle's rates equal
+those of the last fill it replaces: every fill re-rated the components
+its change reached, and the settle re-rates their union over the final
+flow set.  Settling early therefore changes no simulated value, which
+is why an attached observability recorder, whose hooks read rates at
+every transition, simply settles at every mark.  The disjoint fast
+paths (a start or finish on resources no other flow crosses) never
+mark: a lone flow's rate is exact at once.
+
 **Component-scoped refill.**  Max-min fairness splits exactly over the
 connected components of the flow-resource graph: a flow's rate depends
 only on the flows it is linked to through shared resources, and on a
-cluster most changes touch a handful of node-local copies.  So each
-reallocation takes the flows that started, finished or were aborted as
-*seeds*, walks the membership index from their resources to collect
-the component, and refills only that.  Three details keep the result
-bit-identical to filling every flow:
+cluster most changes touch a handful of node-local copies.  So a settle
+walks the membership index from the pending seeds' resources to
+collect their components, and refills only those.  Three details keep
+the result bit-identical to filling every flow:
 
 * the walk visits *both* directions of every resource, because the
   duplex factor makes a key's capacity depend on its partner key's
   member count even when no flow crosses both;
-* the component is filled with flows in flow-table slot order and keys
+* each component is filled with flows in flow-table slot order and keys
   in key-table slot order — the order a global fill scans them in — so
   the first-minimum bottleneck choice breaks ties identically.  Every
   freeze a global fill performs inside a component is then the one the
@@ -61,23 +84,27 @@ bit-identical to filling every flow:
   elsewhere changes none of this component's shares, and a global
   capped freeze fixes a component's flows at that cap exactly when the
   component's own fill would;
-* flows finished by a catch-up sweep are seeds too, including sweeps
-  that no reallocation followed (kept in ``_unsettled`` until the next
-  one, which the fast-path start and finish do not skip while such a
-  flow has a live neighbour), so no neighbour keeps a rate a global
-  fill would have replaced.
+* flows finished by a catch-up sweep are seeds too (including the sweep
+  of an abort that found its flow already done), so no neighbour keeps
+  a rate a global fill would have replaced.
 
-Completions are still restaged for *every* active flow, with fresh
-tokens and event ids, exactly as after a global fill.  A scoped restage
-would recompute untouched flows' completion times from a later
-``now`` — the same instant in exact arithmetic but not always in
-floating point — and reorder event ids, so it would drift from the
-global schedule by ulps.
+Each key's effective capacity is memoized on its key slot together with
+the two member counts it was computed for (see
+:meth:`~repro.sim.solver.KeyTable.capacities`); a settle recomputes it
+only for keys whose load changed, and a capacity change the index
+cannot see (:meth:`FlowNetwork.requery_capacity`) drops the memo.
 
-A :class:`~repro.sim.engine.SimulationError` raised mid-fill (zero
-effective capacity) leaves the network's indices consistent but its
-rates stale; like the previous implementation, callers that catch it
-should not keep simulating the affected flows.
+Completions are restaged for *every* active flow, not only the
+component's.  A scoped restage would recompute untouched flows'
+completion times from a later ``now`` — the same instant in exact
+arithmetic but not always in floating point — and reorder event ids,
+so it would drift from the global schedule by ulps.
+
+A :class:`~repro.sim.engine.SimulationError` raised by a fill (zero
+effective capacity) surfaces at the settle: from the rate read or the
+engine step that settled.  It leaves the network's indices consistent
+but its rates stale; like the previous implementation, callers that
+catch it should not keep simulating the affected flows.
 """
 
 from __future__ import annotations
@@ -91,16 +118,16 @@ import numpy as np
 
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.resources import Direction, Resource
-from repro.sim.solver import (FlowTable, KeyTable, water_fill_arrays,
-                              water_fill_reference)
+from repro.sim.solver import (FlowTable, KeyTable, progressive_fill,
+                              water_fill_arrays)
 
 Hop = Tuple[Resource, Direction]
 
 #: Relative tolerance when deciding a flow has finished.
 _EPSILON_BYTES = 1e-6
 
-#: Component size at or below which a reallocation fills the component
-#: with the dict-walking reference solver; a wider component goes to the
+#: Component size at or below which a settle fills the component with
+#: the dict-walking reference solver; a wider component goes to the
 #: vectorized solver, which fills every active flow (the rates outside
 #: the component come out unchanged).  Each fill round costs the
 #: vectorized solver a flat ~40-60us of NumPy dispatch but the
@@ -181,7 +208,11 @@ class Flow:
 
     @property
     def remaining(self) -> float:
-        """Bytes not yet delivered (as of the last progress sweep)."""
+        """Bytes not yet delivered (as of the last progress sweep).
+
+        Only a sweep moves it, and a sweep settles first, so reading it
+        never needs a settle.
+        """
         slot = self._slot
         if slot is None:
             return self._rem
@@ -193,7 +224,10 @@ class Flow:
         slot = self._slot
         if slot is None:
             return self._rate
-        return float(self.network._ft.rate[slot])
+        network = self.network
+        if network._settle_due:
+            network._settle()
+        return float(network._ft.rate[slot])
 
     @property
     def active(self) -> bool:
@@ -231,7 +265,8 @@ class FlowNetwork:
         self._kt = KeyTable()
         #: Array completion calendar, registered with the engine.
         self._cal = env.register_calendar(
-            self._on_completion_slot, self._times_of, self._valid_of)
+            self._on_completion_slot, self._times_of, self._valid_of,
+            self._settle)
         #: Monotone completion-token counter.  Tokens are globally
         #: unique per (re)schedule, so a stale calendar entry can never
         #: collide with a later assignment — not even across table
@@ -245,17 +280,19 @@ class FlowNetwork:
         #: (forces the next sweep even with no time elapsed).
         self._may_have_finished = False
         #: Whether a fault factor may have changed since the last
-        #: reallocation (set by :meth:`requery_capacity`).  Gates the
+        #: settle (set by :meth:`requery_capacity`).  Gates the
         #: ``refresh_faults`` sweep: on a healthy machine no key ever
-        #: needs re-reading, so the per-reallocation cost is one flag
-        #: test instead of an O(alive keys) Python loop.
+        #: needs re-reading, so the per-settle cost is one flag test
+        #: instead of an O(alive keys) Python loop.
         self._faults_dirty = False
-        #: Flows finished by a catch-up sweep that no reallocation
-        #: followed (an abort that found its flow already done).  Their
-        #: neighbours keep stale rates until the next reallocation,
-        #: which must refill their components too.
-        self._unsettled: List[Flow] = []
-        #: Allocation statistics (for the ``simcore`` benchmark).
+        #: Whether a change was marked since the last settle; its seeds
+        #: (flows started, finished or aborted), and whether a capacity
+        #: change asks for every flow to be refilled.
+        self._settle_due = False
+        self._pending: List[Flow] = []
+        self._refill_all = False
+        #: Allocation statistics (for the ``simcore`` benchmark);
+        #: ``full_reallocations`` counts settles that refill flows.
         self.full_reallocations = 0
         self.fast_starts = 0
         self.fast_finishes = 0
@@ -294,11 +331,7 @@ class FlowNetwork:
                 f"flow {label!r} has neither a route nor a rate cap; "
                 "its rate would be unbounded")
         finished = self._advance_all()
-        refs = self._refs
-        disjoint = not finished and not any(
-            refs.get(id(resource), 0) for resource in flow.resources)
-        if disjoint and self._unsettled:
-            disjoint = not self._stale_neighbours()
+        disjoint = not finished and not self._shares_resource([flow])
         self._insert(flow)
         if flow.size <= flow._finish_threshold:
             # Sub-epsilon (but non-zero) flow: make sure the next sweep
@@ -308,7 +341,7 @@ class FlowNetwork:
             self._allocate_single(flow)
         else:
             finished.append(flow)
-            self._reallocate(finished)
+            self._mark(finished)
         obs = self.obs
         if obs is not None:
             obs.flow_started(self, flow)
@@ -320,17 +353,15 @@ class FlowNetwork:
         requests: Sequence[Tuple[Sequence[Hop], float,
                                  Optional[float], str]],
     ) -> List[Flow]:
-        """Start several flows at one instant with a *single* fill.
+        """Start several flows at one instant with a *single* mark.
 
         ``requests`` is a sequence of ``(route, size, rate_cap, label)``
         tuples.  Semantically this equals N :meth:`start_flow` calls at
         the same simulated instant — the final max-min allocation over
-        the combined flow set is identical — but the progressive fill
-        runs once instead of once per arrival.  The cross-node exchange
-        of the hierarchical sort launches whole waves of fabric flows
-        this way; without batching, a 64-node all-to-all round would
-        pay 63 intermediate fills whose rates are superseded within
-        the same instant.  Returns the flows in request order.
+        the combined flow set is identical — but the calendar is
+        restaged once instead of once per arrival.  The cross-node
+        exchange of the hierarchical sort launches whole waves of
+        fabric flows this way.  Returns the flows in request order.
         """
         finished = self._advance_all()
         flows: List[Flow] = []
@@ -353,7 +384,7 @@ class FlowNetwork:
             started.append(flow)
         if started:
             self.batched_starts += 1
-            self._reallocate(finished + started)
+            self._mark(finished + started)
         obs = self.obs
         if obs is not None:
             for flow in started:
@@ -403,9 +434,13 @@ class FlowNetwork:
             return
         finished = self._advance_all()
         if not flow.active:
-            # Nothing is re-rated now, but the next reallocation must
-            # refill whatever the catch-up finishes touched.
-            self._unsettled.extend(finished)
+            # The catch-up sweep finished it: nothing to abort, but the
+            # flows it and its sweep-mates shared resources with must
+            # be re-rated like after any finish.
+            if self._shares_resource(finished):
+                self._mark(finished)
+                if self.obs is not None:
+                    self.obs.rates_changed(self)
             return
         del self._flows[flow]
         self._remove(flow)
@@ -424,7 +459,7 @@ class FlowNetwork:
             flow.done.defused = True
         if self._flows:
             finished.append(flow)
-            self._reallocate(finished)
+            self._mark(finished)
         obs = self.obs
         if obs is not None:
             obs.flow_aborted(self, flow)
@@ -441,7 +476,7 @@ class FlowNetwork:
         self._faults_dirty = True
         self._advance_all()
         if self._flows:
-            self._reallocate(None)
+            self._mark(None)
         if self.obs is not None:
             self.obs.rates_changed(self)
 
@@ -453,6 +488,8 @@ class FlowNetwork:
         property credits every flow's uncredited progress first, so the
         returned counters are exact as of the current simulated time.
         """
+        if self._settle_due:
+            self._settle()
         now = self.env.now
         ft = self._ft
         elapsed = now - self._advanced_at
@@ -549,11 +586,15 @@ class FlowNetwork:
         Delivered-bytes accounting is *not* done here — progress is
         credited lazily (on finish, or when :attr:`delivered` is read),
         so the sweep is one vectorized subtraction.  Sweeps repeated at
-        one simulated instant short-circuit.
+        one simulated instant short-circuit.  A sweep that does run
+        settles first: it reads the rates, and a flow it finishes keeps
+        its final one.
         """
         now = self.env.now
         if now == self._advanced_at and not self._may_have_finished:
             return []
+        if self._settle_due:
+            self._settle()
         prof = self.env._profile
         if prof is not None:
             t0 = perf_counter()
@@ -613,13 +654,10 @@ class FlowNetwork:
             # Numerical slack: force-finish, the residual is < epsilon.
             self._finish(flow)
             finished.append(flow)
-        refs = self._refs
-        shared = any(refs.get(id(resource), 0)
-                     for done in finished for resource in done.resources)
-        if shared or (self._unsettled and self._stale_neighbours()):
+        if self._shares_resource(finished):
             # A surviving flow shares a resource with a finished one;
             # its effective capacity changed.
-            self._reallocate(finished)
+            self._mark(finished)
             if self.obs is not None:
                 self.obs.rates_changed(self)
             return
@@ -631,13 +669,11 @@ class FlowNetwork:
             # dropped their contribution — refresh the link gauges.
             self.obs.rates_changed(self)
 
-    def _stale_neighbours(self) -> bool:
-        """Whether a flow in ``_unsettled`` shares a resource with a live
-        flow, whose rate then waits for a reallocation (a fast path must
-        not skip it)."""
+    def _shares_resource(self, flows: List[Flow]) -> bool:
+        """Whether an active flow crosses a resource of ``flows``."""
         refs = self._refs
         return any(refs.get(id(resource), 0)
-                   for done in self._unsettled for resource in done.resources)
+                   for flow in flows for resource in flow.resources)
 
     def _allocate_single(self, flow: Flow) -> None:
         """Fast path: rate a flow whose resources nobody else crosses.
@@ -670,7 +706,8 @@ class FlowNetwork:
         delay = float(ft.remaining[slot]) / rate
         self._cal.push(self.env._now + delay, eid, slot, token)
 
-    def _component(self, seeds: List[Flow]) -> Optional[List[Flow]]:
+    def _component(self, seeds: List[Flow],
+                   seen: Optional[set] = None) -> Optional[List[Flow]]:
         """Active flows a change to ``seeds`` can re-rate, in slot order.
 
         Walks the membership index from the seeds' resources.  Both
@@ -678,7 +715,9 @@ class FlowNetwork:
         makes a key's capacity depend on its partner's member count, so
         opposite-direction flows are coupled although they share no key.
         Seeds may be finished or aborted flows (already out of the
-        index); only their resources matter.  Returns ``None`` as soon
+        index); only their resources matter.  Resources (and route-less
+        flows) in ``seen`` were collected by an earlier walk and are
+        skipped; the walk adds what it visits.  Returns ``None`` as soon
         as the component outgrows :data:`_SMALL_FILL_N` (a wide
         component is filled over every flow anyway), and stops early
         once it covers every active flow.
@@ -686,17 +725,21 @@ class FlowNetwork:
         members = self._members
         live = self._flows
         n_live = len(live)
-        # Route-less (rate-capped) flows form their own component.
-        comp: Dict[Flow, None] = {flow: None for flow in seeds
-                                  if not flow.hop_keys and flow in live}
-        seen_rids = set()
+        if seen is None:
+            seen = set()
+        comp: Dict[Flow, None] = {}
+        for flow in seeds:
+            # Route-less (rate-capped) flows form their own component.
+            if not flow.hop_keys and flow in live and flow not in seen:
+                seen.add(flow)
+                comp[flow] = None
         stack = list(seeds)
         while stack:
             for key in stack.pop().hop_keys:
                 rid2 = key & ~1
-                if rid2 in seen_rids:
+                if rid2 in seen:
                     continue
-                seen_rids.add(rid2)
+                seen.add(rid2)
                 for bucket in (members.get(rid2), members.get(rid2 | 1)):
                     if not bucket:
                         continue
@@ -712,18 +755,23 @@ class FlowNetwork:
                         return list(live)
         return sorted(comp, key=attrgetter("_slot"))
 
-    def _reallocate(self, seeds: Optional[List[Flow]]) -> None:
-        """Refill the components ``seeds`` touch; restage all completions.
+    def _mark(self, seeds: Optional[List[Flow]]) -> None:
+        """Record a change the next settle must refill; restage.
 
         ``seeds`` are the flows that started, finished or were aborted
-        since the last fill (``None`` refills every active flow, for
-        capacity changes the membership index cannot see).  Max-min
-        fairness splits exactly over resource-connected components, so
-        flows outside the seeds' components keep their rates; see the
-        module docstring for why the scoped fill is bit-identical to a
-        global one.
+        (``None`` refills every active flow, for capacity changes the
+        membership index cannot see).  Every active flow's completion
+        is restaged with fresh tokens and event ids, reserved now, so
+        event order is what a fill per change gave; the rates follow at
+        the settle.
         """
-        self.full_reallocations += 1
+        if not self._settle_due:
+            self._settle_due = True
+            self.full_reallocations += 1
+        if seeds is None:
+            self._refill_all = True
+        else:
+            self._pending.extend(seeds)
         ft, kt = self._ft, self._kt
         # Compact sparsely populated tables.  Stale calendar entries may
         # survive a renumbering, but globally unique tokens make them
@@ -733,69 +781,103 @@ class FlowNetwork:
             ft.compact()
         if lut is not None:
             ft.remap_keys(lut)
+        act = ft.active_slots()
+        n = len(act)
+        if n == 0:
+            self._cal.stage(act, _EMPTY_I64, _EMPTY_I64)
+        else:
+            token0 = self._next_token
+            self._next_token = token0 + n
+            tokens = np.arange(token0, token0 + n, dtype=np.int64)
+            ft.token[act] = tokens
+            eid0 = self.env._reserve_eids(n)
+            self._cal.stage(act, np.arange(eid0, eid0 + n, dtype=np.int64),
+                            tokens)
+        if self.obs is not None:
+            # The recorder's hooks read rates at every transition.
+            self._settle()
+
+    def _settle(self) -> None:
+        """Refill what the changes marked since the last settle reach."""
+        if not self._settle_due:
+            return
+        seeds = None if self._refill_all else self._pending
+        self._settle_due = False
+        self._pending = []
+        self._refill_all = False
+        if self._flows:
+            self._reallocate(seeds)
+
+    def _reallocate(self, seeds: Optional[List[Flow]]) -> None:
+        """Refill the components ``seeds`` touch (``None``: every flow).
+
+        Max-min fairness splits exactly over resource-connected
+        components, so flows outside the seeds' components keep their
+        rates; each component is filled on its own (see the module
+        docstring for why that is bit-identical to a global fill).
+        """
+        ft, kt = self._ft, self._kt
         # Fault factors can change out-of-band (the injector); re-read
         # them so the cached capacities match what the reference would
         # compute live.  The injector's contract is to follow every
         # set_fault_factor with requery_capacity, which raises the
         # dirty flag — so a healthy run never pays the sweep, and a
         # faulted one pays it once per capacity change, not once per
-        # reallocation.  (add_member reads the live factor at insert,
-        # so new keys are correct without it.)
+        # settle.  (add_member reads the live factor at insert, so new
+        # keys are correct without it.)
         if self._faults_dirty:
             kt.refresh_faults()
             self._faults_dirty = False
-        unsettled = self._unsettled
-        if unsettled:
-            if seeds is not None:
-                seeds = seeds + unsettled
-            self._unsettled = []
-        act = ft.active_slots()
-        n = len(act)
-        if n == 0:
-            self._cal.stage(act, _EMPTY_I64, _EMPTY_I64)
-            return
         prof = self.env._profile
         if prof is not None:
             t0 = perf_counter()
-        comp = list(self._flows) if seeds is None else self._component(seeds)
-        wide = comp is None or len(comp) > _SMALL_FILL_N
-        if wide:
+        n_live = len(self._flows)
+        comps: Optional[List[List[Flow]]] = []
+        if seeds is None:
+            seeds = list(self._flows)
+        seen: set = set()
+        for seed in seeds:
+            comp = self._component([seed], seen)
+            if comp is None or len(comp) == n_live:
+                # Too wide for the reference, or every flow: nothing
+                # else to collect.
+                comps = None if comp is None else [comp]
+                break
+            if comp:
+                comps.append(comp)
+        filled = 0
+        if comps is None:
             # The vectorized solver over every flow gives the wide
             # component's rates and leaves everyone else's unchanged.
-            slots = act
+            act = ft.active_slots()
             rates = water_fill_arrays(ft, kt, act, members=self._members,
                                       profile=prof)
+            bad = rates <= 0.0
+            if bad.any():
+                self._zero_bandwidth(ft.objs[int(act[int(np.argmax(bad))])])
+            ft.rate[act] = rates
+            filled = len(act)
         else:
-            flows, members = self._flows, self._members
-            if len(comp) < n:
-                flows = dict.fromkeys(comp)
+            members, rate = self._members, ft.rate
+            for comp in comps:
                 keys = sorted({key for flow in comp for key in flow.hop_keys},
                               key=kt.slot_of.__getitem__)
-                members = {key: members[key] for key in keys}
-                slots = np.array([flow._slot for flow in comp],
-                                 dtype=np.int64)
-            else:
-                slots = act
-            by_flow = water_fill_reference(flows, members, self._resources)
-            rates = np.array([by_flow[flow] for flow in comp])
+                scoped = {key: members[key] for key in keys}
+                by_flow = progressive_fill(comp, scoped, self._resources,
+                                           kt.capacities(scoped))
+                for flow in comp:
+                    value = by_flow[flow]
+                    if value <= 0.0:
+                        self._zero_bandwidth(flow)
+                    rate[flow._slot] = value
+                filled += len(comp)
         if prof is not None:
             prof.fill_s += perf_counter() - t0
             prof.fills += 1
-            prof.fill_flows += len(slots)
-            prof.wide_fills += wide
-        bad = rates <= 0.0
-        if bad.any():
-            flow = ft.objs[int(slots[int(np.argmax(bad))])]
-            raise SimulationError(
-                f"flow {flow.label!r} was allocated zero bandwidth")
-        ft.rate[slots] = rates
-        # Restage every completion, not only the component's: new
-        # tokens and event ids for all keep completion times and event
-        # order bit-identical to a global fill.
-        token0 = self._next_token
-        self._next_token = token0 + n
-        tokens = np.arange(token0, token0 + n, dtype=np.int64)
-        ft.token[act] = tokens
-        eid0 = self.env._reserve_eids(n)
-        eids = np.arange(eid0, eid0 + n, dtype=np.int64)
-        self._cal.stage(act, eids, tokens)
+            prof.fill_flows += filled
+            prof.wide_fills += comps is None
+
+    @staticmethod
+    def _zero_bandwidth(flow: Flow) -> None:
+        raise SimulationError(
+            f"flow {flow.label!r} was allocated zero bandwidth")

@@ -12,7 +12,9 @@ This module replaces those inner loops with preallocated NumPy arrays:
   matrix of the (resource, direction) key slots each flow crosses;
 * :class:`KeyTable` — one slot per active ``(resource, direction)``
   membership key, holding member counts, raw capacity, fault factor,
-  the partner (opposite-direction) slot and a load-sensitivity flag;
+  the partner (opposite-direction) slot, a load-sensitivity flag and
+  the key's last effective capacity with the member counts it was
+  computed for;
 * :func:`water_fill_arrays` — the progressive-filling max-min solver
   over those arrays, replacing the dict-of-set fill.
 
@@ -218,6 +220,12 @@ class KeyTable:
         #: sharing curves) stay vectorized.
         self.curved = np.zeros(n, dtype=bool)
         self.resources: List[object] = [None] * n
+        #: ``(members this direction, members other direction,
+        #: effective capacity)`` of the key's last reference fill, or
+        #: ``None``.  The capacity is a function of those two counts
+        #: and the fault factor alone, so it is reused while both
+        #: counts hold and dropped by :meth:`refresh_faults`.
+        self.memo: List[Optional[tuple]] = [None] * n
         self.dirbit = np.zeros(n, dtype=bool)
         #: Packed (id(resource) << 1 | direction) key -> slot.
         self.slot_of: Dict[int, int] = {}
@@ -241,6 +249,7 @@ class KeyTable:
             new[:len(old)] = old
             setattr(self, name, new)
         self.resources.extend([None] * (n - len(self.resources)))
+        self.memo.extend([None] * (n - len(self.memo)))
 
     def add_member(self, key: int, resource) -> int:
         """Count one more flow on packed ``key``; returns its slot."""
@@ -290,16 +299,45 @@ class KeyTable:
                 self.partner[other] = -1
             self.partner[slot] = -1
             self.resources[slot] = None
+            self.memo[slot] = None
 
     def refresh_faults(self) -> None:
         """Re-read every alive key's resource fault factor.
 
         Called from ``requery_capacity`` after the fault injector
         touched :meth:`~repro.sim.resources.Resource.set_fault_factor`
-        on an unknown subset of resources.
+        on an unknown subset of resources; every memoized capacity is
+        dropped with it.
         """
         for slot in np.nonzero(self.alive[:self.top])[0]:
             self.fault[slot] = self.resources[slot]._fault_factor
+        self.memo = [None] * len(self.memo)
+
+    def capacities(self, members) -> Dict[int, float]:
+        """Effective capacity of every key of ``members`` under its load.
+
+        ``members`` maps packed keys (all alive here) to their member
+        dicts.  Each value is what
+        :meth:`~repro.sim.resources.Resource.effective_capacity` returns
+        for the key's two member counts, memoized on the key slot.
+        """
+        slot_of, memo, resources = self.slot_of, self.memo, self.resources
+        caps: Dict[int, float] = {}
+        for key, flows_here in members.items():
+            n_this = len(flows_here)
+            other_bucket = members.get(key ^ 1)
+            n_other = len(other_bucket) if other_bucket else 0
+            slot = slot_of[key]
+            last = memo[slot]
+            if last is not None and last[0] == n_this and last[1] == n_other:
+                caps[key] = last[2]
+                continue
+            direction = Direction.REV if key & 1 else Direction.FWD
+            cap = resources[slot].effective_capacity(direction, n_this,
+                                                     n_other)
+            memo[slot] = (n_this, n_other, cap)
+            caps[key] = cap
+        return caps
 
     def compact(self) -> np.ndarray:
         """Reclaim tombstoned slots; returns the old->new lookup table.
@@ -325,11 +363,10 @@ class KeyTable:
         # already since tombstoning severs the link both ways).
         mask = self.partner[:n] >= 0
         self.partner[:n][mask] = lut[self.partner[:n][mask]]
-        objs = [self.resources[int(s)] for s in keep]
-        for slot in range(n):
-            self.resources[slot] = objs[slot]
-        for slot in range(n, self.top):
-            self.resources[slot] = None
+        for table in (self.resources, self.memo):
+            objs = [table[int(s)] for s in keep]
+            table[:n] = objs
+            table[n:self.top] = [None] * (self.top - n)
         self.slot_of = {key: int(lut[slot])
                         for key, slot in self.slot_of.items()}
         self.top = n
@@ -352,19 +389,26 @@ def water_fill_reference(flows, members, resources) -> Dict["Flow", float]:
     ``resources`` the packed-resource-id -> resource map.  Returns the
     flow -> rate mapping.
     """
-    remaining_cap: Dict[int, float] = {}
-    open_count: Dict[int, int] = {}
+    capacities: Dict[int, float] = {}
     for key, flows_here in members.items():
-        n_this = len(flows_here)
         other_bucket = members.get(key ^ 1)
-        n_other = len(other_bucket) if other_bucket else 0
         direction = Direction.REV if key & 1 else Direction.FWD
-        remaining_cap[key] = resources[key >> 1].effective_capacity(
-            direction, n_this, n_other)
-        open_count[key] = n_this
+        capacities[key] = resources[key >> 1].effective_capacity(
+            direction, len(flows_here),
+            len(other_bucket) if other_bucket else 0)
+    return progressive_fill(flows, members, resources, capacities)
+
+
+def progressive_fill(flows, members, resources,
+                     capacities: Dict[int, float]) -> Dict["Flow", float]:
+    """The filling loop of :func:`water_fill_reference`, given each
+    key's effective capacity under its current load (``capacities``,
+    in ``members`` order; consumed)."""
+    remaining_cap = capacities
+    open_count = {key: len(flows_here) for key, flows_here in members.items()}
 
     frozen: Dict["Flow", float] = {}
-    unfrozen: Dict["Flow", None] = dict(flows)
+    unfrozen: Dict["Flow", None] = dict.fromkeys(flows)
 
     def charge(flow, rate):
         for key in flow.hop_keys:

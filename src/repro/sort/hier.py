@@ -438,6 +438,10 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 plan_ids.setdefault(job[0], cached.gpu_ids)
                 continue
             k, start, stop = job
+            # Planning can fail (a shard too large for its GPUs); the
+            # error then belongs to the phase it plans.
+            failing["phase"] = "LocalSort"
+            failing["started"] = env.now
             plans[i] = plan_alive_node(k, start, stop)
             plan_ids[k] = plans[i].gpu_ids
             # One stats record per job keeps the pivots in job order.

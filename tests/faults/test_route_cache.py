@@ -3,14 +3,15 @@
 The :class:`~repro.hw.topology.RouteTable` memoizes Dijkstra results;
 the fault injector must drop the cache when a link goes down *and*
 again when it is restored, so a warmed cache never serves a route that
-crosses a dead link (or keeps a detour after the link returns).
+crosses a dead link (or keeps a detour after the link returns).  It
+drops only those entries: every other route stays a cache hit.
 """
 
 import numpy as np
 
 from repro.faults import FaultPlan
-from repro.faults.events import LinkDown
-from repro.hw import dgx_a100
+from repro.faults.events import LinkDown, NodeDown
+from repro.hw import dgx_a100, make_cluster
 from repro.runtime import Machine
 from repro.runtime.memcpy import copy_async, span
 
@@ -82,3 +83,61 @@ class TestLinkDownThroughWarmCache:
         _ptop(machine)
         assert topo.routes.hits > hits
         assert topo.routes.invalidations == 0
+
+
+class TestScopedInvalidation:
+    def test_routes_between_surviving_nodes_stay_hits_after_node_down(self):
+        machine = Machine(make_cluster("dgx-a100", 4, fabric="fat-tree"),
+                          scale=SCALE)
+        topo = machine.spec.topology
+        survivors = [("gpu0", "gpu16"), ("gpu16", "gpu24"),
+                     ("gpu24", "gpu0"), ("gpu0", "gpu1")]
+        for src, dst in survivors + [("gpu0", "gpu8"), ("gpu9", "gpu24")]:
+            topo.route(src, dst)
+        machine.install_faults(FaultPlan(events=(NodeDown(at=0.0,
+                                                          node=1),)))
+
+        def run():
+            yield machine.env.timeout(0.001)
+
+        machine.run(run())
+        assert topo.routes.invalidations == 1
+        hits, misses = topo.routes.hits, topo.routes.misses
+        for src, dst in survivors:
+            topo.route(src, dst)
+        assert (topo.routes.hits, topo.routes.misses) == (
+            hits + len(survivors), misses)
+        # Routes into and out of the dead node crossed its NIC links.
+        topo.route("gpu0", "gpu8")
+        topo.route("gpu9", "gpu24")
+        assert topo.routes.misses == misses + 2
+
+    def test_down_edge_drops_crossers_and_restore_drops_detours(self):
+        machine = Machine(dgx_a100(), scale=SCALE)
+        topo = machine.spec.topology
+        port = next(edge.resource for edge in topo.edges
+                    if edge.resource.name == "nvswitch_port_gpu2")
+        around = frozenset({id(port)})
+        topo.route("gpu0", "gpu2")
+        topo.route("gpu0", "gpu2", avoid=around)
+        topo.route("gpu0", "gpu1")
+        machine.install_faults(FaultPlan(events=(LinkDown(
+            at=0.0, resource="nvswitch_port_gpu2", duration=0.001),)))
+        seen = []
+
+        def lookups():
+            misses = topo.routes.misses
+            topo.route("gpu0", "gpu2")
+            topo.route("gpu0", "gpu2", avoid=around)
+            topo.route("gpu0", "gpu1")
+            return topo.routes.misses - misses
+
+        def run():
+            yield machine.env.timeout(0.0005)
+            seen.append(lookups())  # link down: only the crosser missed
+            yield machine.env.timeout(0.001)
+            seen.append(lookups())  # restored: only the detour missed
+
+        machine.run(run())
+        assert seen == [1, 1]
+        assert topo.routes.invalidations == 2

@@ -9,7 +9,7 @@ side heap for single pushes, and lazy rebuild semantics.
 import numpy as np
 import pytest
 
-from repro.sim.engine import Environment, SimulationError
+from repro.sim.engine import Environment, SimProfile, SimulationError
 from repro.sim.flows import FlowNetwork
 from repro.sim.resources import Direction, Resource
 
@@ -178,18 +178,69 @@ class TestPeekAndRunDry:
 
 class TestNetworkIntegration:
     def test_burst_of_same_instant_starts_is_one_rebuild(self):
-        # N same-instant overlapping starts: each start stages, but the
+        # N same-instant overlapping starts: each start only marks its
+        # seed and stages, so the network settles (fills) once and the
         # calendar sorts once — and every superseded stage retires in
         # bulk instead of becoming a popped no-op event.
         env = Environment()
+        profile = env.profile = SimProfile()
         net = FlowNetwork(env)
         link = Resource("l", 10.0)
-        for i in range(8):
-            net.start_flow([(link, FWD)], 10.0, label=f"f{i}")
+        flows = [net.start_flow([(link, FWD)], 10.0, label=f"f{i}")
+                 for i in range(8)]
         cal = env._calendar
         assert cal.dirty  # nothing rebuilt until the engine needs it
         # The first start is a single-flow fast path (side-heap push);
         # starts 2..8 each supersede the previous stage of 2..7 entries.
         assert cal.invalidated == sum(range(2, 8))
+        # The seven overlapping starts pend one settle; nothing filled.
+        assert [flow.label for flow in net._pending] == [
+            f"f{i}" for i in range(1, 8)]
+        assert net.full_reallocations == 1
+        assert profile.fills == profile.rebuilds == 0
         env.run()
+        assert profile.fills == profile.rebuilds == 1
+        assert net.full_reallocations == 1
+        assert all(flow.finished_at == 8.0 for flow in flows)
         assert not net.active_flows
+
+    def test_observer_settles_early_without_changing_the_run(self):
+        # An attached recorder reads rates at every transition, so the
+        # network settles at each mark instead of once per instant.
+        # Event ids are reserved at the mark and the calendar still
+        # rebuilds lazily, so finish times and event counts (retired
+        # and dispatched) match the unobserved run exactly.
+        from repro.obs.recorder import Recorder
+
+        def scenario(observed):
+            env = Environment()
+            net = FlowNetwork(env)
+            if observed:
+                env.obs = net.obs = Recorder()
+            shared, side = Resource("s", 10.0), Resource("t", 4.0)
+            flows = []
+
+            def driver():
+                for i in range(3):
+                    flows.append(net.start_flow(
+                        [(shared, FWD), (side, FWD)], 6.0 + i, label=f"a{i}"))
+                yield env.timeout(0.5)
+                net.abort_flow(flows[0])
+                flows.extend(net.start_flows([
+                    ([(shared, FWD)], 5.0, None, "b0"),
+                    ([(side, FWD)], 3.0, 2.0, "b1")]))
+                flows.append(net.start_flow([(shared, FWD)], 1e-9,
+                                            label="tiny"))
+                flows.append(net.start_flow([(shared, FWD)], 2.0,
+                                            label="c"))
+
+            env.process(driver())
+            env.run()
+            return ([flow.finished_at for flow in flows],
+                    env.events_retired, env.events_processed,
+                    net.full_reallocations)
+
+        *observed, observed_settles = scenario(True)
+        *blind, blind_settles = scenario(False)
+        assert observed == blind
+        assert observed_settles > blind_settles

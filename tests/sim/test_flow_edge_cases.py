@@ -178,8 +178,12 @@ class TestZeroCapacityDiagnostics:
         good = Resource("good", 10.0)
         dead = _DeadResource("dead", 10.0)
         net.start_flow([(good, FWD)], 10.0)
+        # The start only marks the change; the fill that finds the dead
+        # resource runs when the victim's rate is first read.
+        victim = net.start_flow([(good, FWD), (dead, FWD)], 5.0,
+                                label="victim")
         with pytest.raises(SimulationError, match="dead.*victim"):
-            net.start_flow([(good, FWD), (dead, FWD)], 5.0, label="victim")
+            victim.rate
 
     def test_fast_path_reports_zero_bandwidth(self, env, net):
         dead = _DeadResource("dead", 10.0)

@@ -234,6 +234,16 @@ _churn_op = st.one_of(
     st.tuples(st.just("fault"), st.integers(min_value=0, max_value=5),
               st.sampled_from([0.25, 0.5, 1.0])),
     st.tuples(st.just("requery")))
+# Several changes at one instant with no rate read between them: the
+# network marks each and settles once, when the rates are read.
+_burst_op = st.tuples(st.just("burst"), st.lists(
+    st.one_of(
+        _start,
+        st.tuples(st.just("batch"), st.lists(_start, min_size=1,
+                                             max_size=3)),
+        st.tuples(st.just("abort"), st.integers(min_value=0,
+                                                max_value=20))),
+    min_size=2, max_size=6))
 
 
 def _start_args(op, resources, label):
@@ -245,9 +255,33 @@ def _start_args(op, resources, label):
     return route, size, rate_cap, label
 
 
+def _apply(env, net, resources, op, label):
+    """Perform one churn operation without reading any rate."""
+    kind = op[0]
+    if kind == "start":
+        net.start_flow(*_start_args(op, resources, label))
+    elif kind == "batch":
+        net.start_flows([_start_args(sub, resources, f"{label}.{j}")
+                         for j, sub in enumerate(op[1])])
+    elif kind == "abort":
+        live = list(net._flows)
+        if live:
+            net.abort_flow(live[op[1] % len(live)])
+    elif kind == "run":
+        env.run(until=env.now + op[1])
+    elif kind == "fault":
+        resources[op[1] % len(resources)].set_fault_factor(op[2])
+        net.requery_capacity()
+    elif kind == "burst":
+        for j, sub in enumerate(op[1]):
+            _apply(env, net, resources, sub, f"{label}.{j}")
+    else:
+        net.requery_capacity()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_resource_spec, min_size=2, max_size=6),
-       st.lists(_churn_op, min_size=1, max_size=14),
+       st.lists(st.one_of(_churn_op, _burst_op), min_size=1, max_size=14),
        st.sampled_from([64, 2]))
 def test_scoped_refill_matches_global_fill(resource_specs, ops,
                                            small_fill_n):
@@ -261,34 +295,11 @@ def test_scoped_refill_matches_global_fill(resource_specs, ops,
         for i, (cap, duplex, sharing) in enumerate(resource_specs)]
     with mock.patch.object(flows_module, "_SMALL_FILL_N", small_fill_n):
         for step, op in enumerate(ops):
-            kind = op[0]
-            settled = True
             try:
-                if kind == "start":
-                    net.start_flow(*_start_args(op, resources, f"f{step}"))
-                elif kind == "batch":
-                    net.start_flows([
-                        _start_args(sub, resources, f"f{step}.{j}")
-                        for j, sub in enumerate(op[1])])
-                elif kind == "abort":
-                    live = list(net._flows)
-                    if not live:
-                        continue
-                    aborted = net.aborted_flows
-                    net.abort_flow(live[op[1] % len(live)])
-                    # An abort that finds its flow already finished (in
-                    # its catch-up sweep) re-rates nobody; neighbours
-                    # stay stale until the next reallocation, exactly
-                    # as with a global fill.
-                    settled = net.aborted_flows > aborted
-                elif kind == "run":
-                    env.run(until=env.now + op[1])
-                elif kind == "fault":
-                    resources[op[1] % len(resources)].set_fault_factor(
-                        op[2])
-                    net.requery_capacity()
-                else:
-                    net.requery_capacity()
+                _apply(env, net, resources, op, f"f{step}")
+                # Reading the rates settles whatever the step marked.
+                for flow in net._flows:
+                    flow.rate
             except SimulationError:
                 # Zero bandwidth left somewhere: the global fill must
                 # fail on the same live set too.
@@ -296,16 +307,16 @@ def test_scoped_refill_matches_global_fill(resource_specs, ops,
                     water_fill_reference(net._flows, net._members,
                                          net._resources)
                 return
-            if settled:
-                _assert_matches_global(net)
+            assert not (net._settle_due and net._flows)
+            _assert_matches_global(net)
 
 
 @pytest.mark.parametrize("fast_path", ["disjoint start", "disjoint finish"])
 def test_fast_paths_settle_an_abort_that_found_its_flow_done(env, net,
                                                               fast_path):
-    # The abort's catch-up sweep finishes `done` without a refill, so
-    # `survivor` keeps its shared rate until the next reallocation; a
-    # fast-path start or finish elsewhere must not skip that refill.
+    # The abort's catch-up sweep finishes `done`, whose neighbour
+    # `survivor` is re-rated at once; a fast-path start or finish
+    # elsewhere afterwards must leave that rate alone.
     link = Resource("r0", 1.0)
     other = Resource("r1", 1.0)
     if fast_path == "disjoint finish":
@@ -314,7 +325,7 @@ def test_fast_paths_settle_an_abort_that_found_its_flow_done(env, net,
         ([(link, FWD)], 1e-9, None, "done"),
         ([(link, FWD)], 1.0, None, "survivor")])
     net.abort_flow(done)
-    assert survivor.rate == 0.5
+    assert survivor.rate == 1.0
     if fast_path == "disjoint start":
         net.start_flow([], 1e-3, rate_cap=1.0, label="elsewhere")
     else:
@@ -435,9 +446,9 @@ def test_simultaneous_finishes_refill_every_component(env, net):
 def test_stale_neighbours_refilled_by_the_next_reallocation(env, net):
     # An abort that lands exactly at its flow's completion instant (a
     # timeout scheduled first wins the tie) finds the flow finished in
-    # its catch-up sweep and re-rates nobody.  The next reallocation —
-    # here triggered on an unrelated link — must still refill the
-    # finished flow's neighbour, as a global fill would.
+    # its catch-up sweep.  Nothing is aborted, but the finished flow's
+    # neighbour must be refilled at that instant, as a global fill
+    # would, not keep its shared rate until some later change.
     link, other = Resource("l", 10.0), Resource("o", 10.0)
     tick = env.timeout(2.0)
     short = net.start_flow([(link, FWD)], 10.0, label="short")
@@ -446,7 +457,8 @@ def test_stale_neighbours_refilled_by_the_next_reallocation(env, net):
     tick.callbacks.append(lambda _event: net.abort_flow(short))
     env.run(until=tick)
     assert short.finished_at == 2.0 and net.aborted_flows == 0
-    assert long.rate == 5.0  # stale: nothing re-rated it yet
+    assert long.rate == 10.0
+    _assert_matches_global(net)
     net.start_flow([(other, FWD)], 50.0, label="busy2")
     assert long.rate == 10.0
     assert busy.rate == 5.0

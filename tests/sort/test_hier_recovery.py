@@ -18,6 +18,7 @@ from repro.faults import FaultPlan
 from repro.faults.events import GpuFail, LinkFlap, NodeDown, SwitchDown
 from repro.faults.policy import ResiliencePolicy
 from repro.hw import make_cluster
+from repro.obs.postmortem import load_bundle
 from repro.runtime import Machine
 from repro.sort import HierConfig, hier_sort
 
@@ -128,6 +129,11 @@ class TestNodeLossRecovery:
                 postmortem_dir=str(tmp_path)))
         assert len(info.value.postmortems) == 1
         assert list(tmp_path.iterdir())
+        # Planning the local sort failed: the error and the bundle name
+        # that phase.
+        assert info.value.failing_phase == "LocalSort"
+        bundle = load_bundle(info.value.postmortems[0])
+        assert bundle["error"]["phase"] == "LocalSort"
 
 
 class TestWaveReplay:
