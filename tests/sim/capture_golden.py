@@ -12,7 +12,14 @@ captured from the pre-optimization allocator (the O(F^2) full-rescan
 simulated time bit-identical.  The hierarchical entries pin the cluster
 sort: a fault-free 4-node run, a fault-free 16-node run whose exchange
 waves are each one batched flow set (per-copy flows give other times
-there), and a 4-node run that loses node 1 mid-Exchange.
+there), and a 4-node run that loses node 1 mid-Exchange.  The
+supervised and service entries pin the :class:`SortSupervisor` paths: a
+fault-free supervised P2P sort, one that loses GPU 5 mid-Exchange (after
+the LocalSort checkpoint) and restores from the ``sorted`` checkpoint,
+a supervised out-of-core HET sort, and a 40-job service episode whose
+record adds every job's status and latency.  They were captured at
+commit a1d7c60, before the supervised P2P path was folded into the
+P2P pipeline's step functions.
 """
 
 from __future__ import annotations
@@ -24,45 +31,81 @@ import numpy as np
 
 from repro.data import generate
 from repro.faults import FaultPlan
-from repro.faults.events import NodeDown
+from repro.faults.events import GpuFail, NodeDown
 from repro.hw import dgx_a100, make_cluster
+from repro.recovery import SortSupervisor
 from repro.runtime import Machine
+from repro.serve import (ServiceConfig, SortService, Tenant, WorkloadSpec,
+                         generate_jobs)
 from repro.sort import het_sort, hier_sort, p2p_sort
 
 CASES = {
     # (algorithm, physical keys, logical billions[, fat-tree nodes,
-    #  NodeDown time of node 1])
+    #  failure time of hier's node 1 or the supervised sort's GPU 5])
     "het-dgx-2b": ("het", 200_000, 2.0),
     "p2p-dgx-2b": ("p2p", 200_000, 2.0),
     "het-dgx-512b-ooc": ("het", 100_000, 512.0),
     "hier-fattree-4": ("hier", 60_000, 2.0, 4),
     "hier-fattree-16": ("hier", 32_000, 2.048, 16),
     "hier-nodedown-4": ("hier", 60_000, 2.0, 4, 0.117),
+    "supervised-p2p-dgx-2b": ("supervised-p2p", 200_000, 2.0),
+    "supervised-p2p-gpufail": ("supervised-p2p", 200_000, 2.0, 0, 0.2),
+    "supervised-het-dgx-512b-ooc": ("supervised-het", 100_000, 512.0),
+    # Base job keys; the episode offers 40 jobs at about twice the
+    # DGX A100's capacity, so admission shedding is active.
+    "service-dgx-40": ("service", 2_000, 0.5),
 }
 
 
+def _spans(machine: Machine) -> list:
+    return sorted([s.phase, s.actor, s.start, s.end, s.bytes]
+                  for s in machine.trace.spans)
+
+
+def _service_episode(machine: Machine, base: int) -> dict:
+    workload = WorkloadSpec(jobs=40, arrival_rate=50.0, base_keys=base,
+                            est_service_s=0.73, seed=1)
+    service = SortService(
+        machine, tenants=[Tenant(name) for name in workload.tenants],
+        config=ServiceConfig(queue_capacity=6, gpu_rate_keys_per_s=6.8e8))
+    report = service.run(generate_jobs(workload))
+    return {
+        "duration": report.end_s - report.start_s,
+        "phases": machine.trace.phase_durations(),
+        "spans": _spans(machine),
+        "jobs": [[job.spec.job_id, job.status, job.latency_s]
+                 for job in report.results],
+    }
+
+
 def run_case(algorithm: str, physical: int, billions: float,
-             nodes: int = 0, node_down_at: float = None):
+             nodes: int = 0, down_at: float = None):
     scale = billions * 1e9 / physical
     data = generate(physical, "uniform", np.int32, seed=42)
     if algorithm == "hier":
         machine = Machine(make_cluster("dgx-a100", nodes, fabric="fat-tree"),
                           scale=scale)
-        if node_down_at is not None:
+        if down_at is not None:
             machine.install_faults(FaultPlan(
-                events=(NodeDown(at=node_down_at, node=1),)))
+                events=(NodeDown(at=down_at, node=1),)))
         result = hier_sort(machine, data)
     else:
         machine = Machine(dgx_a100(), scale=scale)
-        sort = p2p_sort if algorithm == "p2p" else het_sort
-        result = sort(machine, data)
-    spans = sorted(
-        [s.phase, s.actor, s.start, s.end, s.bytes]
-        for s in machine.trace.spans)
+        if down_at is not None:
+            machine.install_faults(FaultPlan(
+                events=(GpuFail(at=down_at, gpu=5),)))
+        if algorithm == "service":
+            return _service_episode(machine, physical)
+        if algorithm.startswith("supervised-"):
+            result = SortSupervisor(machine).sort(
+                data, algorithm=algorithm[len("supervised-"):])
+        else:
+            sort = p2p_sort if algorithm == "p2p" else het_sort
+            result = sort(machine, data)
     return {
         "duration": result.duration,
         "phases": result.phase_durations,
-        "spans": spans,
+        "spans": _spans(machine),
     }
 
 

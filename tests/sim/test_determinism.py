@@ -35,6 +35,8 @@ def test_simulated_results_match_seed_bit_exactly(case, golden):
     assert len(actual["spans"]) == len(expected["spans"])
     for got, want in zip(actual["spans"], expected["spans"]):
         assert got == want
+    # Service episodes also pin every job's status and latency.
+    assert actual.get("jobs") == expected.get("jobs")
 
 
 def test_golden_covers_all_cases(golden):
