@@ -37,8 +37,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError, SortError
+from repro.errors import SortError
 from repro.recovery.checkpoint import PhaseCheckpoint
+from repro.recovery.supervisor import PhaseDriver
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import sort_on_device
@@ -65,22 +66,17 @@ class _SupTask:
         return self.src_stop - self.src_start
 
 
-class HetRun:
+class HetRun(PhaseDriver):
     """State and phase bodies of one supervised HET sort."""
 
     def __init__(self, sup, host_in: HostBuffer, ids: Tuple[int, ...],
                  het_config: Optional[HetConfig] = None):
-        self.sup = sup
-        self.machine = sup.machine
+        super().__init__(sup, host_in, ids)
         self.config = het_config or HetConfig()
         if self.config.eager_merge or self.config.gpu_merge_groups:
             raise SortError(
                 "the supervised HET sort supports neither eager_merge "
                 "nor gpu_merge_groups (use repro.sort.het.het_sort)")
-        self.host_in = host_in
-        self.n = len(host_in.data)
-        self.dtype = host_in.dtype
-        self.ids = tuple(ids)
 
         machine = self.machine
         devices = [machine.device(i) for i in self.ids]
@@ -88,34 +84,25 @@ class HetRun:
                                             self.dtype, None, self.n)
         group_sizes = _plan_chunks(self.n, len(self.ids), chunk_capacity)
         self.groups = len(group_sizes)
-        self._borrowed: List[np.ndarray] = []
         self.tasks: List[_SupTask] = []
         offset = 0
         for sizes in group_sizes:
             for size in sizes:
-                run = self.sup.pool.take(size, self.dtype)
-                self._borrowed.append(run)
                 self.tasks.append(_SupTask(
                     index=len(self.tasks), src_start=offset,
-                    src_stop=offset + size, run=run))
+                    src_stop=offset + size,
+                    run=self._take(size, self.dtype)))
                 offset += size
         self.chunk_capacity = max(task.size for task in self.tasks)
         self.host_out = machine.host_buffer(
             np.empty(self.n, dtype=self.dtype), numa=host_in.numa)
         self.queue: List[str] = ["Pipeline", "Merge"]
-        self._allocated: List = []
 
     # -- driver protocol ---------------------------------------------------
+    # No phase-end checkpoint body: checkpoints are recorded per batch
+    # inside the Pipeline body, so one would duplicate the last.
     def body(self, name: str):
         return {"Pipeline": self._pipeline, "Merge": self._merge}[name]
-
-    def checkpoint_body(self, name: str):
-        # Checkpoints are recorded per batch inside the Pipeline body —
-        # a phase-end checkpoint would duplicate the last one.
-        return None
-
-    def after_phase(self, name: str) -> None:
-        pass
 
     def replan(self, phase: str, survivors, exc) -> None:
         # Flushed runs are host-resident: nothing to restore, just
@@ -131,18 +118,12 @@ class HetRun:
     def result_fields(self) -> dict:
         return {"chunk_groups": self.groups}
 
-    def cleanup(self) -> None:
-        self._free_device_state()
-        for array in self._borrowed:
-            self.sup.pool.give(array)
-        self._borrowed = []
-
     # -- phase bodies ------------------------------------------------------
     def _pipeline(self, group):
         machine = self.machine
         env = machine.env
         buffers = [self._alloc(machine.device(gpu), self.chunk_capacity,
-                               f"sup-het{gpu}")
+                               self.dtype, f"sup-het{gpu}")
                    for gpu in self.ids]
         while True:
             batch = [task for task in self.tasks if not task.flushed]
@@ -153,8 +134,7 @@ class HetRun:
                                  name=f"chunk{task.index}")
                      for lane, task in enumerate(batch)]
             yield env.all_of(procs)
-            if group.failure is not None:
-                raise group.failure
+            group.check()
             flushed = tuple(task.run for task in self.tasks
                             if task.flushed)
             self.sup.note_checkpoint(PhaseCheckpoint(
@@ -190,24 +170,3 @@ class HetRun:
         yield from cpu_multiway_merge(self.machine, self.host_out.data,
                                       runs, numa=self.host_in.numa,
                                       phase="Merge")
-
-    # -- allocation bookkeeping --------------------------------------------
-    def _alloc(self, device, count: int, label: str):
-        buffer = device.alloc(count, self.dtype, label=label)
-        self._allocated.append(buffer)
-        return buffer
-
-    def _free_quietly(self, buffer) -> None:
-        if getattr(buffer, "released", False):
-            return
-        try:
-            buffer.free()
-        except ReproError:
-            pass
-        if buffer in self._allocated:
-            self._allocated.remove(buffer)
-
-    def _free_device_state(self) -> None:
-        for buffer in list(self._allocated):
-            self._free_quietly(buffer)
-        self._allocated = []

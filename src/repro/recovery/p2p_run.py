@@ -24,9 +24,13 @@ power-of-two GPU prefix (phase ``Restore``: copy runs down, merge
 pairwise on-device), and with no restorable checkpoint the sort
 restarts from ``Partition`` on the survivors.
 
-The padded length is fixed at the *initial* GPU count: any later
-power-of-two survivor prefix divides it, so chunks re-partition without
-re-padding.  Keys only — the supervised path does not carry payloads.
+The phase bodies run the steps of :func:`repro.sort.p2p.p2p_pipeline`
+(``copy_in``, ``sort_chunk``, ``_merge_chunks``, ``copy_out``) through
+the phase's task group, so the supervised sort is the plain pipeline
+cut at its barriers.  The padded length is fixed at the *initial* GPU
+count: any later power-of-two survivor prefix divides it, so chunks
+re-partition without re-padding.  Keys only — the supervised path does
+not carry payloads.
 """
 
 from __future__ import annotations
@@ -38,43 +42,31 @@ import numpy as np
 
 from repro.errors import RecoveryError, ReproError, SortError
 from repro.recovery.checkpoint import PhaseCheckpoint
+from repro.recovery.supervisor import PhaseDriver
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import merge_two_on_device, sort_on_device
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.p2p import P2PConfig, _Chunk, _pad, _Stats
-from repro.sort.p2p import _merge_chunks
+from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _Stats,
+                            check_fits, copy_in, copy_out, merge_stages,
+                            padded_staging, sort_chunk)
 
 
-class P2PRun:
+class P2PRun(PhaseDriver):
     """State and phase bodies of one supervised P2P sort."""
 
     def __init__(self, sup, host_in: HostBuffer, ids: Tuple[int, ...],
                  p2p_config: Optional[P2PConfig] = None):
-        self.sup = sup
-        self.machine = sup.machine
+        super().__init__(sup, host_in, ids)
         self.config = p2p_config or P2PConfig()
-        self.host_in = host_in
-        self.n = len(host_in.data)
-        self.dtype = host_in.dtype
-        self.ids = tuple(ids)
-        g = len(self.ids)
-        if g & (g - 1):
-            raise SortError(
-                f"P2P sort needs a power-of-two GPU count, got {g}")
-        self.chunk = -(-self.n // g)
+        self.chunk = -(-self.n // len(self.ids))
         #: Fixed for the whole run: every later power-of-two survivor
         #: prefix divides it, so replans never re-pad.
-        self.padded = self.chunk * g
-
-        machine = self.machine
-        padded_data = sup.pool.take(self.padded, self.dtype)
-        self._borrowed: List[np.ndarray] = [padded_data]
-        padded_data[:self.n] = host_in.data
-        _pad(padded_data, self.n)
-        self.staging = machine.host_buffer(padded_data, numa=host_in.numa,
-                                           pinned=host_in.pinned)
-        self.host_out = machine.host_buffer(
+        self.padded = self.chunk * len(self.ids)
+        self.staging, _ = padded_staging(
+            self.machine, host_in.data, self.padded, host_in.numa,
+            host_in.pinned, take=self._take)
+        self.host_out = self.machine.host_buffer(
             np.empty(self.padded, dtype=self.dtype),
             numa=self.staging.numa, pinned=self.staging.pinned)
 
@@ -83,7 +75,6 @@ class P2PRun:
         self.stats = _Stats()
         self.queue: List[str] = ["Partition", "LocalSort", "Exchange",
                                  "Gather"]
-        self._allocated: List = []
         self._sort_procs: Dict[int, object] = {}
         self._pending_stage: Dict[int, np.ndarray] = {}
         self._restore_ck: Optional[PhaseCheckpoint] = None
@@ -133,6 +124,7 @@ class P2PRun:
 
     def replan(self, phase: str, survivors, exc) -> None:
         self._free_device_state()
+        self.chunks = []
         keep = 1 << int(math.log2(len(survivors)))
         self.ids = tuple(survivors[:keep])
         self.chunk = self.padded // len(self.ids)
@@ -161,46 +153,30 @@ class P2PRun:
         return self.host_out.data[:self.n]
 
     def result_fields(self) -> dict:
-        g = len(self.ids)
         return {
             "p2p_bytes": self.stats.p2p_bytes,
-            "merge_stages": 2 * int(math.log2(g)) - 1 if g > 1 else 0,
+            "merge_stages": merge_stages(len(self.ids)),
             # Pivots accumulate across replans: aborted exchange
             # attempts keep their probes (they were paid for).
             "pivots": tuple(self.stats.pivots),
         }
 
-    def cleanup(self) -> None:
-        self._free_device_state()
-        for array in self._borrowed:
-            self.sup.pool.give(array)
-        self._borrowed = []
-
     # -- phase bodies ------------------------------------------------------
+    def _alloc_chunks(self, count: int) -> None:
+        self.chunks = [_Chunk.alloc(self.machine.device(gpu), count,
+                                    self.dtype, alloc=self._alloc)
+                       for gpu in self.ids]
+
+    def _slices(self, host: HostBuffer) -> list:
+        return [span(host, i * self.chunk, (i + 1) * self.chunk)
+                for i in range(len(self.ids))]
+
     def _partition(self, group):
-        machine = self.machine
-        need = 2 * self.chunk * self.dtype.itemsize * machine.scale
-        for gpu_id in self.ids:
-            device = machine.device(gpu_id)
-            if need > device.capacity_logical:
-                raise SortError(
-                    f"{device.name}: chunk of {self.chunk} keys needs "
-                    f"{need / 1e9:.1f} GB (primary + auxiliary buffer), "
-                    f"exceeding {device.capacity_logical / 1e9:.1f} GB; "
-                    "use HET sort for out-of-core data")
-        self.chunks = []
-        for gpu_id in self.ids:
-            device = machine.device(gpu_id)
-            primary = self._alloc(device, self.chunk, f"sup-chunk{gpu_id}")
-            aux = self._alloc(device, self.chunk, f"sup-aux{gpu_id}")
-            self.chunks.append(_Chunk(device, primary, aux))
+        check_fits(self.machine, self.ids, self.chunk, self.dtype.itemsize)
+        self._alloc_chunks(self.chunk)
         self.sorted_flags = [False] * len(self.ids)
-        for i, c in enumerate(self.chunks):
-            lo = i * self.chunk
-            group.spawn(copy_async(
-                machine, span(c.primary),
-                span(self.staging, lo, lo + self.chunk), phase="HtoD"),
-                name=f"htod{i}")
+        copy_in(self.machine, self.chunks, self._slices(self.staging),
+                group.spawn)
         yield from ()
 
     def _local_sort(self, group):
@@ -225,10 +201,8 @@ class P2PRun:
 
     def _sort_task(self, slot: int, done_evt, durations, start):
         try:
-            c = self.chunks[slot]
-            yield from sort_on_device(self.machine, span(c.primary),
-                                      primitive=self.sup.config.primitive,
-                                      phase="Sort")
+            yield from sort_chunk(self.machine, self.chunks[slot],
+                                  self.config.primitive)
             self.sorted_flags[slot] = True
             durations[slot] = self.machine.env.now - start
         finally:
@@ -238,23 +212,13 @@ class P2PRun:
                 done_evt.succeed()
 
     def _exchange(self, group):
-        group_spawn = (lambda gen:
-                       group.spawn(gen, name=f"x{len(group.procs)}"))
-
-        def check():
-            if group.failure is not None:
-                raise group.failure
-
         yield from _merge_chunks(self.machine, self.chunks, self.config,
-                                 self.stats, spawn=group_spawn, check=check)
+                                 self.stats, spawn=group.spawn,
+                                 check=group.check)
 
     def _gather(self, group):
-        machine = self.machine
-        for i, c in enumerate(self.chunks):
-            lo = i * self.chunk
-            group.spawn(copy_async(
-                machine, span(self.host_out, lo, lo + self.chunk),
-                span(c.primary), phase="DtoH"), name=f"dtoh{i}")
+        copy_out(self.machine, self.chunks, self._slices(self.host_out),
+                 group.spawn)
         yield from ()
 
     # -- checkpoint staging ------------------------------------------------
@@ -286,14 +250,14 @@ class P2PRun:
         old_chunk = ck.chunk
         per = len(runs) // len(self.ids)
         new_chunk = old_chunk * per
-        need = 2 * new_chunk * self.dtype.itemsize * machine.scale
-        fits = all(need <= machine.device(gpu).capacity_logical
-                   for gpu in self.ids)
-        if not fits:
+        try:
+            check_fits(machine, self.ids, new_chunk, self.dtype.itemsize)
+        except SortError as exc:
             if not sup.config.cpu_merge_fallback:
                 raise RecoveryError(
                     f"survivors {self.ids} cannot hold chunks of "
-                    f"{new_chunk} keys and cpu_merge_fallback is off")
+                    f"{new_chunk} keys and cpu_merge_fallback is off") \
+                    from exc
             out = np.empty(self.padded, dtype=self.dtype)
             yield from cpu_multiway_merge(machine, out, list(runs),
                                           numa=self.staging.numa,
@@ -301,12 +265,7 @@ class P2PRun:
             self.cpu_output = out
             return
         self.chunk = new_chunk
-        self.chunks = []
-        for gpu_id in self.ids:
-            device = machine.device(gpu_id)
-            primary = self._alloc(device, new_chunk, f"sup-chunk{gpu_id}")
-            aux = self._alloc(device, new_chunk, f"sup-aux{gpu_id}")
-            self.chunks.append(_Chunk(device, primary, aux))
+        self._alloc_chunks(new_chunk)
         self.sorted_flags = [True] * len(self.ids)
         for slot in range(len(self.ids)):
             group.spawn(self._restore_slot(
@@ -401,7 +360,7 @@ class P2PRun:
                                    helper.device.name, "launched", env.now)
         outcome = "aborted"
         try:
-            temp = self._alloc(helper.device, self.chunk,
+            temp = self._alloc(helper.device, self.chunk, self.dtype,
                                f"spec{slot}on{helper_slot}")
         except ReproError:
             # No room (or the helper just died) — give up quietly; the
@@ -453,31 +412,9 @@ class P2PRun:
                                   span(self.staging, lo, lo + self.chunk),
                                   phase="Speculate")
             yield from sort_on_device(machine, span(temp),
-                                      primitive=self.sup.config.primitive,
+                                      primitive=self.config.primitive,
                                       phase="Speculate")
             flag["sorted"] = True
         finally:
             if not backup_done.triggered:
                 backup_done.succeed()
-
-    # -- allocation bookkeeping --------------------------------------------
-    def _alloc(self, device, count: int, label: str):
-        buffer = device.alloc(count, self.dtype, label=label)
-        self._allocated.append(buffer)
-        return buffer
-
-    def _free_quietly(self, buffer) -> None:
-        if getattr(buffer, "released", False):
-            return
-        try:
-            buffer.free()
-        except ReproError:
-            pass
-        if buffer in self._allocated:
-            self._allocated.remove(buffer)
-
-    def _free_device_state(self) -> None:
-        for buffer in list(self._allocated):
-            self._free_quietly(buffer)
-        self._allocated = []
-        self.chunks = []

@@ -15,13 +15,12 @@ host side of the simulation and can react to what happened:
   return a typed partial :class:`~repro.sort.result.SortResult` with
   ``deadline_exceeded=True``.
 
-The per-algorithm phase logic lives in
-:mod:`repro.recovery.p2p_run` and :mod:`repro.recovery.het_run`.
+The per-algorithm phase logic lives in :mod:`repro.recovery.p2p_run`
+and :mod:`repro.recovery.het_run`, both :class:`PhaseDriver` subclasses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -31,6 +30,7 @@ from repro.errors import (
     DeadlineExceededError,
     DeviceFaultError,
     RecoveryError,
+    ReproError,
     SortError,
     TransferError,
 )
@@ -38,16 +38,14 @@ from repro.recovery.checkpoint import PhaseCheckpoint, RecoveryStats
 from repro.recovery.tasks import TaskGroup
 from repro.runtime.buffer import HostBuffer, WorkspacePool, default_pool
 from repro.runtime.context import Machine
-from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.result import SortResult
+from repro.sort.gpu_set import plan_gpu_set, surviving_gpu_ids
+from repro.sort.result import SortRecord, SortResult, stage_input
 
 
 @dataclass
 class SupervisorConfig:
     """Tunables of the self-healing supervisor."""
 
-    #: Single-GPU sort primitive for every on-device sort.
-    primitive: str = "thrust"
     #: Stage each GPU's sorted run to host memory after the local sort
     #: (a restorable checkpoint; costs one extra DtoH per chunk).
     checkpoint_sorted_chunks: bool = True
@@ -87,6 +85,65 @@ class SupervisorConfig:
     #: provenance-stamped JSON snapshot (recent events, fault timeline,
     #: critical path up to the failure) there before propagating.
     postmortem_dir: Optional[str] = None
+
+
+class PhaseDriver:
+    """Base of the supervised algorithm drivers.
+
+    A driver owns the run's GPU set ``ids`` and its phase ``queue``.
+    Per phase the supervisor runs ``body(name)`` and, if there is one,
+    ``checkpoint_body(name)``, then calls ``after_phase``; a device or
+    transfer failure calls ``replan`` instead.  ``finalize`` returns the
+    output and ``cleanup`` runs on every exit: it frees the device
+    buffers :meth:`_alloc` handed out and gives the host scratch
+    :meth:`_take` borrowed back to the run's pool.
+    """
+
+    def __init__(self, sup, host_in: HostBuffer, ids: Sequence[int]):
+        self.sup = sup
+        self.machine = sup.machine
+        self.host_in = host_in
+        self.n = len(host_in.data)
+        self.dtype = host_in.dtype
+        self.ids = tuple(ids)
+        self._allocated: List = []
+        self._borrowed: List[np.ndarray] = []
+
+    def checkpoint_body(self, name: str):
+        return None
+
+    def after_phase(self, name: str) -> None:
+        pass
+
+    def cleanup(self) -> None:
+        self._free_device_state()
+        for array in self._borrowed:
+            self.sup.pool.give(array)
+        self._borrowed = []
+
+    def _take(self, size: int, dtype) -> np.ndarray:
+        self._borrowed.append(self.sup.pool.take(size, dtype))
+        return self._borrowed[-1]
+
+    def _alloc(self, device, count: int, dtype, label: str):
+        buffer = device.alloc(count, dtype, label=label)
+        self._allocated.append(buffer)
+        return buffer
+
+    def _free_quietly(self, buffer) -> None:
+        if getattr(buffer, "released", False):
+            return
+        try:
+            buffer.free()
+        except ReproError:
+            pass
+        if buffer in self._allocated:
+            self._allocated.remove(buffer)
+
+    def _free_device_state(self) -> None:
+        for buffer in list(self._allocated):
+            self._free_quietly(buffer)
+        self._allocated = []
 
 
 class SortSupervisor:
@@ -197,100 +254,64 @@ class SortSupervisor:
             raise SortError(f"unknown supervised algorithm {algorithm!r} "
                             "(expected 'p2p' or 'het')")
 
-        if isinstance(data, HostBuffer):
-            host_in = data
-        else:
-            host_in = machine.host_buffer(np.asarray(data))
-        if len(host_in.data) == 0:
-            raise SortError("cannot sort an empty array")
-
-        ids = self._initial_ids(algorithm, gpu_ids)
+        host_in, _ = stage_input(machine, data)
+        ids, self.excluded = plan_gpu_set(
+            machine, gpu_ids, power_of_two=algorithm == "p2p")
         driver = driver_cls(self, host_in, ids, **driver_kwargs)
 
         env = machine.env
-        start = env.now
-        stats_before = machine.resilience_stats.snapshot()
+        # The global parent stack assumes one sort at a time; labelled
+        # (service) jobs leave it alone and are found by actor instead.
+        record = SortRecord(machine, "SupervisedSort", host_in,
+                            actor=self._actor(),
+                            nest=self.config.job_label is None)
         deadline = (env.timeout(self.config.deadline_s)
                     if self.config.deadline_s is not None else None)
-        root_id = None
-        if machine.obs is not None:
-            root_id = machine.trace.allocate_id()
-            if self.config.job_label is None:
-                # The global parent stack assumes one sort at a time;
-                # labelled (service) jobs leave it alone and are found
-                # by actor instead.
-                machine.trace.push_parent(root_id)
 
         deadline_hit = False
         failing_phase: Optional[str] = None
         phase_started: Optional[float] = None
-        try:
-            while driver.queue:
-                name = driver.queue[0]
-                failing_phase = name
-                phase_started = env.now
-                try:
-                    yield from self._run_phase(name, driver.body(name),
-                                               deadline)
-                    ck_body = driver.checkpoint_body(name)
-                    if ck_body is not None:
-                        yield from self._run_phase(f"{name}:checkpoint",
-                                                   ck_body, deadline)
-                    driver.after_phase(name)
-                    self.rec.completed(name)
-                    driver.queue.pop(0)
-                except DeadlineExceededError:
-                    deadline_hit = True
-                    break
-                except (DeviceFaultError, TransferError) as exc:
-                    self._replan(driver, name, exc)
-        except SortError as exc:
-            # Terminal failures (RecoveryError after exhausting replans,
-            # no-survivors SortError): freeze a post-mortem bundle while
-            # the state around the death is still reachable.
-            self.failed_phase = failing_phase
-            self.failed_phase_started = phase_started
-            self._dump_postmortem(exc, failing_phase, phase_started)
-            raise
-        finally:
-            driver.cleanup()
-            if root_id is not None:
-                if self.config.job_label is None:
-                    machine.trace.pop_parent()
-                machine.trace.record(
-                    "SupervisedSort", self._actor(), start,
-                    bytes=host_in.data.nbytes * machine.scale, id=root_id)
+        with record:
+            try:
+                while driver.queue:
+                    name = driver.queue[0]
+                    failing_phase = name
+                    phase_started = env.now
+                    try:
+                        group = TaskGroup(env, name=name)
+                        yield from group.supervise(driver.body(name)(group),
+                                                   deadline)
+                        ck_body = driver.checkpoint_body(name)
+                        if ck_body is not None:
+                            group = TaskGroup(env, name=f"{name}:checkpoint")
+                            yield from group.supervise(ck_body(group),
+                                                       deadline)
+                        driver.after_phase(name)
+                        self.rec.completed(name)
+                        driver.queue.pop(0)
+                    except DeadlineExceededError:
+                        deadline_hit = True
+                        break
+                    except (DeviceFaultError, TransferError) as exc:
+                        self._replan(driver, name, exc)
+            except SortError as exc:
+                # Terminal failures (RecoveryError after exhausting
+                # replans, no-survivors SortError): freeze a post-mortem
+                # bundle while the state around the death is reachable.
+                self.failed_phase = failing_phase
+                self.failed_phase_started = phase_started
+                self._dump_postmortem(exc, failing_phase, phase_started)
+                raise
+            finally:
+                driver.cleanup()
 
-        duration = env.now - start
-        output = None if deadline_hit else driver.finalize()
-        recovery = machine.resilience_stats.delta(stats_before)
-        fault_downtime = (machine.faults.downtime_between(start, env.now)
-                          if machine.faults is not None else 0.0)
-        degraded = bool(self.excluded or self.rec.replans
-                        or self.rec.speculative_wins or recovery.retries
-                        or recovery.reroutes or recovery.timeouts
-                        or fault_downtime > 0.0)
-        phase_names = ("Redistribute", "HtoD", "Sort", "Merge", "DtoH",
-                       "Checkpoint", "Restore", "Speculate")
-        phases = {phase: value for phase, value in
-                  machine.trace.phase_durations().items()
-                  if phase in phase_names}
-        return SortResult(
-            algorithm=f"supervised-{algorithm}",
-            system=machine.spec.name,
-            gpu_ids=driver.ids,
-            physical_keys=len(host_in.data),
-            logical_keys=len(host_in.data) * machine.scale,
-            dtype=str(host_in.dtype),
-            duration=duration,
-            phase_durations=phases,
-            output=output,
-            degraded=degraded,
-            retries=recovery.retries,
-            reroutes=recovery.reroutes,
-            timeouts=recovery.timeouts,
-            fault_downtime=fault_downtime,
-            excluded_gpus=self.excluded,
+        return record.result(
+            f"supervised-{algorithm}", driver.ids,
+            ("Redistribute", "HtoD", "Sort", "Merge", "DtoH", "Checkpoint",
+             "Restore", "Speculate"),
+            excluded=self.excluded,
+            degraded=bool(self.rec.replans or self.rec.speculative_wins),
+            output=None if deadline_hit else driver.finalize(),
             replans=self.rec.replans,
             checkpoints=self.rec.checkpoints,
             checkpoints_restored=self.rec.checkpoints_restored,
@@ -327,69 +348,6 @@ class SortSupervisor:
         if self.config.job_label is not None:
             return f"job:{self.config.job_label}"
         return "supervisor"
-
-    def _initial_ids(self, algorithm: str,
-                     gpu_ids: Optional[Sequence[int]]) -> tuple:
-        machine = self.machine
-        ids = tuple(gpu_ids) if gpu_ids is not None else None
-        if ids is None:
-            if algorithm == "p2p":
-                count = min(machine.num_gpus,
-                            1 << int(math.log2(machine.num_gpus)))
-                ids = machine.spec.preferred_gpu_set(count)
-            else:
-                ids = machine.spec.preferred_gpu_set(machine.num_gpus)
-        if len(set(ids)) != len(ids):
-            raise SortError(f"duplicate GPU ids in {ids}")
-        if machine.faults is not None:
-            survivors, excluded = surviving_gpu_ids(machine, ids)
-            if not survivors:
-                raise SortError(
-                    f"no healthy GPUs left in {ids}: all failed or "
-                    "straggling past the exclusion factor")
-            self.excluded = excluded
-            ids = survivors
-        if algorithm == "p2p":
-            keep = 1 << int(math.log2(len(ids)))
-            ids = tuple(ids[:keep])
-        return tuple(ids)
-
-    def _run_phase(self, name: str, body, deadline):
-        """One phase = one wait on a task-group runner.
-
-        The runner raises at most one exception (the phase's recorded
-        failure or the deadline); the quiesce in the except path is a
-        backstop that tears down any task the runner could not reap
-        before the supervisor reacts to the error.  A generator: the
-        yielded events reach either :meth:`sort`'s host trampoline
-        (``env.run`` per event) or the surrounding process when the run
-        executes as :meth:`sort_async` — same waits either way.
-        """
-        env = self.machine.env
-        group = TaskGroup(env, name=name)
-        runner = env.process(group.run(body(group), deadline=deadline))
-        try:
-            yield runner
-        except BaseException:
-            yield from self._quiesce(group, runner)
-            raise
-
-    def _quiesce(self, group: TaskGroup, runner):
-        """Force-drain a failed phase so no task outlives it."""
-        env = self.machine.env
-        for _attempt in range(100):
-            group.cancelled = True
-            leftovers = group.alive()
-            if runner.is_alive:
-                leftovers.append(runner)
-            if not leftovers:
-                return
-            for proc in leftovers:
-                group.interrupt_task(proc)
-            try:
-                yield env.all_of(leftovers)
-            except BaseException:  # noqa: BLE001 - keep draining
-                continue
 
     def _replan(self, driver, phase: str, exc: BaseException) -> None:
         machine = self.machine

@@ -16,6 +16,9 @@ The runner (:meth:`TaskGroup.run`) waits for all tasks, reacts to the
 first recorded failure or an optional deadline event by cancelling the
 survivors, drains them, and then raises — so the supervisor observes
 one typed error per phase, never a half-torn-down event loop.
+:meth:`TaskGroup.supervise` is how a driver runs one phase: the runner
+in its own process, plus a force-drain backstop for anything the
+runner could not reap.
 """
 
 from __future__ import annotations
@@ -48,11 +51,22 @@ class TaskGroup:
         self._interrupted: Set[int] = set()
 
     # -- spawning ----------------------------------------------------------
-    def spawn(self, gen, name: str) -> Process:
-        """Run ``gen`` as a shielded task; its failures go to the group."""
+    def spawn(self, gen, name: Optional[str] = None) -> Process:
+        """Run ``gen`` as a shielded task; its failures go to the group.
+
+        ``name`` keys the task's result; unnamed tasks are numbered.
+        """
+        if name is None:
+            name = f"t{len(self.procs)}"
         proc = self.env.process(self._shield(gen, name))
         self.procs.append(proc)
         return proc
+
+    def check(self) -> None:
+        """Raise the recorded failure, if any: the barrier seam of
+        :func:`repro.sort.p2p.p2p_pipeline` and its merge."""
+        if self.failure is not None:
+            raise self.failure
 
     def _shield(self, gen, name: str):
         if self.cancelled:
@@ -155,6 +169,37 @@ class TaskGroup:
         except Interrupt:
             return None
         return None
+
+    def supervise(self, body, deadline: Optional[Event] = None):
+        """Process body: run the phase ``body`` and wait for its runner.
+
+        The runner raises at most one exception (the phase's recorded
+        failure or the deadline).  Before it reaches the caller, a
+        backstop force-drains every task the runner could not reap, so
+        no task outlives its phase.  A caller closed mid-phase (its
+        frame abandoned after a typed error crossed ``machine.run``)
+        unwinds at once: yielding inside ``close()`` is illegal.
+        """
+        runner = self.env.process(self.run(body, deadline=deadline))
+        try:
+            yield runner
+        except GeneratorExit:
+            raise
+        except BaseException:
+            for _attempt in range(100):
+                self.cancelled = True
+                leftovers = self.alive()
+                if runner.is_alive:
+                    leftovers.append(runner)
+                if not leftovers:
+                    break
+                for proc in leftovers:
+                    self.interrupt_task(proc)
+                try:
+                    yield self.env.all_of(leftovers)
+                except BaseException:  # noqa: BLE001 - keep draining
+                    continue
+            raise
 
     def _drain(self):
         """Wait for cancelled tasks to finish unwinding.

@@ -25,10 +25,10 @@ from repro.serve.tenancy import Tenant
 def scratch_bytes(spec: JobSpec) -> int:
     """Host scratch the supervisor will borrow for ``spec``.
 
-    The P2P driver stages a padded copy of the input (padded to a
-    multiple of the GPU count); the HET driver borrows one run per
-    chunk totalling the input size.  Either way the dominant term is
-    one input-sized scratch array.
+    The P2P driver stages a padded copy of the input when the GPU
+    count does not divide it; the HET driver borrows one run per chunk
+    totalling the input size.  Either way the bound is one input-sized
+    scratch array.
     """
     itemsize = np.dtype(spec.dtype).itemsize
     if spec.algorithm == "p2p":

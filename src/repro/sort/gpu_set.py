@@ -24,7 +24,8 @@ quantifies the difference.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SortError
 from repro.hw.systems import SystemSpec
@@ -192,3 +193,39 @@ def surviving_gpu_ids(
         if gpu in failed or faults.straggler_factor(gpu) >= threshold)
     survivors = tuple(gpu for gpu in gpu_ids if gpu not in excluded)
     return survivors, excluded
+
+
+def plan_gpu_set(
+        machine: "Machine", gpu_ids: Optional[Sequence[int]],
+        power_of_two: bool) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ordered GPU set a sort runs on, and the GPUs it excludes.
+
+    ``gpu_ids`` defaults to the platform's paper-faithful set of every
+    GPU (the largest power of two of them with ``power_of_two``).  An
+    explicit set must be duplicate-free and, with ``power_of_two``, of
+    power-of-two size.  GPUs :func:`surviving_gpu_ids` excludes are
+    dropped; with ``power_of_two`` the run keeps the largest
+    power-of-two prefix of the survivors (the P2P merge needs ``2^k``
+    chunks; order preserved).
+    """
+    if gpu_ids is None:
+        count = machine.num_gpus
+        if power_of_two:
+            count = 1 << int(math.log2(count))
+        ids = machine.spec.preferred_gpu_set(count)
+    else:
+        ids = tuple(gpu_ids)
+    g = len(ids)
+    if len(set(ids)) != g:
+        raise SortError(f"duplicate GPU ids in {ids}")
+    if power_of_two and g & (g - 1):
+        raise SortError(
+            f"the P2P merge needs a power-of-two GPU count, got {g}")
+    survivors, excluded = surviving_gpu_ids(machine, ids)
+    if not survivors:
+        raise SortError(
+            f"no healthy GPUs left in {ids}: all failed or "
+            "straggling past the exclusion factor")
+    if power_of_two:
+        survivors = survivors[:1 << int(math.log2(len(survivors)))]
+    return tuple(survivors), excluded

@@ -30,7 +30,6 @@ and compute volume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -44,8 +43,8 @@ from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.runtime.stream import Stream
-from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.result import SortResult
+from repro.sort.gpu_set import plan_gpu_set
+from repro.sort.result import SortRecord, SortResult, stage_input
 
 
 @dataclass
@@ -307,21 +306,8 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
     from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _Stats
 
     env = machine.env
-    dtype = staging.dtype
-    chunks: List[_Chunk] = []
-    for device in devices:
-        primary = device.alloc(chunk_capacity, dtype,
-                               label=f"hetg{device.id}_a")
-        aux = device.alloc(chunk_capacity, dtype,
-                           label=f"hetg{device.id}_b")
-        value_primary = value_aux = None
-        if value_dtype is not None:
-            value_primary = device.alloc(chunk_capacity, value_dtype,
-                                         label=f"hetg{device.id}_va")
-            value_aux = device.alloc(chunk_capacity, value_dtype,
-                                     label=f"hetg{device.id}_vb")
-        chunks.append(_Chunk(device, primary, aux, value_primary,
-                             value_aux))
+    chunks = [_Chunk.alloc(device, chunk_capacity, staging.dtype, value_dtype)
+              for device in devices]
 
     merge_config = P2PConfig(primitive=config.primitive)
 
@@ -406,8 +392,7 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
         yield env.all_of(transfers_out(previous))
         on_group_merged(previous)
     for chunk in chunks:
-        for buffer in chunk.all_buffers():
-            buffer.free()
+        chunk.free()
 
 
 def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -443,40 +428,12 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
               values: Optional[np.ndarray]) -> SortResult:
     config = config or HetConfig()
     config.buffers_per_gpu()  # validate the approach early
-    if isinstance(data, HostBuffer):
-        host_in = data
-    else:
-        host_in = machine.host_buffer(np.asarray(data))
+    host_in, value_staging = stage_input(machine, data, values)
+    value_dtype = value_staging.dtype if value_staging is not None else None
     n = len(host_in.data)
-    if n == 0:
-        raise SortError("cannot sort an empty array")
-    value_staging = None
-    value_dtype = None
-    if values is not None:
-        values = np.asarray(values)
-        if len(values) != n:
-            raise SortError(f"{len(values)} values for {n} keys")
-        value_staging = machine.host_buffer(values, numa=host_in.numa,
-                                            pinned=host_in.pinned)
-        value_dtype = values.dtype
-
-    ids = tuple(gpu_ids) if gpu_ids is not None else \
-        machine.spec.preferred_gpu_set(machine.num_gpus)
-    excluded = ()
-    if machine.faults is not None:
-        survivors, excluded = surviving_gpu_ids(machine, ids)
-        if not survivors:
-            raise SortError(
-                f"no healthy GPUs left in {ids}: all failed or "
-                "straggling past the exclusion factor")
-        if excluded:
-            ids = survivors
-            if config.gpu_merge_groups and len(ids) & (len(ids) - 1):
-                # The on-GPU group merge needs 2^k chunks per group;
-                # shrink to the largest power-of-two prefix.
-                ids = ids[:1 << int(math.log2(len(ids)))]
-    if len(set(ids)) != len(ids):
-        raise SortError(f"duplicate GPU ids in {ids}")
+    # The on-GPU group merge needs 2^k chunks per group.
+    ids, excluded = plan_gpu_set(machine, gpu_ids,
+                                 power_of_two=config.gpu_merge_groups)
     g = len(ids)
     dtype = host_in.dtype
 
@@ -492,11 +449,6 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     if value_dtype is not None:
         values_out = machine.host_buffer(np.empty(n, dtype=value_dtype),
                                          numa=host_in.numa)
-
-    if config.gpu_merge_groups and g > 1 and g & (g - 1):
-        raise SortError(
-            "gpu_merge_groups needs a power-of-two GPU count for the "
-            f"P2P merge, got {g}")
 
     def is_uniform(sizes: List[int]) -> bool:
         return len(sizes) == g and len(set(sizes)) == 1
@@ -581,15 +533,6 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                 value_runs=[t.value_run for t in group_tasks]
                 if value_dtype is not None else None))
 
-    start = machine.env.now
-    stats_before = machine.resilience_stats.snapshot()
-    # Root span for the timeline hierarchy — only with observability on
-    # (see the matching note in p2p_sort).
-    root_id = None
-    if machine.obs is not None:
-        root_id = machine.trace.allocate_id()
-        machine.trace.push_parent(root_id)
-
     def run():
         env = machine.env
         if config.gpu_merge_groups and g > 1 and not single_run:
@@ -649,42 +592,13 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             else None)
 
     try:
-        machine.run(run())
+        with SortRecord(machine, "HetSort", host_in) as record:
+            machine.run(run())
     finally:
-        if root_id is not None:
-            machine.trace.pop_parent()
-            machine.trace.record("HetSort", "sort", start,
-                                 bytes=n * dtype.itemsize * machine.scale,
-                                 id=root_id)
         for array in borrowed:
             default_pool.give(array)
-    duration = machine.env.now - start
-
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (machine.faults.downtime_between(start, machine.env.now)
-                      if machine.faults is not None else 0.0)
-    degraded = bool(excluded or recovery.retries or recovery.reroutes
-                    or recovery.timeouts or fault_downtime > 0.0)
-
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("HtoD", "Sort", "DtoH", "Merge")}
-    return SortResult(
-        algorithm="het",
-        system=machine.spec.name,
-        gpu_ids=ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
+    return record.result(
+        "het", ids, ("HtoD", "Sort", "DtoH", "Merge"), excluded=excluded,
         chunk_groups=groups,
         output=host_out.data,
-        output_values=values_out.data if values_out is not None else None,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=excluded,
-    )
+        output_values=values_out.data if values_out is not None else None)

@@ -64,9 +64,10 @@ from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import P2PConfig, _pad, _Stats, p2p_pipeline
-from repro.sort.result import SortResult
+from repro.sort.gpu_set import plan_gpu_set, surviving_gpu_ids
+from repro.sort.p2p import (P2PConfig, _Stats, check_fits, merge_stages,
+                            p2p_pipeline, padded_staging)
+from repro.sort.result import SortRecord, SortResult, stage_input
 from repro.units import US
 
 
@@ -185,27 +186,13 @@ def _plan_node(machine: Machine, spec: ClusterSpec, node: int,
                ids: Tuple[int, ...], start: int, stop: int,
                host_in: HostBuffer) -> _NodePlan:
     """Stage one node's input slice and size its per-GPU chunks."""
-    dtype = host_in.dtype
-    itemsize = dtype.itemsize
-    g = len(ids)
-    shard_n = stop - start
-    chunk = -(-shard_n // g)
-    padded = chunk * g
-    for gpu_id in ids:
-        need = 2 * chunk * itemsize * machine.scale
-        device = machine.device(gpu_id)
-        if need > device.capacity_logical:
-            raise SortError(
-                f"{device.name}: node shard chunk of {chunk} keys "
-                f"needs {need / 1e9:.1f} GB, exceeding "
-                f"{device.capacity_logical / 1e9:.1f} GB; shrink the "
-                "input or grow the cluster")
+    chunk = -(-(stop - start) // len(ids))
+    padded = chunk * len(ids)
+    check_fits(machine, ids, chunk, host_in.dtype.itemsize)
     numa = spec.node_numa(node)
-    padded_data = np.empty(padded, dtype=dtype)
-    padded_data[:shard_n] = host_in.data[start:stop]
-    _pad(padded_data, shard_n)
-    staging = machine.host_buffer(padded_data, numa=numa, pinned=True)
-    host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
+    staging, _ = padded_staging(machine, host_in.data[start:stop], padded,
+                                numa, pinned=True)
+    host_out = machine.host_buffer(np.empty(padded, dtype=host_in.dtype),
                                    numa=numa, pinned=True)
     return _NodePlan(node=node, gpu_ids=ids, shard_start=start, shard_stop=stop,
                      chunk=chunk, staging=staging, host_out=host_out)
@@ -240,10 +227,7 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         raise SortError(
             f"hier_sort needs a ClusterSpec, got {type(spec).__name__}; "
             "build one with repro.hw.make_cluster")
-    if isinstance(data, HostBuffer):
-        host_in = data
-    else:
-        host_in = machine.host_buffer(np.asarray(data))
+    host_in, _ = stage_input(machine, data)
     n = len(host_in.data)
     if n < spec.num_nodes:
         raise SortError(
@@ -288,7 +272,6 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     n = len(host_in.data)
     num_nodes = spec.num_nodes
     dtype = host_in.dtype
-    itemsize = dtype.itemsize
 
     dead: Set[int] = set()
     excluded_nodes: List[int] = []
@@ -310,14 +293,8 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     #: replanned epoch reuses these instead of re-sorting.
     sorted_cache: Dict[Tuple[int, int, int], _NodePlan] = {}
 
-    stats_before = machine.resilience_stats.snapshot()
-    start_time = env.now
     deadline = (env.timeout(config.deadline_s)
                 if config.deadline_s is not None else None)
-    root_id = None
-    if machine.obs is not None:
-        root_id = machine.trace.allocate_id()
-        machine.trace.push_parent(root_id)
 
     def node_dead_now(k: int) -> bool:
         if faults is None:
@@ -339,17 +316,9 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         plan_ids.pop(k, None)
 
     def plan_alive_node(k: int, start: int, stop: int) -> _NodePlan:
-        ids = spec.node_gpu_order(k, per_node)
-        survivors, dropped = surviving_gpu_ids(machine, ids)
-        for gpu in dropped:
-            if gpu not in excluded:
-                excluded.append(gpu)
-        if not survivors:
-            raise SortError(
-                f"node {k} has no healthy GPUs left in {ids}")
-        if dropped:
-            keep = 1 << int(math.log2(len(survivors)))
-            ids = tuple(survivors[:keep])
+        ids, dropped = plan_gpu_set(machine, spec.node_gpu_order(k, per_node),
+                                    power_of_two=True)
+        excluded.extend(gpu for gpu in dropped if gpu not in excluded)
         return _plan_node(machine, spec, k, ids, start, stop, host_in)
 
     def run_phase(name: str, tasks, inline: bool = False):
@@ -372,45 +341,13 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             return
         group = TaskGroup(env, name=name)
 
-        def spawn(gen):
-            return group.spawn(gen, name=f"t{len(group.procs)}")
-
-        def check():
-            if group.failure is not None:
-                raise group.failure
-
         def body():
             for label, make in tasks:
-                group.spawn(make(spawn, check), name=label)
+                group.spawn(make(group.spawn, group.check), name=label)
             return None
             yield  # pragma: no cover - makes ``body`` a generator
 
-        runner = env.process(group.run(body(), deadline=deadline))
-        try:
-            yield runner
-        except GeneratorExit:
-            # The driver was abandoned (a typed error crossed
-            # ``machine.run`` and this frame is being gc-closed):
-            # draining would mean yielding inside close(), which is
-            # illegal — just unwind.
-            raise
-        except BaseException:
-            # Backstop: force-drain anything the runner could not reap
-            # before the driver reacts to the error.
-            for _attempt in range(100):
-                group.cancelled = True
-                leftovers = group.alive()
-                if runner.is_alive:
-                    leftovers.append(runner)
-                if not leftovers:
-                    break
-                for proc in leftovers:
-                    group.interrupt_task(proc)
-                try:
-                    yield env.all_of(leftovers)
-                except BaseException:  # noqa: BLE001 - keep draining
-                    continue
-            raise
+        yield from group.supervise(body(), deadline)
 
     def _local_task(plan: _NodePlan, job: Tuple[int, int, int],
                     stats: _Stats):
@@ -681,32 +618,26 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                     _charge("node_replans", config.max_node_replans,
                             "node replans", phase, exc)
 
-    try:
-        machine.run(run())
-    except SortError as exc:
-        exc.failing_phase = failing["phase"]
-        exc.failing_phase_started = failing["started"]
-        exc.postmortems = []
-        if config.postmortem_dir is not None:
-            from repro.obs.postmortem import build_bundle, write_bundle
-            try:
-                bundle = build_bundle(machine, exc,
-                                      phase=failing["phase"],
-                                      phase_started=failing["started"],
-                                      label="hier")
-                exc.postmortems.append(
-                    write_bundle(bundle, config.postmortem_dir))
-            except Exception:  # noqa: BLE001 - must not mask exc
-                pass
-        raise
-    finally:
-        if root_id is not None:
-            machine.trace.pop_parent()
-            machine.trace.record("HierSort", "sort", start_time,
-                                 bytes=n * itemsize * machine.scale,
-                                 id=root_id)
+    with SortRecord(machine, "HierSort", host_in) as record:
+        try:
+            machine.run(run())
+        except SortError as exc:
+            exc.failing_phase = failing["phase"]
+            exc.failing_phase_started = failing["started"]
+            exc.postmortems = []
+            if config.postmortem_dir is not None:
+                from repro.obs.postmortem import build_bundle, write_bundle
+                try:
+                    bundle = build_bundle(machine, exc,
+                                          phase=failing["phase"],
+                                          phase_started=failing["started"],
+                                          label="hier")
+                    exc.postmortems.append(
+                        write_bundle(bundle, config.postmortem_dir))
+                except Exception:  # noqa: BLE001 - must not mask exc
+                    pass
+            raise
 
-    duration = env.now - start_time
     ledger = ledger_box[0]
     if deadline_hit[0]:
         output = None
@@ -716,14 +647,6 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         output = np.concatenate([ledger.merged[rng]
                                  for rng in range(ledger.num_ranges)])
 
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (faults.downtime_between(start_time, env.now)
-                      if faults is not None else 0.0)
-    degraded = bool(excluded or excluded_nodes or counters["node_replans"]
-                    or counters["waves_replayed"] or recovery.retries
-                    or recovery.reroutes or recovery.timeouts
-                    or fault_downtime > 0.0)
-
     pivots: List[int] = []
     p2p_bytes = 0.0
     for stats in node_stats:
@@ -732,29 +655,16 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     planned_nodes = sorted(plan_ids)
     all_ids = tuple(gpu for k in planned_nodes for gpu in plan_ids[k])
     g = len(plan_ids[planned_nodes[0]]) if planned_nodes else 0
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("HtoD", "Sort", "Merge", "DtoH",
-                          "Exchange", "NodeMerge")}
-    return SortResult(
-        algorithm="hier",
-        system=spec.name,
-        gpu_ids=all_ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
+    return record.result(
+        "hier", all_ids,
+        ("HtoD", "Sort", "Merge", "DtoH", "Exchange", "NodeMerge"),
+        excluded=tuple(excluded),
+        degraded=bool(excluded_nodes or counters["node_replans"]
+                      or counters["waves_replayed"]),
         p2p_bytes=p2p_bytes,
-        merge_stages=2 * int(math.log2(g)) - 1 if g > 1 else 0,
+        merge_stages=merge_stages(g),
         pivots=tuple(pivots),
         output=output,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=tuple(excluded),
         excluded_nodes=tuple(sorted(excluded_nodes)),
         replans=counters["node_replans"],
         waves_replayed=counters["waves_replayed"],

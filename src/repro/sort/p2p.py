@@ -36,9 +36,9 @@ from repro.runtime.buffer import DeviceBuffer, HostBuffer, default_pool
 from repro.runtime.context import Machine
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import Span, copy_async, span
-from repro.sort.gpu_set import surviving_gpu_ids
+from repro.sort.gpu_set import plan_gpu_set
 from repro.sort.pivot import is_valid_pivot, select_pivot, select_pivot_paper
-from repro.sort.result import SortResult
+from repro.sort.result import SortRecord, SortResult, stage_input
 from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
 from repro.units import US
 
@@ -105,12 +105,36 @@ class _Chunk:
             self.value_primary, self.value_aux = (self.value_aux,
                                                   self.value_primary)
 
-    def all_buffers(self):
-        """Every allocated buffer (for freeing)."""
+    @classmethod
+    def alloc(cls, device, count: int, dtype, value_dtype=None,
+              alloc=None) -> "_Chunk":
+        """Allocate one GPU's chunk of ``count`` records.
+
+        Primary and auxiliary key buffers, plus payload buffers when
+        ``value_dtype`` is set.  ``alloc(device, count, dtype, label)``
+        allocates each buffer; the default is ``device.alloc``.
+        """
+        if alloc is None:
+            alloc = _device_alloc
+        kinds = [("chunk", dtype), ("aux", dtype)]
+        if value_dtype is not None:
+            kinds += [("vals", value_dtype), ("vaux", value_dtype)]
+        return cls(device, *(alloc(device, count, kind_dtype,
+                                   f"{kind}{device.id}")
+                             for kind, kind_dtype in kinds))
+
+    def free(self) -> None:
+        """Free every buffer not yet released."""
         buffers = [self.primary, self.aux]
         if self.has_values:
             buffers += [self.value_primary, self.value_aux]
-        return buffers
+        for buffer in buffers:
+            if not buffer.released:
+                buffer.free()
+
+
+def _device_alloc(device, count: int, dtype, label: str) -> DeviceBuffer:
+    return device.alloc(count, dtype, label=label)
 
 
 class _ConcatView:
@@ -283,6 +307,85 @@ def _pad(keys: np.ndarray, n: int,
         values[n:] = values[top:top + 1]
 
 
+# -- the steps of the pipeline, shared by every P2P runner --------------------
+def merge_stages(g: int) -> int:
+    """Sequential merge-stage depth of ``g`` chunks: pairwise stages
+    surround each higher-level global stage (3 for four GPUs, Figure 9)."""
+    return 2 * int(math.log2(g)) - 1 if g > 1 else 0
+
+
+def check_fits(machine: Machine, gpu_ids: Sequence[int], chunk: int,
+               record_bytes: int) -> None:
+    """Raise :class:`SortError` unless every GPU holds two buffers
+    (primary + auxiliary) of ``chunk`` records of ``record_bytes``."""
+    need = 2 * chunk * record_bytes * machine.scale
+    for gpu_id in gpu_ids:
+        device = machine.device(gpu_id)
+        if need > device.capacity_logical:
+            raise SortError(
+                f"{device.name}: chunk of {chunk} keys needs "
+                f"{need / 1e9:.1f} GB (primary + auxiliary buffer), "
+                f"exceeding {device.capacity_logical / 1e9:.1f} GB; "
+                "use HET sort for out-of-core data or more GPUs")
+
+
+def padded_staging(machine: Machine, keys: np.ndarray, size: int, numa: int,
+                   pinned: bool, values: Optional[np.ndarray] = None,
+                   take=np.empty):
+    """Stage ``keys`` (and ``values``) in host memory as ``size`` records.
+
+    Returns ``(staging, value_staging)`` host buffers.  Records that
+    fill ``size`` are staged in place; otherwise ``take(size, dtype)``
+    supplies arrays that hold them followed by pads (:func:`_pad`).
+    """
+    arrays = [keys] if values is None else [keys, values]
+    n = len(keys)
+    if size != n:
+        padded = []
+        for array in arrays:
+            padded.append(take(size, array.dtype))
+            padded[-1][:n] = array
+        _pad(padded[0], n, padded[1] if values is not None else None)
+        arrays = padded
+    staged = [machine.host_buffer(array, numa=numa, pinned=pinned)
+              for array in arrays]
+    return staged[0], staged[1] if values is not None else None
+
+
+def _legs(chunks: Sequence[_Chunk], spans: Sequence[Span],
+          value_spans: Optional[Sequence[Span]]):
+    """``(device buffer, host span)`` of every chunk, keys then payloads."""
+    for i, c in enumerate(chunks):
+        yield c.primary, spans[i]
+        if c.has_values:
+            yield c.value_primary, value_spans[i]
+
+
+def copy_in(machine: Machine, chunks: Sequence[_Chunk],
+            sources: Sequence[Span], spawn,
+            value_sources: Optional[Sequence[Span]] = None) -> list:
+    """Spawn chunk ``i``'s HtoD copies from ``sources[i]`` (and
+    ``value_sources[i]``); returns the processes."""
+    return [spawn(copy_async(machine, span(buffer), source, phase="HtoD"))
+            for buffer, source in _legs(chunks, sources, value_sources)]
+
+
+def sort_chunk(machine: Machine, chunk: _Chunk, primitive: str):
+    """Process: sort one chunk (and its payloads) on its GPU."""
+    return sort_on_device(
+        machine, span(chunk.primary), primitive=primitive, phase="Sort",
+        values=span(chunk.value_primary) if chunk.has_values else None)
+
+
+def copy_out(machine: Machine, chunks: Sequence[_Chunk],
+             outputs: Sequence[Span], spawn,
+             value_outputs: Optional[Sequence[Span]] = None) -> list:
+    """Spawn chunk ``i``'s DtoH copies into ``outputs[i]`` (and
+    ``value_outputs[i]``); returns the processes."""
+    return [spawn(copy_async(machine, output, span(buffer), phase="DtoH"))
+            for buffer, output in _legs(chunks, outputs, value_outputs)]
+
+
 def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
                  sources: Sequence[Span], outputs: Sequence[Span],
                  config: P2PConfig, stats: _Stats,
@@ -308,61 +411,28 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
         spawn = env.process
     if check is None:
         check = _no_check
-    dtype = sources[0].buffer.data.dtype
     value_dtype = (value_sources[0].buffer.data.dtype
                    if value_sources is not None else None)
     chunks: List[_Chunk] = []
     try:
         for gpu_id in gpu_ids:
-            device = machine.device(gpu_id)
-            primary = device.alloc(chunk, dtype, label=f"chunk{gpu_id}")
-            aux = device.alloc(chunk, dtype, label=f"aux{gpu_id}")
-            value_primary = value_aux = None
-            if value_dtype is not None:
-                value_primary = device.alloc(chunk, value_dtype,
-                                             label=f"vals{gpu_id}")
-                value_aux = device.alloc(chunk, value_dtype,
-                                         label=f"vaux{gpu_id}")
-            chunks.append(_Chunk(device, primary, aux,
-                                 value_primary, value_aux))
-
-        htod = []
-        for i, c in enumerate(chunks):
-            htod.append(spawn(copy_async(
-                machine, span(c.primary), sources[i], phase="HtoD")))
-            if c.has_values:
-                htod.append(spawn(copy_async(
-                    machine, span(c.value_primary), value_sources[i],
-                    phase="HtoD")))
-        yield env.all_of(htod)
+            chunks.append(_Chunk.alloc(machine.device(gpu_id), chunk,
+                                       sources[0].buffer.data.dtype,
+                                       value_dtype))
+        yield env.all_of(copy_in(machine, chunks, sources, spawn,
+                                 value_sources))
         check()
-
-        sorts = [spawn(sort_on_device(
-            machine, span(c.primary), primitive=config.primitive,
-            phase="Sort",
-            values=span(c.value_primary) if c.has_values else None))
-            for c in chunks]
-        yield env.all_of(sorts)
+        yield env.all_of([spawn(sort_chunk(machine, c, config.primitive))
+                          for c in chunks])
         check()
-
         yield from _merge_chunks(machine, chunks, config, stats,
                                  spawn=spawn, check=check)
-
-        dtoh = []
-        for i, c in enumerate(chunks):
-            dtoh.append(spawn(copy_async(
-                machine, outputs[i], span(c.primary), phase="DtoH")))
-            if c.has_values:
-                dtoh.append(spawn(copy_async(
-                    machine, value_outputs[i], span(c.value_primary),
-                    phase="DtoH")))
-        yield env.all_of(dtoh)
+        yield env.all_of(copy_out(machine, chunks, outputs, spawn,
+                                  value_outputs))
         check()
     finally:
         for c in chunks:
-            for buffer in c.all_buffers():
-                if not buffer.released:
-                    buffer.free()
+            c.free()
 
 
 def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -399,85 +469,35 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
               config: Optional[P2PConfig],
               values: Optional[np.ndarray]) -> SortResult:
     config = config or P2PConfig()
-    if isinstance(data, HostBuffer):
-        host_in = data
-    else:
-        host_in = machine.host_buffer(np.asarray(data))
+    host_in, host_values = stage_input(machine, data, values)
+    ids, excluded = plan_gpu_set(machine, gpu_ids, power_of_two=True)
     n = len(host_in.data)
-    if n == 0:
-        raise SortError("cannot sort an empty array")
-    host_values = None
-    if values is not None:
-        values = np.asarray(values)
-        if len(values) != n:
-            raise SortError(
-                f"{len(values)} values for {n} keys")
-        host_values = machine.host_buffer(values, numa=host_in.numa,
-                                          pinned=host_in.pinned)
-
-    ids = tuple(gpu_ids) if gpu_ids is not None else None
-    if ids is None:
-        count = min(machine.num_gpus, 1 << int(math.log2(machine.num_gpus)))
-        ids = machine.spec.preferred_gpu_set(count)
-    excluded = ()
-    if machine.faults is not None:
-        survivors, excluded = surviving_gpu_ids(machine, ids)
-        if not survivors:
-            raise SortError(
-                f"no healthy GPUs left in {ids}: all failed or "
-                "straggling past the exclusion factor")
-        if excluded:
-            # Re-plan over the largest power-of-two prefix of the
-            # survivors (the merge needs 2^k chunks; order preserved).
-            keep = 1 << int(math.log2(len(survivors)))
-            ids = tuple(survivors[:keep])
     g = len(ids)
-    if g & (g - 1):
-        raise SortError(f"P2P sort needs a power-of-two GPU count, got {g}")
-    if len(set(ids)) != g:
-        raise SortError(f"duplicate GPU ids in {ids}")
-
-    dtype = host_in.dtype
     chunk = -(-n // g)
     padded = chunk * g
-    itemsize = dtype.itemsize
-    value_itemsize = host_values.dtype.itemsize if host_values else 0
-    for gpu_id in ids:
-        need = 2 * chunk * (itemsize + value_itemsize) * machine.scale
-        device = machine.device(gpu_id)
-        if need > device.capacity_logical:
-            raise SortError(
-                f"{device.name}: chunk of {chunk} keys needs "
-                f"{need / 1e9:.1f} GB (primary + auxiliary buffer), "
-                f"exceeding {device.capacity_logical / 1e9:.1f} GB; "
-                "use HET sort for out-of-core data")
+    value_dtype = host_values.dtype if host_values is not None else None
+    check_fits(machine, ids, chunk, host_in.dtype.itemsize
+               + (value_dtype.itemsize if value_dtype is not None else 0))
 
-    staging = host_in
-    value_staging = host_values
     # Padded staging arrays are pure scratch — dead once the HtoD copies
     # have run — so they come from the workspace pool instead of fresh
     # allocations and go back after the run.
     borrowed: List[np.ndarray] = []
-    if padded != n:
-        padded_data = default_pool.take(padded, dtype)
-        borrowed.append(padded_data)
-        padded_data[:n] = host_in.data
-        padded_values = None
-        if host_values is not None:
-            padded_values = default_pool.take(padded, host_values.dtype)
-            borrowed.append(padded_values)
-            padded_values[:n] = host_values.data
-            value_staging = machine.host_buffer(
-                padded_values, numa=host_in.numa, pinned=host_in.pinned)
-        _pad(padded_data, n, padded_values)
-        staging = machine.host_buffer(padded_data, numa=host_in.numa,
-                                      pinned=host_in.pinned)
-    host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
+
+    def take(size: int, dtype) -> np.ndarray:
+        borrowed.append(default_pool.take(size, dtype))
+        return borrowed[-1]
+
+    staging, value_staging = padded_staging(
+        machine, host_in.data, padded, host_in.numa, host_in.pinned,
+        values=host_values.data if host_values is not None else None,
+        take=take)
+    host_out = machine.host_buffer(np.empty(padded, dtype=host_in.dtype),
                                    numa=staging.numa, pinned=staging.pinned)
     values_out = None
-    if host_values is not None:
+    if value_dtype is not None:
         values_out = machine.host_buffer(
-            np.empty(padded, dtype=host_values.dtype),
+            np.empty(padded, dtype=value_dtype),
             numa=staging.numa, pinned=staging.pinned)
 
     # Input placement (Section 7 / repro.sort.placement): the paper's
@@ -491,37 +511,23 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     ranges = [(i * chunk, (i + 1) * chunk) for i in range(g)]
     charged = (config.input_placement == pl.NUMA_LOCAL
                and config.charge_redistribution)
-    placed = pl.place_chunks(machine, staging, ids, ranges,
-                             placement=config.input_placement,
-                             charge_redistribution=charged)
-    placed_values = None
-    if host_values is not None:
-        placed_values = pl.place_chunks(machine, value_staging, ids,
-                                        ranges,
-                                        placement=config.input_placement,
-                                        charge_redistribution=charged)
-    outputs = [span(pl.output_buffer_for(machine, gpu_id, host_out, start,
-                                         stop, config.input_placement))
-               for gpu_id, (start, stop) in zip(ids, ranges)]
-    value_sources = value_outputs = None
+
+    def place(host: HostBuffer, out: HostBuffer):
+        placed = pl.place_chunks(machine, host, ids, ranges,
+                                 placement=config.input_placement,
+                                 charge_redistribution=charged)
+        outputs = [span(pl.output_buffer_for(machine, gpu_id, out, start,
+                                             stop, config.input_placement))
+                   for gpu_id, (start, stop) in zip(ids, ranges)]
+        return placed, outputs
+
+    placed, outputs = place(staging, host_out)
+    placed_values = value_sources = value_outputs = None
     if values_out is not None:
+        placed_values, value_outputs = place(value_staging, values_out)
         value_sources = [span(c.staging) for c in placed_values]
-        value_outputs = [span(pl.output_buffer_for(
-            machine, gpu_id, values_out, start, stop,
-            config.input_placement))
-            for gpu_id, (start, stop) in zip(ids, ranges)]
 
     stats = _Stats()
-    start = machine.env.now
-    stats_before = machine.resilience_stats.snapshot()
-    # With observability on, bracket the run in a root span: every
-    # phase span recorded inside becomes its child, so the timeline
-    # nests sort -> phase -> flows.  Off, no span is added and the
-    # trace stays bit-identical to the pre-observability engine.
-    root_id = None
-    if machine.obs is not None:
-        root_id = machine.trace.allocate_id()
-        machine.trace.push_parent(root_id)
 
     def run():
         if charged:
@@ -535,48 +541,17 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             value_outputs=value_outputs)
 
     try:
-        machine.run(run())
+        with SortRecord(machine, "P2PSort", host_in) as record:
+            machine.run(run())
     finally:
-        if root_id is not None:
-            machine.trace.pop_parent()
-            machine.trace.record("P2PSort", "sort", start,
-                                 bytes=n * itemsize * machine.scale,
-                                 id=root_id)
         for array in borrowed:
             default_pool.give(array)
-    duration = machine.env.now - start
-    output = host_out.data[:n]
-    output_values = values_out.data[:n] if values_out is not None else None
-
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (machine.faults.downtime_between(start, machine.env.now)
-                      if machine.faults is not None else 0.0)
-    degraded = bool(excluded or recovery.retries or recovery.reroutes
-                    or recovery.timeouts or fault_downtime > 0.0)
-
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("Redistribute", "HtoD", "Sort", "Merge", "DtoH")}
-    return SortResult(
-        algorithm="p2p",
-        system=machine.spec.name,
-        gpu_ids=ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
+    return record.result(
+        "p2p", ids, ("Redistribute", "HtoD", "Sort", "Merge", "DtoH"),
+        excluded=excluded,
         p2p_bytes=stats.p2p_bytes,
-        # Sequential merge-stage depth: pairwise stages surround each
-        # higher-level global stage (3 for four GPUs, Figure 9).
-        merge_stages=2 * int(math.log2(g)) - 1 if g > 1 else 0,
+        merge_stages=merge_stages(g),
         pivots=tuple(stats.pivots),
-        output=output,
-        output_values=output_values,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=excluded,
-    )
+        output=host_out.data[:n],
+        output_values=values_out.data[:n] if values_out is not None
+        else None)

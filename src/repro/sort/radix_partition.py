@@ -38,8 +38,8 @@ from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.result import SortResult
+from repro.sort.gpu_set import plan_gpu_set
+from repro.sort.result import SortRecord, SortResult, stage_input
 from repro.units import US
 
 
@@ -148,35 +148,10 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         raise SortError(f"slack must be >= 1, got {config.slack}")
     if config.oversample < 1:
         raise SortError(f"oversample must be >= 1, got {config.oversample}")
-    if isinstance(data, HostBuffer):
-        host_in = data
-    else:
-        host_in = machine.host_buffer(np.asarray(data))
+    host_in, host_values = stage_input(machine, data, values)
+    value_dtype = host_values.dtype if host_values is not None else None
     n = len(host_in.data)
-    if n == 0:
-        raise SortError("cannot sort an empty array")
-    host_values = None
-    value_dtype = None
-    if values is not None:
-        values = np.asarray(values)
-        if len(values) != n:
-            raise SortError(f"{len(values)} values for {n} keys")
-        host_values = machine.host_buffer(values, numa=host_in.numa,
-                                          pinned=host_in.pinned)
-        value_dtype = values.dtype
-
-    ids = tuple(gpu_ids) if gpu_ids is not None else \
-        machine.spec.preferred_gpu_set(machine.num_gpus)
-    excluded = ()
-    if machine.faults is not None:
-        survivors, excluded = surviving_gpu_ids(machine, ids)
-        if not survivors:
-            raise SortError(
-                f"no healthy GPUs left in {ids}: all failed or "
-                "straggling past the exclusion factor")
-        ids = survivors
-    if len(set(ids)) != len(ids):
-        raise SortError(f"duplicate GPU ids in {ids}")
+    ids, excluded = plan_gpu_set(machine, gpu_ids, power_of_two=False)
     g = len(ids)
     dtype = host_in.dtype
     itemsize = dtype.itemsize
@@ -208,7 +183,6 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         values_out = machine.host_buffer(np.empty(n, dtype=value_dtype),
                                          numa=host_in.numa)
     stats = {"exchange_bytes": 0.0}
-    start = machine.env.now
 
     def run():
         env = machine.env
@@ -405,36 +379,12 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             for buffer in value_receives:
                 buffer.free()
 
-    stats_before = machine.resilience_stats.snapshot()
-    machine.run(run())
-    duration = machine.env.now - start
-
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (machine.faults.downtime_between(start, machine.env.now)
-                      if machine.faults is not None else 0.0)
-    degraded = bool(excluded or recovery.retries or recovery.reroutes
-                    or recovery.timeouts or fault_downtime > 0.0)
-
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("HtoD", "Partition", "Exchange", "Sort", "DtoH")}
-    return SortResult(
-        algorithm="rp",
-        system=machine.spec.name,
-        gpu_ids=ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
+    with SortRecord(machine, "RPSort", host_in) as record:
+        machine.run(run())
+    return record.result(
+        "rp", ids, ("HtoD", "Partition", "Exchange", "Sort", "DtoH"),
+        excluded=excluded,
         p2p_bytes=stats["exchange_bytes"],
         merge_stages=1,
         output=host_out.data,
-        output_values=values_out.data if values_out is not None else None,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=excluded,
-    )
+        output_values=values_out.data if values_out is not None else None)

@@ -1,11 +1,20 @@
-"""Result records of the sorting algorithms."""
+"""Result records of the sorting algorithms, and the run envelope
+every sort shares: input staging (:func:`stage_input`) and the root
+span plus recovery baseline that become a result (:class:`SortRecord`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 import numpy as np
+
+from repro.errors import SortError
+from repro.runtime.buffer import HostBuffer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.context import Machine
 
 
 @dataclass
@@ -123,3 +132,104 @@ class SortResult:
                      f"{'/'.join(self.completed_phases) or 'no'} "
                      "completed phase(s); partial result]")
         return line
+
+
+def stage_input(machine: "Machine", data,
+                values=None) -> Tuple[HostBuffer, Optional[HostBuffer]]:
+    """The keys (and payloads) of a sort as host buffers.
+
+    ``data`` may be a NumPy array (wrapped as a pinned buffer on NUMA
+    node 0, the paper's setup) or an existing :class:`HostBuffer`;
+    payloads are staged like their keys.
+    """
+    if isinstance(data, HostBuffer):
+        host_in = data
+    else:
+        host_in = machine.host_buffer(np.asarray(data))
+    n = len(host_in.data)
+    if n == 0:
+        raise SortError("cannot sort an empty array")
+    if values is None:
+        return host_in, None
+    values = np.asarray(values)
+    if len(values) != n:
+        raise SortError(f"{len(values)} values for {n} keys")
+    return host_in, machine.host_buffer(values, numa=host_in.numa,
+                                        pinned=host_in.pinned)
+
+
+class SortRecord:
+    """The envelope of one sort run, from its start to its result.
+
+    Created when the run starts, it notes the start time and the
+    machine's resilience counters.  With observability on, it also
+    brackets the run in a root span: as a context manager it makes the
+    span the parent of every span recorded inside (unless ``nest`` is
+    off, for concurrent service jobs the global parent stack cannot
+    follow) and records it on exit.  Off, no span is added and the trace
+    stays bit-identical to the pre-observability engine.
+    """
+
+    def __init__(self, machine: "Machine", name: str, keys: HostBuffer,
+                 actor: str = "sort", nest: bool = True):
+        self.machine = machine
+        self.name = name
+        self.keys = keys
+        self.actor = actor
+        self.nest = nest
+        self.start = machine.env.now
+        self.stats_before = machine.resilience_stats.snapshot()
+        self.root_id = None
+        if machine.obs is not None:
+            self.root_id = machine.trace.allocate_id()
+            if nest:
+                machine.trace.push_parent(self.root_id)
+
+    def __enter__(self) -> "SortRecord":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.root_id is not None:
+            trace = self.machine.trace
+            if self.nest:
+                trace.pop_parent()
+            trace.record(self.name, self.actor, self.start,
+                         bytes=self.keys.data.nbytes * self.machine.scale,
+                         id=self.root_id)
+
+    def result(self, algorithm: str, gpu_ids, phases: Iterable[str],
+               excluded: Tuple[int, ...] = (), degraded: bool = False,
+               **fields) -> SortResult:
+        """The :class:`SortResult` of the run, ended now.
+
+        ``phases`` names the trace phases the breakdown keeps.  The run
+        is degraded when GPUs were ``excluded``, the caller says so, a
+        copy was retried, re-routed or timed out, or a fault window was
+        open during it.  ``fields`` are the algorithm's own.
+        """
+        machine = self.machine
+        now = machine.env.now
+        recovery = machine.resilience_stats.delta(self.stats_before)
+        downtime = (machine.faults.downtime_between(self.start, now)
+                    if machine.faults is not None else 0.0)
+        n = len(self.keys.data)
+        return SortResult(
+            algorithm=algorithm,
+            system=machine.spec.name,
+            gpu_ids=tuple(gpu_ids),
+            physical_keys=n,
+            logical_keys=n * machine.scale,
+            dtype=str(self.keys.dtype),
+            duration=now - self.start,
+            phase_durations={name: value for name, value in
+                             machine.trace.phase_durations().items()
+                             if name in phases},
+            degraded=bool(degraded or excluded or recovery.retries
+                          or recovery.reroutes or recovery.timeouts
+                          or downtime > 0.0),
+            retries=recovery.retries,
+            reroutes=recovery.reroutes,
+            timeouts=recovery.timeouts,
+            fault_downtime=downtime,
+            excluded_gpus=tuple(excluded),
+            **fields)

@@ -15,12 +15,12 @@ import numpy as np
 
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
-from repro.sort import het_sort, p2p_sort
+from repro.sort import het_sort, p2p_sort, rp_sort
 
-#: Root spans ("P2PSort"/"HetSort") are only recorded when observability
-#: is on — they exist *for* the timeline — so the equivalence check
-#: compares the simulation-driven spans.
-_ROOT_PHASES = ("P2PSort", "HetSort")
+#: Root spans ("P2PSort"/"HetSort"/"RPSort") are only recorded when
+#: observability is on — they exist *for* the timeline — so the
+#: equivalence check compares the simulation-driven spans.
+_ROOT_PHASES = ("P2PSort", "HetSort", "RPSort")
 
 
 def _run(spec_factory, algorithm, observed: bool):
@@ -52,6 +52,10 @@ def test_p2p_on_dgx_is_bit_identical():
 
 def test_het_on_ac922_is_bit_identical():
     _assert_equivalent(ibm_ac922, het_sort)
+
+
+def test_rp_on_dgx_is_bit_identical():
+    _assert_equivalent(dgx_a100, rp_sort)
 
 
 def test_only_root_spans_are_added():

@@ -69,3 +69,30 @@ class TestNoSurvivors:
         with pytest.raises(SortError, match="no healthy GPUs"):
             SortSupervisor(_machine(ALL_DOWN)).sort(
                 _data(), algorithm=algorithm)
+
+
+class TestExplicitGpuSets:
+    @pytest.mark.parametrize("entry", ["p2p_sort", "supervised"])
+    def test_non_power_of_two_set_is_rejected(self, entry):
+        # An explicit P2P set must be usable as given: neither entry
+        # point silently drops GPUs from it.
+        machine = Machine(dgx_a100(), scale=SCALE)
+        with pytest.raises(SortError, match="power-of-two"):
+            if entry == "p2p_sort":
+                p2p_sort(machine, _data(), gpu_ids=(0, 1, 2))
+            else:
+                SortSupervisor(machine).sort(_data(), algorithm="p2p",
+                                             gpu_ids=(0, 1, 2))
+
+    @pytest.mark.parametrize("entry", ["p2p_sort", "supervised"])
+    def test_survivors_shrink_to_a_power_of_two_prefix(self, entry):
+        data = _data()
+        machine = _machine((GpuFail(at=0.0, gpu=1),))
+        if entry == "p2p_sort":
+            result = p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3))
+        else:
+            result = SortSupervisor(machine).sort(
+                data, algorithm="p2p", gpu_ids=(0, 1, 2, 3))
+        assert result.gpu_ids == (0, 2)
+        assert result.excluded_gpus == (1,)
+        assert np.array_equal(result.output, np.sort(data))

@@ -14,6 +14,7 @@ from repro.faults.plan import FaultPlan
 from repro.hw import dgx_a100
 from repro.recovery import SortSupervisor, SupervisorConfig
 from repro.runtime import Machine
+from repro.sort import P2PConfig, p2p_sort
 
 N = 32_000
 SCALE = 2.0e9 / N
@@ -65,6 +66,17 @@ class TestCleanRuns:
             _data(), algorithm="p2p")
         assert faulted.duration == clean_p2p.duration
         assert np.array_equal(faulted.output, clean_p2p.output)
+
+    def test_local_sorts_use_the_p2p_config_primitive(self):
+        # The supervised local sorts run the primitive the P2P config
+        # names, as the plain sort does (not a supervisor-wide one).
+        config = P2PConfig(primitive="stehle")
+        plain = p2p_sort(_machine(), _data(), config=config)
+        supervised = SortSupervisor(_machine()).sort(
+            _data(), algorithm="p2p", p2p_config=config)
+        assert supervised.phase_durations["Sort"] == pytest.approx(
+            plain.phase_durations["Sort"], rel=1e-12)
+        assert np.array_equal(supervised.output, plain.output)
 
     def test_supervised_run_is_deterministic(self, clean_p2p):
         again = SortSupervisor(_machine()).sort(_data(), algorithm="p2p")

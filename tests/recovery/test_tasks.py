@@ -128,3 +128,62 @@ class TestDeadline:
         env.run(until=0.5)
         assert group.results["t"] == "done"
         assert group.failure is None
+
+
+class TestSupervise:
+    def test_siblings_drain_before_the_failure_reaches_the_caller(self):
+        env = Environment()
+        group = TaskGroup(env, name="Work")
+        seen = {}
+
+        def body(group):
+            group.spawn(_worker(env, 10.0), name="slow")
+            group.spawn(_worker(env, 0.1, fail=ValueError("boom")),
+                        name="bad")
+            yield from ()
+
+        def caller():
+            try:
+                yield from group.supervise(body(group))
+            except ValueError as exc:
+                seen["error"] = exc
+                seen["alive"] = group.alive()
+                seen["at"] = env.now
+
+        env.process(caller())
+        env.run()
+        assert str(seen["error"]) == "boom"
+        # Every sibling had unwound when the caller saw the error.
+        assert seen["alive"] == []
+        assert seen["at"] < 1.0
+
+    def test_closing_the_caller_mid_phase_unwinds_without_yielding(self):
+        env = Environment()
+        group = TaskGroup(env)
+
+        def body(group):
+            group.spawn(_worker(env, 10.0), name="slow")
+            yield from ()
+
+        caller = group.supervise(body(group))
+        next(caller)  # waiting on the phase runner
+        env.run(until=0.5)
+        # Draining here would yield inside close(): a RuntimeError.
+        caller.close()
+
+    def test_check_raises_the_recorded_failure(self):
+        env = Environment()
+        group = TaskGroup(env)
+        group.check()
+        failure = ValueError("boom")
+        group.note_failure(failure)
+        with pytest.raises(ValueError, match="boom"):
+            group.check()
+
+    def test_unnamed_tasks_are_numbered(self):
+        env = Environment()
+        group = TaskGroup(env)
+        group.spawn(_worker(env, 0.1, result="a"))
+        group.spawn(_worker(env, 0.1, result="b"), name="named")
+        env.run()
+        assert group.results == {"t0": "a", "named": "b"}

@@ -156,3 +156,22 @@ class TestPaperHypothesis:
         pp = p2p_sort(Machine(ibm_ac922(), scale=scale), data,
                       gpu_ids=(0, 1, 2, 3))
         assert rp.duration > 0.9 * pp.duration
+
+
+class TestObservability:
+    def test_phases_nest_under_an_rp_sort_root_span(self, rng):
+        # Like every other sort, RP sort brackets its run in a root span
+        # when observability is on.
+        machine = Machine(dgx_a100(), scale=1e5)
+        machine.enable_observability()
+        data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
+        rp_sort(machine, data)
+        roots = [s for s in machine.trace.spans if s.phase == "RPSort"]
+        assert len(roots) == 1
+        root = roots[0]
+        assert root.parent is None
+        assert root.bytes == data.nbytes * machine.scale
+        phases = [s for s in machine.trace.spans if s is not root]
+        assert {s.phase for s in phases} == {
+            "HtoD", "Partition", "Exchange", "Sort", "DtoH"}
+        assert all(s.parent == root.id for s in phases)
