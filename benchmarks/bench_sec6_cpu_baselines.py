@@ -10,7 +10,7 @@ from repro.bench.experiments.cpu_baselines import (
 )
 
 
-def test_sec6_paradis_beats_library_sorts(benchmark):
+def test_sec6_paradis_beats_gnu_parallel_tbb_and_std_par(benchmark):
     def durations():
         return {
             system: {p: cpu_primitive_duration(system, p, 4.0)

@@ -22,11 +22,11 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write all result tables as JSON")
     parser.add_argument("--quick", action="store_true",
-                        help="simcore/kernels/resilience/service/cluster "
-                             "only: run the reduced scenario sweep (simcore, "
-                             "kernels and cluster then skip their JSON "
-                             "records; resilience and service always write "
-                             "their own)")
+                        help="simcore/resilience/service/cluster only: run "
+                             "the reduced scenario sweep (simcore and "
+                             "cluster then skip their JSON records; "
+                             "resilience and service always write their "
+                             "own)")
     parser.add_argument("--record", metavar="PATH", default=None,
                         help="simcore/service/cluster only: write the "
                              "benchmark record to PATH (the CI smokes diff "
@@ -38,10 +38,9 @@ def main(argv=None) -> int:
                              "dispatch) into the BENCH record")
     args = parser.parse_args(argv)
     if args.quick:
-        from repro.bench.experiments import (cluster, kernels, resilience,
-                                             service, simcore)
+        from repro.bench.experiments import (cluster, resilience, service,
+                                             simcore)
         cluster.QUICK = True
-        kernels.QUICK = True
         simcore.QUICK = True
         resilience.QUICK = True
         service.QUICK = True

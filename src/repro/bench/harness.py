@@ -19,7 +19,6 @@ from repro.bench.experiments import (
     datatypes,
     distributions,
     extensions,
-    kernels,
     large_data,
     local_copy,
     merge_saturation,
@@ -113,9 +112,6 @@ EXPERIMENTS: List[Experiment] = [
                co_running.run_co_running),
     Experiment("simcore", "Simulator-core throughput (engine + allocator)",
                simcore.run_simcore_entry),
-    Experiment("kernels", "Functional kernel layer throughput "
-               "(scatter, PARADIS, merge, Merge Path)",
-               kernels.run_kernels_entry),
     Experiment("resilience", "Sorting under injected faults (fault model)",
                resilience.run_resilience_entry),
     Experiment("service", "Multi-tenant sort service under offered load",

@@ -4,15 +4,15 @@ A simulated kernel launch has two effects.  Simulated time advances at
 the device's calibrated rate (Table 2), and the payload array ends up
 sorted or merged.  This module computes the second one, with NumPy,
 for the GPU kernels of :mod:`repro.runtime.kernels` and the CPU
-operations of :mod:`repro.runtime.cpu_ops` alike.  The from-scratch
-primitives of this package and of :mod:`repro.cpuprims` are the
-library the kernel benchmarks measure; they are not on the simulated
-path.
+operations of :mod:`repro.runtime.cpu_ops` alike.  Which primitive a
+kernel models (Thrust, CUB, Stehle's MSB radix sort, MGPU's merge,
+PARADIS, gnu_parallel's multiway merge) picks only its calibrated rate,
+never its result.
 
 The output order is NumPy's sort order (``np.sort``): ``-0.0`` and
 ``+0.0`` tie and every NaN sorts last.  Every other stage of the sort
-pipelines compares keys in that order too: the Merge Path partitions,
-the pivot search, the splitter searches and the output checks.
+pipelines compares keys in that order too: the pivot search, the
+splitter searches and the output checks.
 
 Outputs are bit-level permutations of their inputs.  Equal integers
 are bit-identical, so integer and bool keys take NumPy's fastest
@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SortError
-from repro.gpuprims.merge_path import merge_runs_in_place
 
 
 def _gather(keys: np.ndarray, values: np.ndarray) -> None:
@@ -49,6 +48,21 @@ def sort_in_place(keys: np.ndarray,
     else:
         keys.sort(kind="stable")
     return keys
+
+
+def merge_runs_in_place(values: np.ndarray, split: int) -> np.ndarray:
+    """Merge the sorted runs ``values[:split]`` and ``values[split:]``.
+
+    One stable sort does the merge in place, in linear time: timsort
+    (radix sort for keys of 16 bits or fewer) finds the two ascending
+    runs and gallops through a single merge, with a buffer of at most
+    the shorter run.  Stability keeps ties in favour of the first run.
+    """
+    if not 0 <= split <= values.size:
+        raise SortError(
+            f"split {split} out of range for {values.size} elements")
+    values.sort(kind="stable")
+    return values
 
 
 def merge_in_place(keys: np.ndarray, split: int,

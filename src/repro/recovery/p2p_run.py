@@ -25,7 +25,7 @@ pairwise on-device), and with no restorable checkpoint the sort
 restarts from ``Partition`` on the survivors.
 
 The phase bodies run the steps of :func:`repro.sort.p2p.p2p_pipeline`
-(``copy_in``, ``sort_chunk``, ``_merge_chunks``, ``copy_out``) through
+(``copy_in``, ``sort_chunk``, ``merge_chunks``, ``copy_out``) through
 the phase's task group, so the supervised sort is the plain pipeline
 cut at its barriers.  The padded length is fixed at the *initial* GPU
 count: any later power-of-two survivor prefix divides it, so chunks
@@ -47,8 +47,8 @@ from repro.runtime.buffer import HostBuffer
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import merge_two_on_device, sort_on_device
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _Stats,
-                            check_fits, copy_in, copy_out, merge_stages,
+from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, check_fits, copy_in,
+                            copy_out, merge_chunks, merge_stages,
                             padded_staging, sort_chunk)
 
 
@@ -70,9 +70,9 @@ class P2PRun(PhaseDriver):
             np.empty(self.padded, dtype=self.dtype),
             numa=self.staging.numa, pinned=self.staging.pinned)
 
-        self.chunks: List[_Chunk] = []
+        self.chunks: List[Chunk] = []
         self.sorted_flags: List[bool] = []
-        self.stats = _Stats()
+        self.stats = P2PStats()
         self.queue: List[str] = ["Partition", "LocalSort", "Exchange",
                                  "Gather"]
         self._sort_procs: Dict[int, object] = {}
@@ -163,7 +163,7 @@ class P2PRun(PhaseDriver):
 
     # -- phase bodies ------------------------------------------------------
     def _alloc_chunks(self, count: int) -> None:
-        self.chunks = [_Chunk.alloc(self.machine.device(gpu), count,
+        self.chunks = [Chunk.alloc(self.machine.device(gpu), count,
                                     self.dtype, alloc=self._alloc)
                        for gpu in self.ids]
 
@@ -212,9 +212,9 @@ class P2PRun(PhaseDriver):
                 done_evt.succeed()
 
     def _exchange(self, group):
-        yield from _merge_chunks(self.machine, self.chunks, self.config,
-                                 self.stats, spawn=group.spawn,
-                                 check=group.check)
+        yield from merge_chunks(self.machine, self.chunks, self.config,
+                                self.stats, spawn=group.spawn,
+                                check=group.check)
 
     def _gather(self, group):
         copy_out(self.machine, self.chunks, self._slices(self.host_out),

@@ -8,8 +8,8 @@ accounting uses logical bytes while correctness is verified on the
 physical data (see DESIGN.md, "Reproduction strategy").
 
 :class:`WorkspacePool` recycles the *host-side scratch arrays* of the
-functional kernel layer (radix double buffers, merge-tree ping-pong
-buffers, staging runs of the sorts).  It has no timing effect — pooled
+sorts (P2P sort's padded staging, HET sort's staging runs, the
+supervisor's host scratch).  It has no timing effect — pooled
 arrays model the pre-allocated auxiliary memory the paper's
 implementations hold anyway (Section 5.1: dynamic allocation is
 expensive), so reusing them only cuts host wall-clock, never simulated
@@ -191,7 +191,7 @@ class WorkspacePool:
                    for base in bucket)
 
 
-#: Process-wide pool shared by the functional kernels and the sorts.
+#: Process-wide pool the sorts borrow their host scratch from.
 default_pool = WorkspacePool()
 
 

@@ -303,10 +303,10 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
     copies).  Uniform groups come back as one sorted run; a ragged last
     group skips the GPU merge and returns per-chunk runs.
     """
-    from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _Stats
+    from repro.sort.p2p import Chunk, P2PConfig, P2PStats, merge_chunks
 
     env = machine.env
-    chunks = [_Chunk.alloc(device, chunk_capacity, staging.dtype, value_dtype)
+    chunks = [Chunk.alloc(device, chunk_capacity, staging.dtype, value_dtype)
               for device in devices]
 
     merge_config = P2PConfig(primitive=config.primitive)
@@ -374,15 +374,15 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
                 return view
 
             group_chunks = [
-                _Chunk(chunk.device, window(chunk.primary),
-                       window(chunk.aux),
-                       window(chunk.value_primary)
-                       if chunk.has_values else None,
-                       window(chunk.value_aux)
-                       if chunk.has_values else None)
+                Chunk(chunk.device, window(chunk.primary),
+                      window(chunk.aux),
+                      window(chunk.value_primary)
+                      if chunk.has_values else None,
+                      window(chunk.value_aux)
+                      if chunk.has_values else None)
                 for chunk in chunks]
-            yield from _merge_chunks(machine, group_chunks, merge_config,
-                                     _Stats())
+            yield from merge_chunks(machine, group_chunks, merge_config,
+                                    P2PStats())
             # Propagate any buffer flips back to the real chunks.
             for real, view in zip(chunks, group_chunks):
                 if backing[id(view.primary)] is real.aux:

@@ -65,7 +65,7 @@ from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import plan_gpu_set, surviving_gpu_ids
-from repro.sort.p2p import (P2PConfig, _Stats, check_fits, merge_stages,
+from repro.sort.p2p import (P2PConfig, P2PStats, check_fits, merge_stages,
                             p2p_pipeline, padded_staging)
 from repro.sort.result import SortRecord, SortResult, stage_input
 from repro.units import US
@@ -276,7 +276,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     dead: Set[int] = set()
     excluded_nodes: List[int] = []
     excluded: List[int] = []
-    node_stats: List[_Stats] = []
+    node_stats: List[P2PStats] = []
     plan_ids: Dict[int, Tuple[int, ...]] = {}
     counters = {"node_replans": 0, "waves_replayed": 0, "wave_retries": 0,
                 "checkpoints": 0, "restored": 0}
@@ -350,7 +350,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         yield from group.supervise(body(), deadline)
 
     def _local_task(plan: _NodePlan, job: Tuple[int, int, int],
-                    stats: _Stats):
+                    stats: P2PStats):
         chunk = plan.chunk
         ranges = [(i * chunk, (i + 1) * chunk)
                   for i in range(len(plan.gpu_ids))]
@@ -382,7 +382,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             plans[i] = plan_alive_node(k, start, stop)
             plan_ids[k] = plans[i].gpu_ids
             # One stats record per job keeps the pivots in job order.
-            stats = _Stats()
+            stats = P2PStats()
             node_stats.append(stats)
             tasks.append((f"local{job}", _local_task(plans[i], job, stats)))
         if tasks:

@@ -72,13 +72,14 @@ class P2PConfig:
 
 
 @dataclass
-class _Stats:
+class P2PStats:
+    """What one P2P merge did: the bytes its swaps moved, its pivots."""
+
     p2p_bytes: float = 0.0
-    stages: int = 0
     pivots: List[int] = field(default_factory=list)
 
 
-class _Chunk:
+class Chunk:
     """One GPU's chunk: primary/auxiliary key buffers, optional payloads."""
 
     def __init__(self, device, primary: DeviceBuffer, aux: DeviceBuffer,
@@ -107,7 +108,7 @@ class _Chunk:
 
     @classmethod
     def alloc(cls, device, count: int, dtype, value_dtype=None,
-              alloc=None) -> "_Chunk":
+              alloc=None) -> "Chunk":
         """Allocate one GPU's chunk of ``count`` records.
 
         Primary and auxiliary key buffers, plus payload buffers when
@@ -144,7 +145,7 @@ class _ConcatView:
     real hardware those are remote P2P reads.
     """
 
-    def __init__(self, chunks: Sequence[_Chunk]):
+    def __init__(self, chunks: Sequence[Chunk]):
         self.chunks = list(chunks)
         self.chunk_size = chunks[0].size
 
@@ -171,7 +172,7 @@ def _no_check() -> None:
     """Default ``check``: unsupervised runs have no failure to stop on."""
 
 
-def _serialized_swap(machine: Machine, left: _Chunk, right: _Chunk,
+def _serialized_swap(machine: Machine, left: Chunk, right: Chunk,
                      pivot: int, spawn=None, check=None):
     """In-place-style swap for the ablation: staged, serialized copies."""
     from repro.runtime.kernels import merge_two_on_device
@@ -217,8 +218,9 @@ def _serialized_swap(machine: Machine, left: _Chunk, right: _Chunk,
     return bytes_moved
 
 
-def _merge_chunks(machine: Machine, chunks: List[_Chunk],
-                  config: P2PConfig, stats: _Stats, spawn=None, check=None):
+def merge_chunks(machine: Machine, chunks: List[Chunk],
+                 config: P2PConfig, stats: P2PStats, spawn=None,
+                 check=None):
     """Algorithm 2: recursive merge of ``len(chunks)`` sorted chunks.
 
     ``spawn``/``check`` thread the supervision seam down the recursion
@@ -237,10 +239,10 @@ def _merge_chunks(machine: Machine, chunks: List[_Chunk],
     left_chunks, right_chunks = chunks[:half], chunks[half:]
 
     if g > 2:
-        pre = [spawn(_merge_chunks(machine, left_chunks, config, stats,
-                                   spawn, check)),
-               spawn(_merge_chunks(machine, right_chunks, config, stats,
-                                   spawn, check))]
+        pre = [spawn(merge_chunks(machine, left_chunks, config, stats,
+                                  spawn, check)),
+               spawn(merge_chunks(machine, right_chunks, config, stats,
+                                  spawn, check))]
         yield env.all_of(pre)
         check()
 
@@ -279,10 +281,10 @@ def _merge_chunks(machine: Machine, chunks: List[_Chunk],
             stats.p2p_bytes += sum(v for v in done.values() if v)
 
     if g > 2:
-        post = [spawn(_merge_chunks(machine, left_chunks, config, stats,
-                                    spawn, check)),
-                spawn(_merge_chunks(machine, right_chunks, config, stats,
-                                    spawn, check))]
+        post = [spawn(merge_chunks(machine, left_chunks, config, stats,
+                                   spawn, check)),
+                spawn(merge_chunks(machine, right_chunks, config, stats,
+                                   spawn, check))]
         yield env.all_of(post)
         check()
 
@@ -352,7 +354,7 @@ def padded_staging(machine: Machine, keys: np.ndarray, size: int, numa: int,
     return staged[0], staged[1] if values is not None else None
 
 
-def _legs(chunks: Sequence[_Chunk], spans: Sequence[Span],
+def _legs(chunks: Sequence[Chunk], spans: Sequence[Span],
           value_spans: Optional[Sequence[Span]]):
     """``(device buffer, host span)`` of every chunk, keys then payloads."""
     for i, c in enumerate(chunks):
@@ -361,7 +363,7 @@ def _legs(chunks: Sequence[_Chunk], spans: Sequence[Span],
             yield c.value_primary, value_spans[i]
 
 
-def copy_in(machine: Machine, chunks: Sequence[_Chunk],
+def copy_in(machine: Machine, chunks: Sequence[Chunk],
             sources: Sequence[Span], spawn,
             value_sources: Optional[Sequence[Span]] = None) -> list:
     """Spawn chunk ``i``'s HtoD copies from ``sources[i]`` (and
@@ -370,14 +372,14 @@ def copy_in(machine: Machine, chunks: Sequence[_Chunk],
             for buffer, source in _legs(chunks, sources, value_sources)]
 
 
-def sort_chunk(machine: Machine, chunk: _Chunk, primitive: str):
+def sort_chunk(machine: Machine, chunk: Chunk, primitive: str):
     """Process: sort one chunk (and its payloads) on its GPU."""
     return sort_on_device(
         machine, span(chunk.primary), primitive=primitive, phase="Sort",
         values=span(chunk.value_primary) if chunk.has_values else None)
 
 
-def copy_out(machine: Machine, chunks: Sequence[_Chunk],
+def copy_out(machine: Machine, chunks: Sequence[Chunk],
              outputs: Sequence[Span], spawn,
              value_outputs: Optional[Sequence[Span]] = None) -> list:
     """Spawn chunk ``i``'s DtoH copies into ``outputs[i]`` (and
@@ -388,18 +390,18 @@ def copy_out(machine: Machine, chunks: Sequence[_Chunk],
 
 def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
                  sources: Sequence[Span], outputs: Sequence[Span],
-                 config: P2PConfig, stats: _Stats,
+                 config: P2PConfig, stats: P2PStats,
                  value_sources: Optional[Sequence[Span]] = None,
                  value_outputs: Optional[Sequence[Span]] = None,
                  spawn=None, check=None):
     """Process: the P2P sort of one GPU set (steps 1-4 of Algorithm 2).
 
     GPU ``gpu_ids[i]`` copies ``sources[i]`` (and ``value_sources[i]``)
-    in, every GPU sorts its chunk, :func:`_merge_chunks` merges the
+    in, every GPU sorts its chunk, :func:`merge_chunks` merges the
     chunks, and GPU ``i``'s sorted chunk lands in ``outputs[i]`` (and
     ``value_outputs[i]``).  All spans have one length, the chunk size;
     chunks of size 0 have nothing to sort.  ``spawn``/``check`` are the
-    supervision seam of :func:`_merge_chunks`.  The device buffers are
+    supervision seam of :func:`merge_chunks`.  The device buffers are
     freed on every exit, so a replanned run never inherits a failed
     one's allocations.
     """
@@ -413,10 +415,10 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
         check = _no_check
     value_dtype = (value_sources[0].buffer.data.dtype
                    if value_sources is not None else None)
-    chunks: List[_Chunk] = []
+    chunks: List[Chunk] = []
     try:
         for gpu_id in gpu_ids:
-            chunks.append(_Chunk.alloc(machine.device(gpu_id), chunk,
+            chunks.append(Chunk.alloc(machine.device(gpu_id), chunk,
                                        sources[0].buffer.data.dtype,
                                        value_dtype))
         yield env.all_of(copy_in(machine, chunks, sources, spawn,
@@ -425,8 +427,8 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
         yield env.all_of([spawn(sort_chunk(machine, c, config.primitive))
                           for c in chunks])
         check()
-        yield from _merge_chunks(machine, chunks, config, stats,
-                                 spawn=spawn, check=check)
+        yield from merge_chunks(machine, chunks, config, stats,
+                                spawn=spawn, check=check)
         yield env.all_of(copy_out(machine, chunks, outputs, spawn,
                                   value_outputs))
         check()
@@ -527,7 +529,7 @@ def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         placed_values, value_outputs = place(value_staging, values_out)
         value_sources = [span(c.staging) for c in placed_values]
 
-    stats = _Stats()
+    stats = P2PStats()
 
     def run():
         if charged:

@@ -240,8 +240,6 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         yield env.timeout(g * 20 * US)
 
         # -- one-pass bucket partition, all GPUs concurrently ------------
-        from repro.gpuprims.common import stable_counting_permutation
-
         partitioned = [devices[slot].alloc(sizes[slot], dtype,
                                            label=f"rp_part{slot}")
                        for slot in range(g)]
@@ -262,7 +260,10 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             keys = primaries[slot].data[:size]
             buckets = _assign_buckets(keys, splitters, g,
                                        tie_fractions)
-            order = stable_counting_permutation(buckets, g)
+            # A stable argsort of the bucket ids is the counting scatter;
+            # the narrow dtype keeps NumPy on its radix sort.
+            order = np.argsort(buckets.astype(np.uint8 if g <= 256
+                                              else np.uint16), kind="stable")
             # Gather straight into the partition buffer — no fancy-index
             # temporary between the device buffers.
             np.take(keys, order, out=partitioned[slot].data[:size])

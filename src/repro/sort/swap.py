@@ -24,7 +24,7 @@ from repro.runtime.memcpy import copy_async, span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import Machine
-    from repro.sort.p2p import _Chunk
+    from repro.sort.p2p import Chunk
 
 
 def _p2p_copy(machine: "Machine", dst, src, multihop: bool, phase: str):
@@ -58,8 +58,8 @@ def _no_check() -> None:
     """Default ``check``: unsupervised runs have no failure to stop on."""
 
 
-def swap_and_merge_pair(machine: "Machine", left: "_Chunk",
-                        right: "_Chunk", pivot: int,
+def swap_and_merge_pair(machine: "Machine", left: "Chunk",
+                        right: "Chunk", pivot: int,
                         merge_phase: str = "Merge",
                         multihop: bool = False,
                         spawn=None, check=None):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import PoolError, QuotaExceededError, RuntimeApiError
+from repro.hw import dgx_a100
+from repro.runtime import Machine
 from repro.runtime.buffer import WorkspacePool, default_pool
+from repro.sort import het_sort, p2p_sort
 
 
 class TestWorkspacePool:
@@ -151,12 +154,17 @@ class TestWorkspacePool:
             WorkspacePool(quota_bytes=-1)
 
     def test_default_pool_is_shared(self):
-        from repro.gpuprims.radix_lsb import radix_sort_lsb
-
+        # P2P and HET sort borrow their host staging from the one
+        # process-wide pool: what one sort gives back, the next takes.
         default_pool.clear()
-        values = np.arange(1000, 0, -1, dtype=np.int32)
-        radix_sort_lsb(values)
-        before = default_pool.misses
-        radix_sort_lsb(values)
-        # The second sort reuses the first sort's auxiliary buffer.
-        assert default_pool.misses == before
+        keys = np.arange(1001, 0, -1, dtype=np.int32)
+        p2p_sort(Machine(dgx_a100(), scale=1), keys, gpu_ids=(0, 1))
+        hits, misses = default_pool.hits, default_pool.misses
+        assert misses > 0 and default_pool.cached_bytes > 0
+        p2p_sort(Machine(dgx_a100(), scale=1), keys, gpu_ids=(0, 1))
+        # The second sort reuses the first sort's padded staging.
+        assert default_pool.misses == misses
+        assert default_pool.hits > hits
+        hits = default_pool.hits
+        het_sort(Machine(dgx_a100(), scale=1), keys, gpu_ids=(0, 1))
+        assert default_pool.hits > hits

@@ -1,5 +1,7 @@
 """Unit and integration tests of the partition-based RP sort."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.errors import SortError
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.sort import RPConfig, p2p_sort, rp_sort
+from repro.sort import radix_partition
 
 
 class TestCorrectness:
@@ -110,6 +113,74 @@ class TestValidation:
         machine = Machine(dgx_a100(), scale=1e9)
         with pytest.raises(SortError, match="RP sort needs"):
             rp_sort(machine, np.zeros(200_000, np.int32))
+
+
+class TestPartitionLayout:
+    @pytest.mark.parametrize("g", [2, 4, 8])
+    def test_partition_is_bucket_major_and_stable(self, monkeypatch, g):
+        # Few distinct keys, so splitter ties split values across GPUs;
+        # payloads name every key's input position.
+        keys = np.random.default_rng(g).integers(0, 5, size=3000)
+        keys = keys.astype(np.int32)
+        values = np.arange(keys.size, dtype=np.int64)
+        drawn, partitions = [], {}
+        real_splitters = radix_partition._splitters
+        real_copy = radix_partition.copy_async
+
+        def record_splitters(samples, parts):
+            drawn.append(real_splitters(samples, parts))
+            return drawn[-1]
+
+        def record_exchange(machine, target, source, **kwargs):
+            if kwargs.get("phase") == "Exchange":
+                # rp_[v]part<src> -> rp_[v]recv<dst>
+                kind, src = re.fullmatch(r"rp_(v?)part(\d+)",
+                                         source.buffer.label).groups()
+                dst = re.fullmatch(r"rp_v?recv(\d+)", target.buffer.label)
+                part = partitions.setdefault(int(src), {"ranges": {}})
+                part["values" if kind else "keys"] = source.buffer.data
+                part["ranges"][int(dst.group(1))] = (source.start,
+                                                     source.stop)
+            return real_copy(machine, target, source, **kwargs)
+
+        monkeypatch.setattr(radix_partition, "_splitters", record_splitters)
+        monkeypatch.setattr(radix_partition, "copy_async", record_exchange)
+        result = rp_sort(Machine(dgx_a100(), scale=1), keys, values=values,
+                         gpu_ids=tuple(range(g)))
+        (splitters, tie_fractions), = drawn
+        chunk = -(-keys.size // g)
+        received = [[] for _ in range(g)]
+        for src in range(g):
+            start = src * chunk
+            own = keys[start:start + chunk]
+            buckets = radix_partition._assign_buckets(own, splitters, g,
+                                                      tie_fractions)
+            part = partitions[src]
+            payloads = part["values"][:own.size]
+            assert np.array_equal(part["keys"][:own.size], keys[payloads])
+            owners = buckets[payloads - start]
+            # Bucket-major: each bucket is one run, in bucket order, and
+            # the exchange sends each bucket's run to its own GPU.
+            assert np.all(np.diff(owners) >= 0)
+            for dst, (lo, hi) in part["ranges"].items():
+                assert np.all(owners[lo:hi] == dst)
+            assert sum(hi - lo for lo, hi in part["ranges"].values()) \
+                == own.size
+            for dst in range(g):
+                # Stable: within a bucket, input order.
+                mine = payloads[owners == dst]
+                assert np.all(np.diff(mine) > 0)
+                # Oracle scatter: one gather per bucket, in bucket order.
+                received[dst].append(start + np.flatnonzero(buckets == dst))
+        # Each GPU stably sorts what it received, source GPU by source
+        # GPU, and the runs come back in GPU order.
+        expected = []
+        for runs in received:
+            index = np.concatenate(runs)
+            expected.append(index[np.argsort(keys[index], kind="stable")])
+        expected = np.concatenate(expected)
+        assert np.array_equal(result.output_values, expected)
+        assert np.array_equal(result.output, keys[expected])
 
 
 class TestResultMetadata:

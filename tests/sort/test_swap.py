@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SortError
 from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
-from repro.sort.p2p import _Chunk
+from repro.sort.p2p import Chunk
 
 
 class TestBlockSwapSizes:
@@ -48,7 +48,7 @@ class TestSwapAndMergePair:
             primary = device.alloc(n, np.int32)
             primary.data[:] = payload
             aux = device.alloc(n, np.int32)
-            chunks.append(_Chunk(device, primary, aux))
+            chunks.append(Chunk(device, primary, aux))
         return chunks
 
     def test_swap_produces_partition(self, ac922, rng):

@@ -48,7 +48,7 @@ class TestPackageDocstring:
         for name in ("repro.sim.engine", "repro.sim.flows",
                      "repro.hw.topology", "repro.hw.systems",
                      "repro.runtime.memcpy", "repro.runtime.multihop",
-                     "repro.gpuprims.radix_lsb", "repro.cpuprims.paradis",
+                     "repro.gpuprims.functional", "repro.cpuprims.stream",
                      "repro.sort.p2p", "repro.sort.het",
                      "repro.sort.radix_partition", "repro.sort.pivot",
                      "repro.bench.harness", "repro.analysis.timeline"):
