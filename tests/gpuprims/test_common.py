@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import SortError
-from repro.gpuprims.common import (
+from tests.refprims.common import (
     binary_insertion_sort,
     counting_sort_pass,
     from_radix_keys,

@@ -11,24 +11,25 @@ stable permutations must match exactly, not just sort correctly.
 import numpy as np
 import pytest
 
-from repro.cpuprims.multiway_merge import (
-    multiway_merge,
-    multiway_merge_losertree,
-    multiway_merge_with_values,
-)
-from repro.cpuprims.paradis import (
-    counters,
-    paradis_sort,
-    paradis_sort_reference,
-)
-from repro.gpuprims.common import (
+from tests.refprims.common import (
     stable_counting_permutation,
     stable_counting_permutation_reference,
     to_radix_keys,
 )
-from repro.gpuprims.merge_path import merge_sort, merge_sorted
-from repro.gpuprims.radix_lsb import argsort_radix_lsb, radix_sort_lsb
-from repro.gpuprims.radix_msb import radix_sort_msb
+from tests.refprims.merge_path import merge_sort, merge_sorted
+from tests.refprims.multiway_merge import (
+    multiway_merge,
+    multiway_merge_losertree,
+    multiway_merge_with_values,
+)
+from tests.refprims.paradis import (
+    counters,
+    paradis_sort,
+    paradis_sort_reference,
+)
+from tests.refprims.radix_lsb import argsort_radix_lsb, radix_sort_lsb
+from tests.refprims.radix_msb import radix_sort_msb
+
 
 ALL_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64,

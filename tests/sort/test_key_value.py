@@ -15,6 +15,8 @@ from repro.errors import SortError
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.sort import HetConfig, P2PConfig, het_sort, p2p_sort, rp_sort
+from tests.refprims.merge_path import merge_sorted_with_values
+from tests.refprims.multiway_merge import multiway_merge_with_values
 
 
 def check_kv(keys: np.ndarray, result) -> None:
@@ -29,6 +31,51 @@ def kv_workload(rng, n, lo=0, hi=50):
     keys = rng.integers(lo, hi, size=n).astype(np.int32)
     values = np.arange(n, dtype=np.int64)
     return keys, values
+
+
+class TestPrimitives:
+    def test_merge_sorted_with_values(self, rng):
+        a = np.sort(rng.integers(0, 100, size=200).astype(np.int32))
+        b = np.sort(rng.integers(0, 100, size=150).astype(np.int32))
+        va = np.arange(200, dtype=np.int64)
+        vb = np.arange(200, 350, dtype=np.int64)
+        keys, values = merge_sorted_with_values(a, b, va, vb)
+        everything = np.concatenate([a, b])
+        assert np.array_equal(keys, np.sort(everything))
+        # Each (key, value) output pair existed in the input.
+        pairs_in = set(zip(everything.tolist(),
+                           np.concatenate([va, vb]).tolist()))
+        pairs_out = set(zip(keys.tolist(), values.tolist()))
+        assert pairs_out == pairs_in
+
+    def test_merge_values_length_mismatch(self):
+        with pytest.raises(SortError):
+            merge_sorted_with_values(np.zeros(2, np.int32),
+                                     np.zeros(2, np.int32),
+                                     np.zeros(1, np.int64),
+                                     np.zeros(2, np.int64))
+
+    def test_multiway_merge_with_values(self, rng):
+        runs, value_runs, pairs = [], [], set()
+        offset = 0
+        for _ in range(5):
+            size = int(rng.integers(0, 120))
+            keys = np.sort(rng.integers(0, 30, size=size).astype(np.int32))
+            values = np.arange(offset, offset + size, dtype=np.int64)
+            offset += size
+            runs.append(keys)
+            value_runs.append(values)
+            pairs |= set(zip(keys.tolist(), values.tolist()))
+        keys, values = multiway_merge_with_values(runs, value_runs)
+        assert np.all(np.diff(keys.astype(np.int64)) >= 0)
+        assert set(zip(keys.tolist(), values.tolist())) == pairs
+
+    def test_multiway_merge_values_validation(self):
+        with pytest.raises(SortError):
+            multiway_merge_with_values([np.zeros(2, np.int32)], [])
+        with pytest.raises(SortError):
+            multiway_merge_with_values([np.zeros(2, np.int32)],
+                                       [np.zeros(3, np.int64)])
 
 
 class TestP2PKeyValue:
