@@ -19,7 +19,14 @@ the LocalSort checkpoint) and restores from the ``sorted`` checkpoint,
 a supervised out-of-core HET sort, and a 40-job service episode whose
 record adds every job's status and latency.  They were captured at
 commit a1d7c60, before the supervised P2P path was folded into the
-P2P pipeline's step functions.
+P2P pipeline's step functions.  The remaining HET entries pin every
+chunk pipeline the HET sort has: the out-of-core run under the 3n
+approach, with eager merging, with GPU-merged groups (whose last group
+is ragged, so it skips the GPU merge), and with a 4-byte payload per
+key, plus a supervised out-of-core HET sort that loses GPU 5
+mid-Pipeline and re-batches the unflushed chunks over the survivors.
+They were captured at commit 95dcf83, before the HET pipelines were
+folded into one set of chunk steps.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ from repro.recovery import SortSupervisor
 from repro.runtime import Machine
 from repro.serve import (ServiceConfig, SortService, Tenant, WorkloadSpec,
                          generate_jobs)
-from repro.sort import het_sort, hier_sort, p2p_sort
+from repro.sort import HetConfig, het_sort, hier_sort, p2p_sort
 
 CASES = {
     # (algorithm, physical keys, logical billions[, fat-tree nodes,
-    #  failure time of hier's node 1 or the supervised sort's GPU 5])
+    #  failure time of hier's node 1 or the supervised sort's GPU 5[,
+    #  HetConfig fields[, carry an int32 payload per key]]])
     "het-dgx-2b": ("het", 200_000, 2.0),
     "p2p-dgx-2b": ("p2p", 200_000, 2.0),
     "het-dgx-512b-ooc": ("het", 100_000, 512.0),
@@ -51,6 +59,14 @@ CASES = {
     "supervised-p2p-dgx-2b": ("supervised-p2p", 200_000, 2.0),
     "supervised-p2p-gpufail": ("supervised-p2p", 200_000, 2.0, 0, 0.2),
     "supervised-het-dgx-512b-ooc": ("supervised-het", 100_000, 512.0),
+    "supervised-het-gpufail": ("supervised-het", 100_000, 512.0, 0, 20.0),
+    "het-dgx-512b-ooc-3n": ("het", 100_000, 512.0, 0, None,
+                            {"approach": "3n"}),
+    "het-dgx-512b-ooc-eager": ("het", 100_000, 512.0, 0, None,
+                               {"eager_merge": True}),
+    "het-dgx-512b-ooc-gpumerge": ("het", 100_000, 512.0, 0, None,
+                                  {"gpu_merge_groups": True}),
+    "het-dgx-512b-ooc-kv": ("het", 100_000, 512.0, 0, None, None, True),
     # Base job keys; the episode offers 40 jobs at about twice the
     # DGX A100's capacity, so admission shedding is active.
     "service-dgx-40": ("service", 2_000, 0.5),
@@ -79,7 +95,8 @@ def _service_episode(machine: Machine, base: int) -> dict:
 
 
 def run_case(algorithm: str, physical: int, billions: float,
-             nodes: int = 0, down_at: float = None):
+             nodes: int = 0, down_at: float = None, het: dict = None,
+             values: bool = False):
     scale = billions * 1e9 / physical
     data = generate(physical, "uniform", np.int32, seed=42)
     if algorithm == "hier":
@@ -99,9 +116,13 @@ def run_case(algorithm: str, physical: int, billions: float,
         if algorithm.startswith("supervised-"):
             result = SortSupervisor(machine).sort(
                 data, algorithm=algorithm[len("supervised-"):])
+        elif algorithm == "p2p":
+            result = p2p_sort(machine, data)
         else:
-            sort = p2p_sort if algorithm == "p2p" else het_sort
-            result = sort(machine, data)
+            payload = (np.arange(physical, dtype=np.int32) if values
+                       else None)
+            result = het_sort(machine, data, config=HetConfig(**(het or {})),
+                              values=payload)
     return {
         "duration": result.duration,
         "phases": result.phase_durations,
