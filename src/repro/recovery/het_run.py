@@ -13,15 +13,20 @@ Two phases:
     the final CPU multiway merge of all staged runs — host-side work
     that no GPU failure can touch.
 
-Deliberate simplifications versus :func:`repro.sort.het.het_sort`
-(which stays the paper-faithful measurement path):
+Each lane's chain runs the HET pipelines' steps
+(:func:`~repro.sort.het.copy_tasks_in`,
+:func:`~repro.sort.p2p.sort_chunk`,
+:func:`~repro.sort.het.copy_tasks_out`) over the same
+:class:`~repro.sort.het.ChunkTask` plan
+(:func:`~repro.sort.het.chunk_capacity_for` under the *configured*
+buffer count, then :func:`~repro.sort.het.plan_chunks`), so the
+supervised run sorts the chunk layout the plain run would.  What it
+still does differently from :func:`repro.sort.het.het_sort` (which
+stays the paper-faithful measurement path):
 
 * **one** chunk buffer per GPU instead of the 2n/3n double buffering —
   the supervisor needs a quiescent point per batch to checkpoint at,
   which forfeits the copy/compute overlap;
-* chunks are still planned with :func:`chunk_capacity_for` under the
-  *configured* buffer count, so the supervised run sorts the same
-  chunk layout the plain run would;
 * keys only, no eager merging, no GPU-merged groups, and no straggler
   speculation (a straggling chunk chain delays only its lane's batch).
 
@@ -32,8 +37,7 @@ size works, no power-of-two constraint, and nothing is re-fetched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,28 +46,9 @@ from repro.recovery.checkpoint import PhaseCheckpoint
 from repro.recovery.supervisor import PhaseDriver
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.cpu_ops import cpu_multiway_merge
-from repro.runtime.kernels import sort_on_device
-from repro.runtime.memcpy import copy_async, span
-from repro.sort.het import (
-    HetConfig,
-    _plan_chunks,
-    chunk_capacity_for,
-)
-
-
-@dataclass
-class _SupTask:
-    """One chunk: its host source range and staged output run."""
-
-    index: int
-    src_start: int
-    src_stop: int
-    run: np.ndarray
-    flushed: bool = False
-
-    @property
-    def size(self) -> int:
-        return self.src_stop - self.src_start
+from repro.sort.het import (ChunkTask, HetConfig, chunk_capacity_for,
+                            copy_tasks_in, copy_tasks_out, plan_chunks)
+from repro.sort.p2p import Chunk, sort_chunk
 
 
 class HetRun(PhaseDriver):
@@ -80,20 +65,22 @@ class HetRun(PhaseDriver):
 
         machine = self.machine
         devices = [machine.device(i) for i in self.ids]
-        chunk_capacity = chunk_capacity_for(machine, devices, self.config,
-                                            self.dtype, None, self.n)
-        group_sizes = _plan_chunks(self.n, len(self.ids), chunk_capacity)
+        group_sizes, self.chunk_capacity = plan_chunks(
+            self.n, len(self.ids), chunk_capacity_for(
+                machine, devices, self.config, self.dtype, None, self.n))
         self.groups = len(group_sizes)
-        self.tasks: List[_SupTask] = []
+        self.tasks: List[ChunkTask] = []
         offset = 0
-        for sizes in group_sizes:
+        for group, sizes in enumerate(group_sizes):
             for size in sizes:
-                self.tasks.append(_SupTask(
-                    index=len(self.tasks), src_start=offset,
+                self.tasks.append(ChunkTask(
+                    index=len(self.tasks), group=group, src_start=offset,
                     src_stop=offset + size,
                     run=self._take(size, self.dtype)))
                 offset += size
-        self.chunk_capacity = max(task.size for task in self.tasks)
+        #: Indices of the chunks whose DtoH completed: their runs are
+        #: durable, and no replan sorts them again.
+        self.flushed: Set[int] = set()
         self.host_out = machine.host_buffer(
             np.empty(self.n, dtype=self.dtype), numa=host_in.numa)
         self.queue: List[str] = ["Pipeline", "Merge"]
@@ -122,45 +109,44 @@ class HetRun(PhaseDriver):
     def _pipeline(self, group):
         machine = self.machine
         env = machine.env
-        buffers = [self._alloc(machine.device(gpu), self.chunk_capacity,
-                               self.dtype, f"sup-het{gpu}")
-                   for gpu in self.ids]
+        lanes = [Chunk(device, self._alloc(device, self.chunk_capacity,
+                                           self.dtype, f"sup-het{device.id}"),
+                       None)
+                 for device in map(machine.device, self.ids)]
         while True:
-            batch = [task for task in self.tasks if not task.flushed]
-            batch = batch[:len(buffers)]
+            batch = [task for task in self.tasks
+                     if task.index not in self.flushed][:len(lanes)]
             if not batch:
                 break
-            procs = [group.spawn(self._chunk_chain(task, buffers[lane]),
-                                 name=f"chunk{task.index}")
-                     for lane, task in enumerate(batch)]
-            yield env.all_of(procs)
+            yield env.all_of([group.spawn(self._lane(group, lane, task),
+                                          name=f"chunk{task.index}")
+                              for lane, task in zip(lanes, batch)])
             group.check()
-            flushed = tuple(task.run for task in self.tasks
-                            if task.flushed)
             self.sup.note_checkpoint(PhaseCheckpoint(
                 phase="Pipeline", at=env.now, gpu_ids=self.ids,
                 chunk=self.chunk_capacity, kind="runs",
-                payloads=flushed))
-        for buffer in buffers:
-            self._free_quietly(buffer)
+                payloads=tuple(task.run for task in self.tasks
+                               if task.index in self.flushed)))
+        for lane in lanes:
+            self._free_quietly(lane.primary)
 
-    def _chunk_chain(self, task: _SupTask, buffer):
+    def _lane(self, group, lane: Chunk, task: ChunkTask):
+        """One chunk's HtoD → sort → DtoH chain on its lane's buffer."""
         machine = self.machine
-        size = task.size
-        yield from copy_async(
-            machine, span(buffer, 0, size),
-            span(self.host_in, task.src_start, task.src_stop),
-            phase="HtoD")
-        yield from sort_on_device(machine, span(buffer, 0, size),
-                                  primitive=self.config.primitive,
-                                  phase="Sort")
-        run_buffer = HostBuffer(task.run, numa=self.host_in.numa)
-        yield from copy_async(machine, span(run_buffer, 0, size),
-                              span(buffer, 0, size), phase="DtoH")
-        # Only a fully flushed chunk counts: copy_async writes its
+        env = machine.env
+        yield env.all_of(copy_tasks_in(machine, [lane], [task], self.host_in,
+                                       None, group.spawn))
+        group.check()
+        yield from sort_chunk(machine, lane, self.config.primitive,
+                              task.size)
+        yield env.all_of(copy_tasks_out(machine, [lane], [task],
+                                        self.host_in.numa, group.spawn))
+        # Only a fully flushed chunk counts.  A failed copy resolves to
+        # None under its shield, hence the check; copy_async writes its
         # destination at completion, so a chain that died mid-flight
         # leaves the run untouched and unflushed.
-        task.flushed = True
+        group.check()
+        self.flushed.add(task.index)
 
     def _merge(self, group):
         runs = [task.run for task in self.tasks]

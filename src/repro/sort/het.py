@@ -26,24 +26,36 @@ effects emerge from the shared-resource model here.
 Key-value sorting: pass ``values`` to carry one payload per key through
 the pipelines and the CPU merge; payload bytes add to every transfer
 and compute volume.
+
+Every chunk chain, in every pipeline, runs one set of steps: P2P sort's
+:func:`~repro.sort.p2p.copy_in`, :func:`~repro.sort.p2p.sort_chunk` and
+:func:`~repro.sort.p2p.copy_out` over the first ``task.size`` records
+of a :class:`~repro.sort.p2p.Chunk` (:func:`copy_tasks_in` and
+:func:`copy_tasks_out` map a :class:`ChunkTask`'s host ranges onto
+them).  The 2n loop exists once, :func:`_grouped_pipeline`: a per-GPU
+2n pipeline is that loop over one lane, and GPU-merged groups run it
+over all GPUs in lockstep.  The 3n pipeline keeps its own overlap
+structure.  The supervised driver (:mod:`repro.recovery.het_run`)
+runs the same steps over the same :func:`plan_chunks` plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Container, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SortError
 from repro.faults.policy import ResiliencePolicy
-from repro.runtime.buffer import DeviceBuffer, HostBuffer, default_pool
+from repro.runtime.buffer import HostBuffer, default_pool
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
-from repro.runtime.kernels import sort_on_device
-from repro.runtime.memcpy import copy_async, span
+from repro.runtime.memcpy import span
 from repro.runtime.stream import Stream
 from repro.sort.gpu_set import plan_gpu_set
+from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, copy_in, copy_out,
+                            merge_chunks, sort_chunk)
 from repro.sort.result import SortRecord, SortResult, stage_input
 
 
@@ -88,44 +100,30 @@ class HetConfig:
 
 
 @dataclass
-class _ChunkTask:
-    """One chunk's host source range and output staging run."""
+class ChunkTask:
+    """One chunk: its host input range and its sorted output runs."""
 
     index: int
     group: int
     src_start: int
     src_stop: int
-    run: np.ndarray                      # host staging for sorted keys
-    value_run: Optional[np.ndarray]      # host staging for payloads
+    run: np.ndarray                         # host staging for sorted keys
+    value_run: Optional[np.ndarray] = None  # host staging for payloads
 
     @property
     def size(self) -> int:
         return self.src_stop - self.src_start
 
 
-class _PairedBuffers:
-    """A key device buffer plus its optional payload sibling."""
-
-    def __init__(self, device, capacity: int, key_dtype, value_dtype,
-                 label: str):
-        self.keys: DeviceBuffer = device.alloc(capacity, key_dtype,
-                                               label=label)
-        self.values: Optional[DeviceBuffer] = None
-        if value_dtype is not None:
-            self.values = device.alloc(capacity, value_dtype,
-                                       label=f"{label}v")
-
-    def free(self) -> None:
-        self.keys.free()
-        if self.values is not None:
-            self.values.free()
-
-
-def _plan_chunks(n: int, g: int, chunk_capacity: int) -> List[List[int]]:
+def plan_chunks(n: int, g: int,
+                chunk_capacity: int) -> Tuple[List[List[int]], int]:
     """Split ``n`` keys into per-group chunk sizes.
 
-    Every group has ``g`` chunks (the last group may have fewer); all
-    chunks except the final one are ``chunk`` keys.
+    Returns the sizes and the capacity the chunk buffers need.  Every
+    group has ``g`` chunks (the last group may have fewer); all chunks
+    except the final one have the plan's largest size, which is that
+    capacity.  So every group of ``g > 1`` equal chunks fills the
+    buffers exactly.
     """
     if chunk_capacity < 1:
         raise SortError("GPU memory budget too small for any chunk")
@@ -144,12 +142,12 @@ def _plan_chunks(n: int, g: int, chunk_capacity: int) -> List[List[int]]:
             group.append(take)
             remaining -= take
         sizes.append(group)
-    return sizes
+    return sizes, chunk
 
 
 def chunk_capacity_for(machine: Machine, devices, config: HetConfig,
                        dtype, value_dtype, n: int) -> int:
-    """Physical chunk capacity (elements) the HET pipelines use.
+    """Largest chunk (elements) the HET pipelines' buffers may hold.
 
     The memory budget governs the out-of-core streaming chunk size
     (Figure 15a reserves 33 of the A100's 40 GB); in-core data gets one
@@ -170,229 +168,118 @@ def chunk_capacity_for(machine: Machine, devices, config: HetConfig,
     return chunk_capacity
 
 
-def _transfer_in(machine, pair: _PairedBuffers, task: _ChunkTask,
-                 staging: HostBuffer, value_staging: Optional[HostBuffer]):
-    """Processes copying one chunk (keys + payloads) onto the device."""
-    env = machine.env
-    procs = [env.process(copy_async(
-        machine, span(pair.keys, 0, task.size),
-        span(staging, task.src_start, task.src_stop), phase="HtoD"))]
-    if pair.values is not None:
-        procs.append(env.process(copy_async(
-            machine, span(pair.values, 0, task.size),
-            span(value_staging, task.src_start, task.src_stop),
-            phase="HtoD")))
-    return procs
+def copy_tasks_in(machine: Machine, chunks: Sequence[Chunk],
+                  tasks: Sequence[ChunkTask], staging: HostBuffer,
+                  value_staging: Optional[HostBuffer], spawn) -> list:
+    """:func:`~repro.sort.p2p.copy_in` of each task's input range (keys,
+    and payloads with ``value_staging``) onto its chunk, ``chunks[i]``
+    for ``tasks[i]``."""
+    def sources(buffer):
+        return [span(buffer, task.src_start, task.src_stop)
+                if buffer is not None else None for task in tasks]
+    return copy_in(machine, chunks[:len(tasks)], sources(staging), spawn,
+                   sources(value_staging))
 
 
-def _transfer_out(machine, pair: _PairedBuffers, task: _ChunkTask,
-                  numa: int):
-    """Processes copying one sorted chunk back to its host runs."""
-    env = machine.env
-    run_buffer = HostBuffer(task.run, numa=numa)
-    procs = [env.process(copy_async(
-        machine, span(run_buffer, 0, task.size),
-        span(pair.keys, 0, task.size), phase="DtoH"))]
-    if pair.values is not None:
-        value_buffer = HostBuffer(task.value_run, numa=numa)
-        procs.append(env.process(copy_async(
-            machine, span(value_buffer, 0, task.size),
-            span(pair.values, 0, task.size), phase="DtoH")))
-    return procs
+def copy_tasks_out(machine: Machine, chunks: Sequence[Chunk],
+                   tasks: Sequence[ChunkTask], numa: int, spawn) -> list:
+    """:func:`~repro.sort.p2p.copy_out` of each task's chunk,
+    ``chunks[i]`` for ``tasks[i]``, into its host runs on NUMA node
+    ``numa``."""
+    def outputs(runs):
+        return [span(HostBuffer(run, numa=numa)) if run is not None
+                else None for run in runs]
+    return copy_out(machine, chunks[:len(tasks)],
+                    outputs(task.run for task in tasks), spawn,
+                    outputs(task.value_run for task in tasks))
 
 
-def _sort_chunk(machine, pair: _PairedBuffers, task: _ChunkTask,
-                config: HetConfig):
-    return sort_on_device(
-        machine, span(pair.keys, 0, task.size),
-        primitive=config.primitive, phase="Sort",
-        values=span(pair.values, 0, task.size)
-        if pair.values is not None else None)
+def _grouped_pipeline(machine: Machine, devices,
+                      groups: Sequence[Sequence[ChunkTask]],
+                      merged: Container[int], staging: HostBuffer,
+                      value_staging: Optional[HostBuffer], primitive: str,
+                      capacity: int, on_chunk_done):
+    """The 2n pipeline: one lane per device steps through ``groups``.
 
-
-def _pipeline_2n(machine: Machine, device, tasks: List[_ChunkTask],
-                 staging: HostBuffer, value_staging: Optional[HostBuffer],
-                 config: HetConfig, chunk_capacity: int, value_dtype,
-                 on_chunk_done):
-    """Per-GPU 2n pipeline: alternate transfer steps with blocking sorts."""
-    env = machine.env
-    dtype = staging.dtype
-    buffers = [_PairedBuffers(device, chunk_capacity, dtype, value_dtype,
-                              label=f"het{device.id}_{i}")
-               for i in range(2)]
-    previous: Optional[Tuple[_ChunkTask, int]] = None  # (task, buffer idx)
-    for step, task in enumerate(tasks):
-        buf = step % 2
-        copies = _transfer_in(machine, buffers[buf], task, staging,
-                              value_staging)
-        if previous is not None:
-            prev_task, prev_buf = previous
-            copies.extend(_transfer_out(machine, buffers[prev_buf],
-                                        prev_task, staging.numa))
-        yield env.all_of(copies)
-        if previous is not None:
-            on_chunk_done(previous[0])
-        # The sort blocks all copies: the other buffer serves as the
-        # sort's auxiliary memory (Figure 11).
-        yield from _sort_chunk(machine, buffers[buf], task, config)
-        previous = (task, buf)
-    if previous is not None:
-        prev_task, prev_buf = previous
-        yield env.all_of(_transfer_out(machine, buffers[prev_buf],
-                                       prev_task, staging.numa))
-        on_chunk_done(prev_task)
-    for pair in buffers:
-        pair.free()
-
-
-def _pipeline_3n(machine: Machine, device, tasks: List[_ChunkTask],
-                 staging: HostBuffer, value_staging: Optional[HostBuffer],
-                 config: HetConfig, chunk_capacity: int, value_dtype,
-                 on_chunk_done):
-    """Per-GPU 3n pipeline: sorting overlaps the in-place transfer swap.
-
-    Two alternating chunk buffers plus one dedicated auxiliary buffer:
-    while chunk ``i`` sorts in one alternating buffer (aux = the third
-    buffer), the other alternating buffer simultaneously streams chunk
-    ``i-1`` out and chunk ``i+1`` in (Figure 10).
+    Every lane holds one :class:`~repro.sort.p2p.Chunk`, and every group
+    has at most one task per lane.  Each step overlaps the DtoH copies
+    of group ``k-1`` with the HtoD copies of group ``k`` into the other
+    buffer of each chunk; the sorts then block the copies, the other
+    buffer serving as the sort's auxiliary memory (Figure 11).  A group
+    whose index is in ``merged`` (uniform, so it fills the buffers) is
+    P2P-merged on the devices before it returns: the merge phase of the
+    P2P sort, verbatim.  Over one lane this is the per-GPU 2n pipeline.
     """
     env = machine.env
-    dtype = staging.dtype
-    buffers = [_PairedBuffers(device, chunk_capacity, dtype, value_dtype,
-                              label=f"het{device.id}_{i}")
-               for i in range(3)]  # [0], [1] alternate; [2] is the sort aux
-    if tasks:
-        yield env.all_of(_transfer_in(machine, buffers[0], tasks[0],
-                                      staging, value_staging))
-    for step, task in enumerate(tasks):
-        current = step % 2
-        other = (step + 1) % 2
-        ops = [env.process(_sort_chunk(machine, buffers[current], task,
-                                       config))]
-        prev_task = tasks[step - 1] if step >= 1 else None
-        next_task = tasks[step + 1] if step + 1 < len(tasks) else None
-        if prev_task is not None:
-            ops.extend(_transfer_out(machine, buffers[other], prev_task,
-                                     staging.numa))
-        if next_task is not None:
-            ops.extend(_transfer_in(machine, buffers[other], next_task,
-                                    staging, value_staging))
-        yield env.all_of(ops)
-        if prev_task is not None:
-            on_chunk_done(prev_task)
-    if tasks:
-        last = tasks[-1]
-        yield env.all_of(_transfer_out(
-            machine, buffers[(len(tasks) - 1) % 2], last, staging.numa))
-        on_chunk_done(last)
-    for pair in buffers:
-        pair.free()
-
-
-def _grouped_gpu_merge_pipeline(machine: Machine, devices,
-                                group_tasks: List[List[_ChunkTask]],
-                                staging: HostBuffer,
-                                value_staging: Optional[HostBuffer],
-                                config: HetConfig, chunk_capacity: int,
-                                value_dtype, on_group_merged):
-    """Group-synchronous 2n pipeline with an on-GPU P2P merge per group.
-
-    Every step overlaps the outbound copies of the merged group ``k-1``
-    with the inbound copies of group ``k``; the sorts and the P2P merge
-    stage run between the transfer steps (2n semantics: compute blocks
-    copies).  Uniform groups come back as one sorted run; a ragged last
-    group skips the GPU merge and returns per-chunk runs.
-    """
-    from repro.sort.p2p import Chunk, P2PConfig, P2PStats, merge_chunks
-
-    env = machine.env
-    chunks = [Chunk.alloc(device, chunk_capacity, staging.dtype, value_dtype)
+    spawn = env.process
+    value_dtype = value_staging.dtype if value_staging is not None else None
+    chunks = [Chunk.alloc(device, capacity, staging.dtype, value_dtype)
               for device in devices]
-
-    merge_config = P2PConfig(primitive=config.primitive)
-
-    def transfers_out(group: List[_ChunkTask]):
-        procs = []
-        for task, chunk in zip(group, chunks):
-            run_buffer = HostBuffer(task.run, numa=staging.numa)
-            procs.append(env.process(copy_async(
-                machine, span(run_buffer, 0, task.size),
-                span(chunk.primary, 0, task.size), phase="DtoH")))
-            if chunk.has_values:
-                value_buffer = HostBuffer(task.value_run,
-                                          numa=staging.numa)
-                procs.append(env.process(copy_async(
-                    machine, span(value_buffer, 0, task.size),
-                    span(chunk.value_primary, 0, task.size),
-                    phase="DtoH")))
-        return procs
-
-    def transfers_in(group: List[_ChunkTask]):
-        procs = []
-        for task, chunk in zip(group, chunks):
-            procs.append(env.process(copy_async(
-                machine, span(chunk.aux, 0, task.size),
-                span(staging, task.src_start, task.src_stop),
-                phase="HtoD")))
-            if chunk.has_values:
-                procs.append(env.process(copy_async(
-                    machine, span(chunk.value_aux, 0, task.size),
-                    span(value_staging, task.src_start, task.src_stop),
-                    phase="HtoD")))
-        return procs
-
-    previous: Optional[List[_ChunkTask]] = None
-    for group in group_tasks:
-        copies = transfers_in(group)
-        if previous is not None:
-            copies.extend(transfers_out(previous))
-        yield env.all_of(copies)
-        if previous is not None:
-            on_group_merged(previous)
-        # The fresh group sits in the aux buffers: make them primary.
-        for chunk in chunks[:len(group)]:
+    merge_config = P2PConfig(primitive=primitive)
+    previous: Sequence[ChunkTask] = ()
+    for group in groups:
+        lanes = chunks[:len(group)]
+        copies = copy_tasks_out(machine, chunks, previous, staging.numa,
+                                spawn)
+        for chunk in lanes:
             chunk.flip_buffers()
-        sorts = [env.process(sort_on_device(
-            machine, span(chunk.primary, 0, task.size),
-            primitive=config.primitive, phase="Sort",
-            values=span(chunk.value_primary, 0, task.size)
-            if chunk.has_values else None))
-            for task, chunk in zip(group, chunks)]
-        yield env.all_of(sorts)
-        uniform = (len(group) == len(chunks)
-                   and len({task.size for task in group}) == 1)
-        if uniform and len(chunks) > 1:
-            # The P2P merge phase of the merge-based sort, verbatim,
-            # over fixed-size windows of the pipeline buffers (groups
-            # may be smaller than the allocated capacity).
-            size = group[0].size
-            backing = {}
-
-            def window(buffer: DeviceBuffer) -> DeviceBuffer:
-                view = DeviceBuffer(buffer.device, buffer.data[:size])
-                backing[id(view)] = buffer
-                return view
-
-            group_chunks = [
-                Chunk(chunk.device, window(chunk.primary),
-                      window(chunk.aux),
-                      window(chunk.value_primary)
-                      if chunk.has_values else None,
-                      window(chunk.value_aux)
-                      if chunk.has_values else None)
-                for chunk in chunks]
-            yield from merge_chunks(machine, group_chunks, merge_config,
+        copies += copy_tasks_in(machine, lanes, group, staging,
+                                value_staging, spawn)
+        yield env.all_of(copies)
+        for task in previous:
+            on_chunk_done(task)
+        yield env.all_of([spawn(sort_chunk(machine, chunk, primitive,
+                                           task.size))
+                          for task, chunk in zip(group, lanes)])
+        if group[0].group in merged:
+            yield from merge_chunks(machine, chunks, merge_config,
                                     P2PStats())
-            # Propagate any buffer flips back to the real chunks.
-            for real, view in zip(chunks, group_chunks):
-                if backing[id(view.primary)] is real.aux:
-                    real.flip_buffers()
         previous = group
-    if previous is not None:
-        yield env.all_of(transfers_out(previous))
-        on_group_merged(previous)
+    yield env.all_of(copy_tasks_out(machine, chunks, previous, staging.numa,
+                                    spawn))
+    for task in previous:
+        on_chunk_done(task)
     for chunk in chunks:
         chunk.free()
+
+
+def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
+                 staging: HostBuffer, value_staging: Optional[HostBuffer],
+                 primitive: str, capacity: int, on_chunk_done):
+    """Per-GPU 3n pipeline: sorting overlaps the in-place transfer swap.
+
+    A :class:`~repro.sort.p2p.Chunk`'s two buffers alternate, and a
+    third allocation is the sort's auxiliary memory: while chunk ``i``
+    sorts in the primary buffer, the other one streams chunk ``i-1``
+    out and chunk ``i+1`` in (Figure 10).
+    """
+    env = machine.env
+    spawn = env.process
+    dtypes = [staging.dtype]
+    if value_staging is not None:
+        dtypes.append(value_staging.dtype)
+    chunk = Chunk.alloc(device, capacity, *dtypes)
+    sort_aux = [device.alloc(capacity, dtype, label=f"saux{device.id}")
+                for dtype in dtypes]
+    yield env.all_of(copy_tasks_in(machine, [chunk], tasks[:1], staging,
+                                   value_staging, spawn))
+    for step, task in enumerate(tasks):
+        ops = [spawn(sort_chunk(machine, chunk, primitive, task.size))]
+        chunk.flip_buffers()
+        ops += copy_tasks_out(machine, [chunk], tasks[step - 1:step],
+                              staging.numa, spawn)
+        ops += copy_tasks_in(machine, [chunk], tasks[step + 1:step + 2],
+                             staging, value_staging, spawn)
+        yield env.all_of(ops)
+        for done in tasks[step - 1:step]:
+            on_chunk_done(done)
+    chunk.flip_buffers()
+    yield env.all_of(copy_tasks_out(machine, [chunk], tasks[-1:],
+                                    staging.numa, spawn))
+    on_chunk_done(tasks[-1])
+    chunk.free()
+    for buffer in sort_aux:
+        buffer.free()
 
 
 def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -438,10 +325,13 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     dtype = host_in.dtype
 
     devices = [machine.device(i) for i in ids]
-    chunk_capacity = chunk_capacity_for(machine, devices, config, dtype,
-                                        value_dtype, n)
-    group_sizes = _plan_chunks(n, g, chunk_capacity)
+    group_sizes, capacity = plan_chunks(n, g, chunk_capacity_for(
+        machine, devices, config, dtype, value_dtype, n))
     groups = len(group_sizes)
+    # GPU-merged groups: every uniform group, whose chunks fill the
+    # buffers exactly (plan_chunks), comes back as one sorted run.
+    merged = {index for index, sizes in enumerate(group_sizes)
+              if config.gpu_merge_groups and sizes == [capacity] * g}
 
     host_out = machine.host_buffer(np.empty(n, dtype=dtype),
                                    numa=host_in.numa)
@@ -450,146 +340,107 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         values_out = machine.host_buffer(np.empty(n, dtype=value_dtype),
                                          numa=host_in.numa)
 
-    def is_uniform(sizes: List[int]) -> bool:
-        return len(sizes) == g and len(set(sizes)) == 1
-
-    # Build the task list: chunk j of group i reads a contiguous input
-    # range and owns one staging run on the host.  A degenerate run
-    # count of one (single GPU, in-core) needs no merge at all — the
-    # paper's 1-GPU baseline is plain Thrust without a merge phase — so
-    # that run stages directly into the output buffer.  With GPU-merged
-    # groups, a uniform group's task runs are slices of one contiguous
-    # group array: the group comes back as a single sorted run.
-    single_run = sum(len(sizes) for sizes in group_sizes) == 1
-    tasks: List[_ChunkTask] = []
-    group_runs: dict = {}
     # Every staging run (per-chunk, per-group, eager-merged) is dead
     # once the final merge lands in host_out, so they all come from the
     # workspace pool and go back after the run.
     borrowed: List[np.ndarray] = []
 
-    def staging_array(size: int, array_dtype) -> np.ndarray:
-        array = default_pool.take(size, array_dtype)
-        borrowed.append(array)
-        return array
+    def staging_array(size: int, array_dtype) -> Optional[np.ndarray]:
+        if array_dtype is None:
+            return None
+        borrowed.append(default_pool.take(size, array_dtype))
+        return borrowed[-1]
 
+    def staging_runs(size: int):
+        return staging_array(size, dtype), staging_array(size, value_dtype)
+
+    # Chunk j of group i reads a contiguous input range and owns one
+    # host staging run; a GPU-merged group's runs are slices of the one
+    # group run.  ``group_runs`` holds the one run of every GPU-merged
+    # or eager-merged group.
+    tasks: List[ChunkTask] = []
+    by_group: List[List[ChunkTask]] = []
+    group_runs: dict = {}
     offset = 0
-    for group_index, sizes in enumerate(group_sizes):
-        merged_group = (config.gpu_merge_groups and g > 1
-                        and is_uniform(sizes) and not single_run)
-        if merged_group:
-            total = sum(sizes)
-            group_keys = staging_array(total, dtype)
-            group_values = (staging_array(total, value_dtype)
-                            if value_dtype is not None else None)
-            group_runs[group_index] = (group_keys, group_values)
+    for index, sizes in enumerate(group_sizes):
+        if index in merged:
+            group_runs[index] = staging_runs(sum(sizes))
+        by_group.append([])
         for j, size in enumerate(sizes):
-            if single_run:
-                run = host_out.data
-                value_run = values_out.data if values_out is not None \
-                    else None
-            elif merged_group:
-                run = group_keys[j * size:(j + 1) * size]
-                value_run = (group_values[j * size:(j + 1) * size]
-                             if group_values is not None else None)
+            if index in merged:
+                run, value_run = (array[j * size:(j + 1) * size]
+                                  if array is not None else None
+                                  for array in group_runs[index])
             else:
-                run = staging_array(size, dtype)
-                value_run = (staging_array(size, value_dtype)
-                             if value_dtype is not None else None)
-            tasks.append(_ChunkTask(
-                index=len(tasks), group=group_index,
-                src_start=offset, src_stop=offset + size, run=run,
-                value_run=value_run))
+                run, value_run = staging_runs(size)
+            tasks.append(ChunkTask(
+                index=len(tasks), group=index, src_start=offset,
+                src_stop=offset + size, run=run, value_run=value_run))
+            by_group[-1].append(tasks[-1])
             offset += size
-    chunk_capacity = max(task.size for task in tasks)
-
-    per_gpu: List[List[_ChunkTask]] = [[] for _ in range(g)]
-    for task_index, task in enumerate(tasks):
-        per_gpu[task_index % g].append(task)
-
-    pipeline = _pipeline_2n if config.approach == "2n" else _pipeline_3n
 
     # Eager merging: once a whole group's chunks are back in host
     # memory, merge them on the CPU (serialized on one merge stream)
     # while the GPUs continue — except the last group (Section 5.3).
     group_remaining = [len(sizes) for sizes in group_sizes]
-    eager_results: dict = {}
     cpu_stream = Stream(machine, name="cpu-merge")
 
-    def on_chunk_done(task: _ChunkTask) -> None:
+    def on_chunk_done(task: ChunkTask) -> None:
         group_remaining[task.group] -= 1
         if (config.eager_merge and group_remaining[task.group] == 0
-                and groups > 1 and task.group < groups - 1):
-            group_tasks = [t for t in tasks if t.group == task.group]
-            total = sum(t.size for t in group_tasks)
-            merged = staging_array(total, dtype)
-            merged_values = (staging_array(total, value_dtype)
-                             if value_dtype is not None else None)
-            eager_results[task.group] = (merged, merged_values)
+                and task.group < groups - 1):
+            group = by_group[task.group]
+            merged_keys, merged_values = group_runs[task.group] = \
+                staging_runs(sum(t.size for t in group))
             cpu_stream.submit(cpu_multiway_merge(
-                machine, merged, [t.run for t in group_tasks],
+                machine, merged_keys, [t.run for t in group],
                 numa=host_in.numa, phase="Merge",
                 values_out=merged_values,
-                value_runs=[t.value_run for t in group_tasks]
+                value_runs=[t.value_run for t in group]
                 if value_dtype is not None else None))
+
+    def per_gpu_pipeline(device, lane_tasks: List[ChunkTask]):
+        if config.approach == "3n":
+            return _pipeline_3n(machine, device, lane_tasks, host_in,
+                                value_staging, config.primitive, capacity,
+                                on_chunk_done)
+        return _grouped_pipeline(machine, [device],
+                                 [[task] for task in lane_tasks], (),
+                                 host_in, value_staging, config.primitive,
+                                 capacity, on_chunk_done)
 
     def run():
         env = machine.env
-        if config.gpu_merge_groups and g > 1 and not single_run:
-            group_task_lists = [
-                [task for task in tasks if task.group == group_index]
-                for group_index in range(groups)]
-
-            def on_group_merged(group: List[_ChunkTask]) -> None:
-                for task in group:
-                    on_chunk_done(task)
-
-            yield from _grouped_gpu_merge_pipeline(
-                machine, devices, group_task_lists, host_in,
-                value_staging, config, chunk_capacity, value_dtype,
-                on_group_merged)
+        if config.gpu_merge_groups:
+            # The GPUs step through the groups in lockstep.
+            yield from _grouped_pipeline(
+                machine, devices, by_group, merged, host_in, value_staging,
+                config.primitive, capacity, on_chunk_done)
         else:
-            pipes = [env.process(pipeline(
-                machine, devices[slot], per_gpu[slot], host_in,
-                value_staging, config, chunk_capacity, value_dtype,
-                on_chunk_done))
-                for slot in range(g) if per_gpu[slot]]
-            yield env.all_of(pipes)
+            yield env.all_of([
+                env.process(per_gpu_pipeline(devices[slot], tasks[slot::g]))
+                for slot in range(min(g, len(tasks)))])
         yield cpu_stream.synchronize()
-        if single_run:
-            return
-        final_runs: List[np.ndarray] = []
-        final_value_runs: List[np.ndarray] = []
-        for group_index in range(groups):
-            if group_index in eager_results:
-                merged, merged_values = eager_results[group_index]
-                final_runs.append(merged)
-                if merged_values is not None:
-                    final_value_runs.append(merged_values)
-            elif group_index in group_runs:
-                group_keys, group_values = group_runs[group_index]
-                final_runs.append(group_keys)
-                if group_values is not None:
-                    final_value_runs.append(group_values)
-            else:
-                for task in tasks:
-                    if task.group == group_index:
-                        final_runs.append(task.run)
-                        if task.value_run is not None:
-                            final_value_runs.append(task.value_run)
-        if len(final_runs) == 1:
-            # A single GPU-merged group IS the sorted output; the
-            # slices already point into host memory.
-            host_out.data[:] = final_runs[0]
+        # The final merge's runs: one per eager- or GPU-merged group,
+        # one per chunk of any other group.
+        runs = []
+        for index, group in enumerate(by_group):
+            runs.extend([group_runs[index]] if index in group_runs
+                        else [(task.run, task.value_run) for task in group])
+        if len(runs) == 1:
+            # One run (a single GPU-merged group, or one chunk on one
+            # GPU: the paper's 1-GPU baseline is plain Thrust without a
+            # merge phase) IS the sorted output.
+            host_out.data[:] = runs[0][0]
             if values_out is not None:
-                values_out.data[:] = final_value_runs[0]
+                values_out.data[:] = runs[0][1]
             return
         yield from cpu_multiway_merge(
-            machine, host_out.data, final_runs, numa=host_in.numa,
-            phase="Merge",
+            machine, host_out.data, [keys for keys, _ in runs],
+            numa=host_in.numa, phase="Merge",
             values_out=values_out.data if values_out is not None else None,
-            value_runs=final_value_runs if value_dtype is not None
-            else None)
+            value_runs=[payloads for _, payloads in runs]
+            if value_dtype is not None else None)
 
     try:
         with SortRecord(machine, "HetSort", host_in) as record:

@@ -80,9 +80,15 @@ class P2PStats:
 
 
 class Chunk:
-    """One GPU's chunk: primary/auxiliary key buffers, optional payloads."""
+    """One GPU's chunk: primary/auxiliary key buffers, optional payloads.
 
-    def __init__(self, device, primary: DeviceBuffer, aux: DeviceBuffer,
+    The pipeline steps (:func:`copy_in`, :func:`sort_chunk`,
+    :func:`copy_out`) touch only the primary buffers, so a chunk that is
+    only copied and sorted (a supervised HET lane) may have no ``aux``.
+    """
+
+    def __init__(self, device, primary: DeviceBuffer,
+                 aux: Optional[DeviceBuffer],
                  value_primary: Optional[DeviceBuffer] = None,
                  value_aux: Optional[DeviceBuffer] = None):
         self.device = device
@@ -309,7 +315,7 @@ def _pad(keys: np.ndarray, n: int,
         values[n:] = values[top:top + 1]
 
 
-# -- the steps of the pipeline, shared by every P2P runner --------------------
+# -- the steps of the pipeline, shared by every P2P and HET runner ------------
 def merge_stages(g: int) -> int:
     """Sequential merge-stage depth of ``g`` chunks: pairwise stages
     surround each higher-level global stage (3 for four GPUs, Figure 9)."""
@@ -367,24 +373,32 @@ def copy_in(machine: Machine, chunks: Sequence[Chunk],
             sources: Sequence[Span], spawn,
             value_sources: Optional[Sequence[Span]] = None) -> list:
     """Spawn chunk ``i``'s HtoD copies from ``sources[i]`` (and
-    ``value_sources[i]``); returns the processes."""
-    return [spawn(copy_async(machine, span(buffer), source, phase="HtoD"))
+    ``value_sources[i]``) into the first ``len(sources[i])`` records of
+    its buffers; returns the processes."""
+    return [spawn(copy_async(machine, span(buffer, 0, len(source)), source,
+                             phase="HtoD"))
             for buffer, source in _legs(chunks, sources, value_sources)]
 
 
-def sort_chunk(machine: Machine, chunk: Chunk, primitive: str):
-    """Process: sort one chunk (and its payloads) on its GPU."""
+def sort_chunk(machine: Machine, chunk: Chunk, primitive: str,
+               size: Optional[int] = None):
+    """Process: sort the first ``size`` records (default: all) of one
+    chunk (and its payloads) on its GPU."""
     return sort_on_device(
-        machine, span(chunk.primary), primitive=primitive, phase="Sort",
-        values=span(chunk.value_primary) if chunk.has_values else None)
+        machine, span(chunk.primary, 0, size), primitive=primitive,
+        phase="Sort",
+        values=span(chunk.value_primary, 0, size) if chunk.has_values
+        else None)
 
 
 def copy_out(machine: Machine, chunks: Sequence[Chunk],
              outputs: Sequence[Span], spawn,
              value_outputs: Optional[Sequence[Span]] = None) -> list:
-    """Spawn chunk ``i``'s DtoH copies into ``outputs[i]`` (and
-    ``value_outputs[i]``); returns the processes."""
-    return [spawn(copy_async(machine, output, span(buffer), phase="DtoH"))
+    """Spawn chunk ``i``'s DtoH copies of its first ``len(outputs[i])``
+    records into ``outputs[i]`` (and ``value_outputs[i]``); returns the
+    processes."""
+    return [spawn(copy_async(machine, output, span(buffer, 0, len(output)),
+                             phase="DtoH"))
             for buffer, output in _legs(chunks, outputs, value_outputs)]
 
 

@@ -8,13 +8,16 @@ intended phases if calibration shifts.
 import numpy as np
 import pytest
 
-from repro.errors import SortError
+from repro.errors import DeviceFaultError, SortError
 from repro.faults.events import GpuFail, StragglerGpu
 from repro.faults.plan import FaultPlan
 from repro.hw import dgx_a100
 from repro.recovery import SortSupervisor, SupervisorConfig
+from repro.recovery.het_run import HetRun
+from repro.recovery.tasks import TaskGroup
 from repro.runtime import Machine
 from repro.sort import P2PConfig, p2p_sort
+from repro.sort.result import stage_input
 
 N = 32_000
 SCALE = 2.0e9 / N
@@ -128,6 +131,32 @@ class TestReplanning:
         assert np.array_equal(result.output, np.sort(_data()))
         assert result.replans >= 1
         assert 2 not in result.gpu_ids
+
+    def test_het_flushes_only_chunks_whose_dtoh_completed(self):
+        # Out of core, one chunk per GPU per batch.  GPU 2 dies halfway
+        # through its second DtoH: the first batch is on the host, the
+        # second batch's chains died in flight and stay unflushed.
+        scale = 512e9 / N
+        clean = Machine(dgx_a100(), scale=scale)
+        SortSupervisor(clean).sort(_data(), algorithm="het")
+        second = [span for span in clean.trace.spans
+                  if span.phase == "DtoH" and span.actor == "gpu2"][1]
+        machine = Machine(dgx_a100(), scale=scale)
+        machine.install_faults(FaultPlan(events=(GpuFail(
+            at=(second.start + second.end) / 2, gpu=2),)))
+        host_in, _ = stage_input(machine, _data())
+        driver = HetRun(SortSupervisor(machine), host_in, tuple(range(8)))
+        group = TaskGroup(machine.env, name="Pipeline")
+        try:
+            with pytest.raises(DeviceFaultError):
+                machine.env.run(until=machine.env.process(
+                    group.supervise(driver.body("Pipeline")(group))))
+            assert driver.flushed == set(range(8))
+            for task in driver.tasks[:8]:
+                assert np.array_equal(task.run, np.sort(
+                    _data()[task.src_start:task.src_stop]))
+        finally:
+            driver.cleanup()
 
     def test_early_kill_replans_from_scratch(self, clean_p2p):
         at = 0.1 * clean_p2p.duration  # partition phase

@@ -10,6 +10,7 @@ from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.sort import HetConfig, het_sort
+from repro.sort.het import plan_chunks
 
 
 def out_of_core_machine(scale=3_000_000):
@@ -110,6 +111,29 @@ class TestOutOfCore:
         data = rng.integers(0, 1000, size=50_001).astype(np.int32)
         result = het_sort(machine, data, gpu_ids=(0, 1, 2))
         assert np.array_equal(result.output, np.sort(data))
+
+
+class TestChunkPlan:
+    def test_uniform_groups_fill_the_buffers(self):
+        # Every group of g > 1 equal chunks has the plan's largest size,
+        # the buffer capacity plan_chunks returns; so a GPU-merged group
+        # fills the chunk buffers and merge_chunks runs on them as they
+        # are.
+        uniform = 0
+        for n in range(1, 401):
+            for g in (1, 2, 4, 8):
+                for cap in range(1, 60):
+                    groups, capacity = plan_chunks(n, g, cap)
+                    sizes = [size for group in groups for size in group]
+                    assert sum(sizes) == n
+                    assert set(sizes[:-1]) <= {capacity} and 0 < sizes[-1]
+                    assert capacity == max(sizes) <= cap
+                    assert all(len(group) <= g for group in groups)
+                    for group in groups:
+                        if len(group) == g > 1 and len(set(group)) == 1:
+                            assert group[0] == capacity, (n, g, cap)
+                            uniform += 1
+        assert uniform > 100_000
 
 
 class TestValidation:

@@ -10,7 +10,7 @@ copy oracle: each copy must land its source bytes as of issue time.
 import numpy as np
 import pytest
 
-from repro.sort.het import chunk_capacity_for
+from repro.sort.het import chunk_capacity_for, plan_chunks
 from tests.sort.input_fuzzer import (
     OUT_OF_CORE_GROUPS,
     SORTS,
@@ -59,8 +59,8 @@ def test_out_of_core_seeds_stream_chunk_groups():
             case.keys.dtype,
             None if case.values is None else case.values.dtype,
             case.keys.size)
-        groups = -(-case.keys.size // (capacity * len(gpu_ids)))
-        assert groups >= OUT_OF_CORE_GROUPS, describe_case(case)
+        groups, _ = plan_chunks(case.keys.size, len(gpu_ids), capacity)
+        assert len(groups) >= OUT_OF_CORE_GROUPS, describe_case(case)
 
 
 def test_seeds_cover_every_sort_dtype_and_payload():
