@@ -271,8 +271,8 @@ def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
         ops += copy_tasks_in(machine, [chunk], tasks[step + 1:step + 2],
                              staging, value_staging, spawn)
         yield env.all_of(ops)
-        for done in tasks[step - 1:step]:
-            on_chunk_done(done)
+        if step:
+            on_chunk_done(tasks[step - 1])
     chunk.flip_buffers()
     yield env.all_of(copy_tasks_out(machine, [chunk], tasks[-1:],
                                     staging.numa, spawn))
