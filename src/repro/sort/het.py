@@ -178,7 +178,7 @@ def copy_tasks_in(machine: Machine, chunks: Sequence[Chunk],
         return [span(buffer, task.src_start, task.src_stop)
                 if buffer is not None else None for task in tasks]
     return copy_in(machine, chunks[:len(tasks)], sources(staging), spawn,
-                   sources(value_staging))
+                   sources(value_staging), [task.size for task in tasks])
 
 
 def copy_tasks_out(machine: Machine, chunks: Sequence[Chunk],
@@ -191,7 +191,8 @@ def copy_tasks_out(machine: Machine, chunks: Sequence[Chunk],
                 else None for run in runs]
     return copy_out(machine, chunks[:len(tasks)],
                     outputs(task.run for task in tasks), spawn,
-                    outputs(task.value_run for task in tasks))
+                    outputs(task.value_run for task in tasks),
+                    [task.size for task in tasks])
 
 
 def _grouped_pipeline(machine: Machine, devices,
@@ -209,38 +210,43 @@ def _grouped_pipeline(machine: Machine, devices,
     whose index is in ``merged`` (uniform, so it fills the buffers) is
     P2P-merged on the devices before it returns: the merge phase of the
     P2P sort, verbatim.  Over one lane this is the per-GPU 2n pipeline.
+    The device buffers are freed on every exit.
     """
     env = machine.env
     spawn = env.process
     value_dtype = value_staging.dtype if value_staging is not None else None
-    chunks = [Chunk.alloc(device, capacity, staging.dtype, value_dtype)
-              for device in devices]
     merge_config = P2PConfig(primitive=primitive)
-    previous: Sequence[ChunkTask] = ()
-    for group in groups:
-        lanes = chunks[:len(group)]
-        copies = copy_tasks_out(machine, chunks, previous, staging.numa,
-                                spawn)
-        for chunk in lanes:
-            chunk.flip_buffers()
-        copies += copy_tasks_in(machine, lanes, group, staging,
-                                value_staging, spawn)
-        yield env.all_of(copies)
+    chunks: List[Chunk] = []
+    try:
+        for device in devices:
+            chunks.append(Chunk.alloc(device, capacity, staging.dtype,
+                                      value_dtype))
+        previous: Sequence[ChunkTask] = ()
+        for group in groups:
+            lanes = chunks[:len(group)]
+            copies = copy_tasks_out(machine, chunks, previous, staging.numa,
+                                    spawn)
+            for chunk in lanes:
+                chunk.flip_buffers()
+            copies += copy_tasks_in(machine, lanes, group, staging,
+                                    value_staging, spawn)
+            yield env.all_of(copies)
+            for task in previous:
+                on_chunk_done(task)
+            yield env.all_of([spawn(sort_chunk(machine, chunk, primitive,
+                                               task.size))
+                              for task, chunk in zip(group, lanes)])
+            if group[0].group in merged:
+                yield from merge_chunks(machine, chunks, merge_config,
+                                        P2PStats())
+            previous = group
+        yield env.all_of(copy_tasks_out(machine, chunks, previous,
+                                        staging.numa, spawn))
         for task in previous:
             on_chunk_done(task)
-        yield env.all_of([spawn(sort_chunk(machine, chunk, primitive,
-                                           task.size))
-                          for task, chunk in zip(group, lanes)])
-        if group[0].group in merged:
-            yield from merge_chunks(machine, chunks, merge_config,
-                                    P2PStats())
-        previous = group
-    yield env.all_of(copy_tasks_out(machine, chunks, previous, staging.numa,
-                                    spawn))
-    for task in previous:
-        on_chunk_done(task)
-    for chunk in chunks:
-        chunk.free()
+    finally:
+        for chunk in chunks:
+            chunk.free()
 
 
 def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
@@ -251,7 +257,8 @@ def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
     A :class:`~repro.sort.p2p.Chunk`'s two buffers alternate, and a
     third allocation is the sort's auxiliary memory: while chunk ``i``
     sorts in the primary buffer, the other one streams chunk ``i-1``
-    out and chunk ``i+1`` in (Figure 10).
+    out and chunk ``i+1`` in (Figure 10).  The device buffers are freed
+    on every exit.
     """
     env = machine.env
     spawn = env.process
@@ -259,27 +266,31 @@ def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
     if value_staging is not None:
         dtypes.append(value_staging.dtype)
     chunk = Chunk.alloc(device, capacity, *dtypes)
-    sort_aux = [device.alloc(capacity, dtype, label=f"saux{device.id}")
-                for dtype in dtypes]
-    yield env.all_of(copy_tasks_in(machine, [chunk], tasks[:1], staging,
-                                   value_staging, spawn))
-    for step, task in enumerate(tasks):
-        ops = [spawn(sort_chunk(machine, chunk, primitive, task.size))]
+    sort_aux = []
+    try:
+        for dtype in dtypes:
+            sort_aux.append(device.alloc(capacity, dtype,
+                                         label=f"saux{device.id}"))
+        yield env.all_of(copy_tasks_in(machine, [chunk], tasks[:1], staging,
+                                       value_staging, spawn))
+        for step, task in enumerate(tasks):
+            ops = [spawn(sort_chunk(machine, chunk, primitive, task.size))]
+            chunk.flip_buffers()
+            ops += copy_tasks_out(machine, [chunk], tasks[step - 1:step],
+                                  staging.numa, spawn)
+            ops += copy_tasks_in(machine, [chunk], tasks[step + 1:step + 2],
+                                 staging, value_staging, spawn)
+            yield env.all_of(ops)
+            if step:
+                on_chunk_done(tasks[step - 1])
         chunk.flip_buffers()
-        ops += copy_tasks_out(machine, [chunk], tasks[step - 1:step],
-                              staging.numa, spawn)
-        ops += copy_tasks_in(machine, [chunk], tasks[step + 1:step + 2],
-                             staging, value_staging, spawn)
-        yield env.all_of(ops)
-        if step:
-            on_chunk_done(tasks[step - 1])
-    chunk.flip_buffers()
-    yield env.all_of(copy_tasks_out(machine, [chunk], tasks[-1:],
-                                    staging.numa, spawn))
-    on_chunk_done(tasks[-1])
-    chunk.free()
-    for buffer in sort_aux:
-        buffer.free()
+        yield env.all_of(copy_tasks_out(machine, [chunk], tasks[-1:],
+                                        staging.numa, spawn))
+        on_chunk_done(tasks[-1])
+    finally:
+        chunk.free()
+        for buffer in sort_aux:
+            buffer.free()
 
 
 def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -331,7 +342,14 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     # GPU-merged groups: every uniform group, whose chunks fill the
     # buffers exactly (plan_chunks), comes back as one sorted run.
     merged = {index for index, sizes in enumerate(group_sizes)
-              if config.gpu_merge_groups and sizes == [capacity] * g}
+              if config.gpu_merge_groups and g > 1
+              and sizes == [capacity] * g}
+    # A plan that comes back as one run (one chunk, or one GPU-merged
+    # group) needs no final merge — the paper's 1-GPU baseline is plain
+    # Thrust without a merge phase — so that run stages straight into
+    # the output.
+    one_run = len(group_sizes) == 1 and (len(group_sizes[0]) == 1
+                                         or 0 in merged)
 
     host_out = machine.host_buffer(np.empty(n, dtype=dtype),
                                    numa=host_in.numa)
@@ -354,6 +372,9 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     def staging_runs(size: int):
         return staging_array(size, dtype), staging_array(size, value_dtype)
 
+    output_runs = (host_out.data,
+                   values_out.data if values_out is not None else None)
+
     # Chunk j of group i reads a contiguous input range and owns one
     # host staging run; a GPU-merged group's runs are slices of the one
     # group run.  ``group_runs`` holds the one run of every GPU-merged
@@ -364,7 +385,8 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     offset = 0
     for index, sizes in enumerate(group_sizes):
         if index in merged:
-            group_runs[index] = staging_runs(sum(sizes))
+            group_runs[index] = (output_runs if one_run
+                                 else staging_runs(sum(sizes)))
         by_group.append([])
         for j, size in enumerate(sizes):
             if index in merged:
@@ -372,7 +394,7 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                                   if array is not None else None
                                   for array in group_runs[index])
             else:
-                run, value_run = staging_runs(size)
+                run, value_run = output_runs if one_run else staging_runs(size)
             tasks.append(ChunkTask(
                 index=len(tasks), group=index, src_start=offset,
                 src_stop=offset + size, run=run, value_run=value_run))
@@ -421,20 +443,14 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
                 env.process(per_gpu_pipeline(devices[slot], tasks[slot::g]))
                 for slot in range(min(g, len(tasks)))])
         yield cpu_stream.synchronize()
+        if one_run:
+            return
         # The final merge's runs: one per eager- or GPU-merged group,
         # one per chunk of any other group.
         runs = []
         for index, group in enumerate(by_group):
             runs.extend([group_runs[index]] if index in group_runs
                         else [(task.run, task.value_run) for task in group])
-        if len(runs) == 1:
-            # One run (a single GPU-merged group, or one chunk on one
-            # GPU: the paper's 1-GPU baseline is plain Thrust without a
-            # merge phase) IS the sorted output.
-            host_out.data[:] = runs[0][0]
-            if values_out is not None:
-                values_out.data[:] = runs[0][1]
-            return
         yield from cpu_multiway_merge(
             machine, host_out.data, [keys for keys, _ in runs],
             numa=host_in.numa, phase="Merge",

@@ -84,7 +84,8 @@ class Chunk:
 
     The pipeline steps (:func:`copy_in`, :func:`sort_chunk`,
     :func:`copy_out`) touch only the primary buffers, so a chunk that is
-    only copied and sorted (a supervised HET lane) may have no ``aux``.
+    only copied and sorted, never flipped (a supervised HET lane), may
+    have no ``aux``.
     """
 
     def __init__(self, device, primary: DeviceBuffer,
@@ -132,11 +133,9 @@ class Chunk:
 
     def free(self) -> None:
         """Free every buffer not yet released."""
-        buffers = [self.primary, self.aux]
-        if self.has_values:
-            buffers += [self.value_primary, self.value_aux]
-        for buffer in buffers:
-            if not buffer.released:
+        for buffer in (self.primary, self.aux, self.value_primary,
+                       self.value_aux):
+            if buffer is not None and not buffer.released:
                 buffer.free()
 
 
@@ -361,23 +360,28 @@ def padded_staging(machine: Machine, keys: np.ndarray, size: int, numa: int,
 
 
 def _legs(chunks: Sequence[Chunk], spans: Sequence[Span],
-          value_spans: Optional[Sequence[Span]]):
-    """``(device buffer, host span)`` of every chunk, keys then payloads."""
+          value_spans: Optional[Sequence[Span]],
+          sizes: Optional[Sequence[int]]):
+    """``(device span, host span)`` of every chunk, keys then payloads;
+    chunk ``i``'s device span is its first ``sizes[i]`` records
+    (default: the whole buffer)."""
     for i, c in enumerate(chunks):
-        yield c.primary, spans[i]
+        size = sizes[i] if sizes is not None else None
+        yield span(c.primary, 0, size), spans[i]
         if c.has_values:
-            yield c.value_primary, value_spans[i]
+            yield span(c.value_primary, 0, size), value_spans[i]
 
 
 def copy_in(machine: Machine, chunks: Sequence[Chunk],
             sources: Sequence[Span], spawn,
-            value_sources: Optional[Sequence[Span]] = None) -> list:
+            value_sources: Optional[Sequence[Span]] = None,
+            sizes: Optional[Sequence[int]] = None) -> list:
     """Spawn chunk ``i``'s HtoD copies from ``sources[i]`` (and
-    ``value_sources[i]``) into the first ``len(sources[i])`` records of
-    its buffers; returns the processes."""
-    return [spawn(copy_async(machine, span(buffer, 0, len(source)), source,
-                             phase="HtoD"))
-            for buffer, source in _legs(chunks, sources, value_sources)]
+    ``value_sources[i]``) into its first ``sizes[i]`` records (default:
+    the whole chunk); returns the processes."""
+    return [spawn(copy_async(machine, device, source, phase="HtoD"))
+            for device, source in _legs(chunks, sources, value_sources,
+                                        sizes)]
 
 
 def sort_chunk(machine: Machine, chunk: Chunk, primitive: str,
@@ -393,13 +397,14 @@ def sort_chunk(machine: Machine, chunk: Chunk, primitive: str,
 
 def copy_out(machine: Machine, chunks: Sequence[Chunk],
              outputs: Sequence[Span], spawn,
-             value_outputs: Optional[Sequence[Span]] = None) -> list:
-    """Spawn chunk ``i``'s DtoH copies of its first ``len(outputs[i])``
-    records into ``outputs[i]`` (and ``value_outputs[i]``); returns the
-    processes."""
-    return [spawn(copy_async(machine, output, span(buffer, 0, len(output)),
-                             phase="DtoH"))
-            for buffer, output in _legs(chunks, outputs, value_outputs)]
+             value_outputs: Optional[Sequence[Span]] = None,
+             sizes: Optional[Sequence[int]] = None) -> list:
+    """Spawn chunk ``i``'s DtoH copies of its first ``sizes[i]`` records
+    (default: the whole chunk) into ``outputs[i]`` (and
+    ``value_outputs[i]``); returns the processes."""
+    return [spawn(copy_async(machine, output, device, phase="DtoH"))
+            for device, output in _legs(chunks, outputs, value_outputs,
+                                        sizes)]
 
 
 def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],

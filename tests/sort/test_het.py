@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data import generate
-from repro.errors import SortError
+from repro.errors import DeviceFaultError, SortError
 from repro.faults import FaultPlan, ResiliencePolicy
 from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
+from repro.runtime.buffer import default_pool
 from repro.sort import HetConfig, het_sort
 from repro.sort.het import plan_chunks
 
@@ -31,6 +32,23 @@ class TestInCore:
         result = het_sort(dgx, data, gpu_ids=(0,))
         assert "Merge" not in result.phase_durations
         assert np.array_equal(result.output, np.sort(data))
+
+    @pytest.mark.parametrize("config", [
+        HetConfig(), HetConfig(gpu_merge_groups=True)],
+        ids=["one-chunk", "one-gpu-merged-group"])
+    def test_one_run_stages_straight_into_the_output(self, dgx, rng,
+                                                     config):
+        # A plan that comes back as one run needs no host staging run:
+        # nothing is taken from the workspace pool.
+        data = rng.integers(0, 1 << 30, size=4096).astype(np.int32)
+        values = np.arange(4096, dtype=np.int32)
+        takes = default_pool.hits + default_pool.misses
+        result = het_sort(dgx, data, values=values, config=config,
+                          gpu_ids=None if config.gpu_merge_groups else (0,))
+        assert default_pool.hits + default_pool.misses == takes
+        order = np.argsort(data, kind="stable")
+        assert np.array_equal(result.output, data[order])
+        assert np.array_equal(np.sort(result.output_values), values)
 
     def test_multi_gpu_has_merge_phase(self, dgx, rng):
         data = rng.integers(0, 100, size=1000).astype(np.int32)
@@ -195,6 +213,23 @@ class TestPaperBehaviours:
 
         # Section 6.1: for one chunk group the approaches coincide.
         assert run("2n") == pytest.approx(run("3n"), rel=1e-6)
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize("config", [
+        HetConfig(), HetConfig(approach="3n"), HetConfig(eager_merge=True),
+        HetConfig(gpu_merge_groups=True)],
+        ids=["2n", "3n", "eager", "gpu-merged"])
+    def test_the_failed_pipeline_frees_its_device_buffers(self, rng,
+                                                          config):
+        # GPU 5 dies during the first HtoD: its copy fails into its
+        # pipeline, which frees that lane's chunk buffers on the way out.
+        machine = Machine(dgx_a100(), scale=512e9 / 8192)
+        machine.install_faults(FaultPlan(events=(GpuFail(at=0.5, gpu=5),)))
+        data = rng.integers(0, 1 << 30, size=8192).astype(np.int32)
+        with pytest.raises(DeviceFaultError):
+            het_sort(machine, data, config=config)
+        assert machine.device(5).allocated_logical == 0
 
 
 class TestResilienceOverrideScope:

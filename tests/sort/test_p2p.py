@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import generate
-from repro.errors import SortError
+from repro.errors import RuntimeApiError, SortError
 from repro.faults import FaultPlan, ResiliencePolicy
 from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
+from repro.runtime.memcpy import span
 from repro.sort import P2PConfig, p2p_sort
+from repro.sort.p2p import P2PStats, p2p_pipeline
 
 
 class TestCorrectness:
@@ -87,6 +89,17 @@ class TestValidation:
     def test_empty_input_rejected(self, ac922):
         with pytest.raises(SortError):
             p2p_sort(ac922, np.empty(0, dtype=np.int32))
+
+    def test_pipeline_rejects_a_source_shorter_than_the_chunk(self, ac922):
+        # Every span of p2p_pipeline has the chunk length; a short one
+        # must not land in a prefix of the device buffer.
+        host = ac922.host_buffer(np.arange(16, dtype=np.int32)[::-1].copy())
+        out = ac922.host_buffer(np.empty(16, dtype=np.int32))
+        sources = [span(host, 0, 8), span(host, 8, 15)]
+        outputs = [span(out, 0, 8), span(out, 8, 16)]
+        with pytest.raises(RuntimeApiError, match="copy size mismatch"):
+            ac922.run(p2p_pipeline(ac922, (0, 1), sources, outputs,
+                                   P2PConfig(), P2PStats()))
 
     def test_oversized_data_rejected(self):
         machine = Machine(ibm_ac922(), scale=1e9)
