@@ -26,7 +26,11 @@ is ragged, so it skips the GPU merge), and with a 4-byte payload per
 key, plus a supervised out-of-core HET sort that loses GPU 5
 mid-Pipeline and re-batches the unflushed chunks over the survivors.
 They were captured at commit 95dcf83, before the HET pipelines were
-folded into one set of chunk steps.
+folded into one set of chunk steps.  The last P2P entries pin what only
+the plain P2P driver carried: a 4-byte payload per key, NUMA-local
+input placement with a charged redistribution, and the serialized
+(not out-of-place) swap.  They were captured at commit 2552714, before
+the plain P2P sort became the supervised sort with nothing installed.
 """
 
 from __future__ import annotations
@@ -44,12 +48,12 @@ from repro.recovery import SortSupervisor
 from repro.runtime import Machine
 from repro.serve import (ServiceConfig, SortService, Tenant, WorkloadSpec,
                          generate_jobs)
-from repro.sort import HetConfig, het_sort, hier_sort, p2p_sort
+from repro.sort import HetConfig, P2PConfig, het_sort, hier_sort, p2p_sort
 
 CASES = {
     # (algorithm, physical keys, logical billions[, fat-tree nodes,
     #  failure time of hier's node 1 or the supervised sort's GPU 5[,
-    #  HetConfig fields[, carry an int32 payload per key]]])
+    #  HetConfig or P2PConfig fields[, carry an int32 payload per key]]])
     "het-dgx-2b": ("het", 200_000, 2.0),
     "p2p-dgx-2b": ("p2p", 200_000, 2.0),
     "het-dgx-512b-ooc": ("het", 100_000, 512.0),
@@ -67,6 +71,12 @@ CASES = {
     "het-dgx-512b-ooc-gpumerge": ("het", 100_000, 512.0, 0, None,
                                   {"gpu_merge_groups": True}),
     "het-dgx-512b-ooc-kv": ("het", 100_000, 512.0, 0, None, None, True),
+    "p2p-dgx-2b-kv": ("p2p", 200_000, 2.0, 0, None, None, True),
+    "p2p-dgx-2b-numa-local": ("p2p", 200_000, 2.0, 0, None,
+                              {"input_placement": "numa-local",
+                               "charge_redistribution": True}),
+    "p2p-dgx-2b-serialized-swap": ("p2p", 200_000, 2.0, 0, None,
+                                   {"out_of_place_swap": False}),
     # Base job keys; the episode offers 40 jobs at about twice the
     # DGX A100's capacity, so admission shedding is active.
     "service-dgx-40": ("service", 2_000, 0.5),
@@ -95,7 +105,7 @@ def _service_episode(machine: Machine, base: int) -> dict:
 
 
 def run_case(algorithm: str, physical: int, billions: float,
-             nodes: int = 0, down_at: float = None, het: dict = None,
+             nodes: int = 0, down_at: float = None, config: dict = None,
              values: bool = False):
     scale = billions * 1e9 / physical
     data = generate(physical, "uniform", np.int32, seed=42)
@@ -113,15 +123,18 @@ def run_case(algorithm: str, physical: int, billions: float,
                 events=(GpuFail(at=down_at, gpu=5),)))
         if algorithm == "service":
             return _service_episode(machine, physical)
+        payload = (np.arange(physical, dtype=np.int32) if values
+                   else None)
         if algorithm.startswith("supervised-"):
             result = SortSupervisor(machine).sort(
                 data, algorithm=algorithm[len("supervised-"):])
         elif algorithm == "p2p":
-            result = p2p_sort(machine, data)
+            result = p2p_sort(machine, data,
+                              config=P2PConfig(**(config or {})),
+                              values=payload)
         else:
-            payload = (np.arange(physical, dtype=np.int32) if values
-                       else None)
-            result = het_sort(machine, data, config=HetConfig(**(het or {})),
+            result = het_sort(machine, data,
+                              config=HetConfig(**(config or {})),
                               values=payload)
     return {
         "duration": result.duration,
