@@ -112,8 +112,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                              "(checkpoints, replanning, speculation)")
     parser.add_argument("--kill-gpu", type=int, default=None,
                         metavar="GPU",
-                        help="hard-fail this GPU mid-run (pair with "
-                             "--supervised to trace a replanned run)")
+                        help="hard-fail this GPU mid-run (P2P and "
+                             "--supervised runs replan around it)")
     parser.add_argument("--kill-at", type=float, default=0.5,
                         metavar="T",
                         help="simulated time of the --kill-gpu / "

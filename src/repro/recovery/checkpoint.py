@@ -44,17 +44,14 @@ class PhaseCheckpoint:
     kind: str = "layout"
     #: Host-staged chunk copies, slot-ordered; ``None`` for metadata-only.
     payloads: Optional[Tuple[np.ndarray, ...]] = None
+    #: Key-value sorts: the staged payload values, one per ``payloads``
+    #: entry; ``None`` for keys only.
+    values: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def restorable(self) -> bool:
         """Whether this checkpoint carries payloads to rebuild from."""
         return self.payloads is not None
-
-    def describe(self) -> str:
-        """One-line summary for logs and traces."""
-        staged = len(self.payloads) if self.payloads is not None else 0
-        return (f"{self.phase}@{self.at:.6f}s kind={self.kind} "
-                f"gpus={self.gpu_ids} chunk={self.chunk} staged={staged}")
 
 
 @dataclass

@@ -55,13 +55,16 @@ class HetRun(PhaseDriver):
     """State and phase bodies of one supervised HET sort."""
 
     def __init__(self, sup, host_in: HostBuffer, ids: Tuple[int, ...],
+                 host_values: Optional[HostBuffer] = None,
                  het_config: Optional[HetConfig] = None):
         super().__init__(sup, host_in, ids)
         self.config = het_config or HetConfig()
-        if self.config.eager_merge or self.config.gpu_merge_groups:
+        if (host_values is not None or self.config.eager_merge
+                or self.config.gpu_merge_groups):
             raise SortError(
-                "the supervised HET sort supports neither eager_merge "
-                "nor gpu_merge_groups (use repro.sort.het.het_sort)")
+                "the supervised HET sort carries keys only and supports "
+                "neither eager_merge nor gpu_merge_groups (use "
+                "repro.sort.het.het_sort)")
 
         machine = self.machine
         devices = [machine.device(i) for i in self.ids]
@@ -99,8 +102,8 @@ class HetRun(PhaseDriver):
         if "Pipeline" not in self.queue:
             self.queue = ["Pipeline"] + list(self.queue)
 
-    def finalize(self) -> np.ndarray:
-        return self.host_out.data
+    def finalize(self):
+        return self.host_out.data, None
 
     def result_fields(self) -> dict:
         return {"chunk_groups": self.groups}

@@ -2,9 +2,8 @@
 
 :class:`SortSupervisor` runs a multi-GPU sort as a sequence of
 checkpointed phases (see :mod:`repro.recovery`).  Each phase executes
-under a :class:`~repro.recovery.tasks.TaskGroup` in its own
-``machine.run`` call, so between phases the supervisor is back on the
-host side of the simulation and can react to what happened:
+under a :class:`~repro.recovery.tasks.TaskGroup`, so between phases the
+supervisor can react to what happened:
 
 * **success** — write the phase's :class:`PhaseCheckpoint` (optionally
   staging chunk payloads to host memory first) and move on;
@@ -59,16 +58,6 @@ class SupervisorConfig:
     deadline_s: Optional[float] = None
     #: Launch speculative backups for straggling local sorts.
     speculation: bool = True
-    #: A task is a straggler once the phase has run past this multiple
-    #: of the median completed-task duration.
-    speculation_multiple: float = 2.0
-    #: Fraction of a phase's tasks that must finish before the median
-    #: is trusted (quorum for arming speculation).
-    speculation_quorum: float = 0.5
-    #: When the survivors cannot hold the redistributed chunks, fall
-    #: back to a host-side multiway merge of the staged runs instead of
-    #: failing the run.
-    cpu_merge_fallback: bool = True
     #: Workspace pool for the run's host-side scratch (padded staging
     #: array, staged runs); ``None`` uses the process-wide
     #: :data:`~repro.runtime.buffer.default_pool`.  The sort service
@@ -94,9 +83,10 @@ class PhaseDriver:
     Per phase the supervisor runs ``body(name)`` and, if there is one,
     ``checkpoint_body(name)``, then calls ``after_phase``; a device or
     transfer failure calls ``replan`` instead.  ``finalize`` returns the
-    output and ``cleanup`` runs on every exit: it frees the device
-    buffers :meth:`_alloc` handed out and gives the host scratch
-    :meth:`_take` borrowed back to the run's pool.
+    sorted keys and payloads (``None`` for keys only), and ``cleanup``
+    runs on every exit: it frees the device buffers :meth:`_alloc`
+    handed out and gives the host scratch :meth:`_take` borrowed back to
+    the run's pool.
     """
 
     def __init__(self, sup, host_in: HostBuffer, ids: Sequence[int]):
@@ -162,6 +152,8 @@ class SortSupervisor:
         #: :class:`~repro.errors.SortError` escaped, else ``None``.
         self.failed_phase: Optional[str] = None
         self.failed_phase_started: Optional[float] = None
+        #: Span actor of the run's supervisor-level trace records.
+        self.actor = "supervisor"
 
     @property
     def pool(self) -> WorkspacePool:
@@ -194,47 +186,43 @@ class SortSupervisor:
     def sort(self, data: Union[np.ndarray, HostBuffer],
              algorithm: str = "p2p",
              gpu_ids: Optional[Sequence[int]] = None,
+             values: Optional[np.ndarray] = None,
              **driver_kwargs) -> SortResult:
         """Run a supervised sort; returns a :class:`SortResult`.
 
-        ``algorithm`` is ``"p2p"`` or ``"het"``.  Keys only — the
-        supervised paths do not carry value payloads (use the plain
-        sorts for key-value records).  Extra keyword arguments go to
-        the algorithm driver (``p2p_config=`` / ``het_config=``).
+        ``algorithm`` is ``"p2p"`` or ``"het"``.  ``values`` (one
+        payload per key) sorts records: the P2P run carries them through
+        every phase, checkpoint, restore and backup, and returns them in
+        ``result.output_values``; the supervised HET run carries keys
+        only and rejects them.  Extra keyword arguments go to the
+        algorithm driver (``p2p_config=`` / ``het_config=``).
 
-        The supervisor drives the run from the host side, one
-        ``env.run`` per phase, exactly as before :meth:`sort_async`
-        existed — the trampoline below replays the generator's yielded
-        events through ``env.run`` without wrapping it in a process, so
-        single-sort runs stay bit-identical to the pre-service code.
+        The run is driven from the host side: this trampoline replays
+        :meth:`sort_async`'s yielded events through ``env.run`` without
+        wrapping the generator in a process.
         """
         generator = self.sort_async(data, algorithm=algorithm,
-                                    gpu_ids=gpu_ids, **driver_kwargs)
+                                    gpu_ids=gpu_ids, values=values,
+                                    **driver_kwargs)
         env = self.machine.env
-        try:
-            event = next(generator)
-        except StopIteration as stop:
-            return stop.value
+        resume, value = generator.send, None
         while True:
             try:
-                value = env.run(until=event)
+                event = resume(value)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                resume, value = generator.send, env.run(until=event)
             except BaseException as exc:  # noqa: BLE001 - replayed below
                 # Raw event-loop escapes included: thrown back into the
                 # generator at its yield, where the phase loop's except
                 # clauses (replan, deadline) and cleanup handle them.
-                try:
-                    event = generator.throw(exc)
-                except StopIteration as stop:
-                    return stop.value
-                continue
-            try:
-                event = generator.send(value)
-            except StopIteration as stop:
-                return stop.value
+                resume, value = generator.throw, exc
 
     def sort_async(self, data: Union[np.ndarray, HostBuffer],
                    algorithm: str = "p2p",
                    gpu_ids: Optional[Sequence[int]] = None,
+                   values: Optional[np.ndarray] = None,
                    **driver_kwargs):
         """Process form of :meth:`sort`: a generator yielding events.
 
@@ -254,20 +242,38 @@ class SortSupervisor:
             raise SortError(f"unknown supervised algorithm {algorithm!r} "
                             "(expected 'p2p' or 'het')")
 
-        host_in, _ = stage_input(machine, data)
+        host_in, host_values = stage_input(machine, data, values)
         ids, self.excluded = plan_gpu_set(
             machine, gpu_ids, power_of_two=algorithm == "p2p")
-        driver = driver_cls(self, host_in, ids, **driver_kwargs)
+        driver = driver_cls(self, host_in, ids, host_values=host_values,
+                            **driver_kwargs)
+        cfg = self.config
+        # A P2P run that installs nothing (no checkpoint kind,
+        # speculation, deadline or job label) is the plain P2P sort and
+        # is recorded under its names.
+        plain = algorithm == "p2p" and not (
+            cfg.checkpoint_sorted_chunks or cfg.checkpoint_merged_chunks
+            or cfg.speculation or cfg.deadline_s is not None
+            or cfg.job_label is not None)
+        label, root, self.actor = (
+            ("p2p", "P2PSort", "sort") if plain
+            else (f"supervised-{algorithm}", "SupervisedSort",
+                  "supervisor" if cfg.job_label is None
+                  else f"job:{cfg.job_label}"))
 
         env = machine.env
         # The global parent stack assumes one sort at a time; labelled
         # (service) jobs leave it alone and are found by actor instead.
-        record = SortRecord(machine, "SupervisedSort", host_in,
-                            actor=self._actor(),
-                            nest=self.config.job_label is None)
-        deadline = (env.timeout(self.config.deadline_s)
-                    if self.config.deadline_s is not None else None)
-
+        record = SortRecord(machine, root, host_in, actor=self.actor,
+                            nest=cfg.job_label is None)
+        deadline = (env.timeout(cfg.deadline_s)
+                    if cfg.deadline_s is not None else None)
+        # Phases run shielded only when something can stop their tasks
+        # early: a fault plan, a deadline or a speculative backup.
+        # Otherwise their tasks are plain processes, so a run that
+        # installs nothing has the plain pipeline's event stream.
+        shielded = (machine.faults is not None or deadline is not None
+                    or cfg.speculation)
         deadline_hit = False
         failing_phase: Optional[str] = None
         phase_started: Optional[float] = None
@@ -278,12 +284,14 @@ class SortSupervisor:
                     failing_phase = name
                     phase_started = env.now
                     try:
-                        group = TaskGroup(env, name=name)
+                        group = TaskGroup(env, name=name,
+                                          shielded=shielded)
                         yield from group.supervise(driver.body(name)(group),
                                                    deadline)
                         ck_body = driver.checkpoint_body(name)
                         if ck_body is not None:
-                            group = TaskGroup(env, name=f"{name}:checkpoint")
+                            group = TaskGroup(env, name=f"{name}:checkpoint",
+                                              shielded=shielded)
                             yield from group.supervise(ck_body(group),
                                                        deadline)
                         driver.after_phase(name)
@@ -305,13 +313,16 @@ class SortSupervisor:
             finally:
                 driver.cleanup()
 
+        output, output_values = ((None, None) if deadline_hit
+                                 else driver.finalize())
         return record.result(
-            f"supervised-{algorithm}", driver.ids,
+            label, driver.ids,
             ("Redistribute", "HtoD", "Sort", "Merge", "DtoH", "Checkpoint",
              "Restore", "Speculate"),
             excluded=self.excluded,
             degraded=bool(self.rec.replans or self.rec.speculative_wins),
-            output=None if deadline_hit else driver.finalize(),
+            output=output,
+            output_values=output_values,
             replans=self.rec.replans,
             checkpoints=self.rec.checkpoints,
             checkpoints_restored=self.rec.checkpoints_restored,
@@ -343,12 +354,6 @@ class SortSupervisor:
         except Exception:  # noqa: BLE001 - reporting must not mask exc
             pass
 
-    def _actor(self) -> str:
-        """Span actor for this run's supervisor-level trace records."""
-        if self.config.job_label is not None:
-            return f"job:{self.config.job_label}"
-        return "supervisor"
-
     def _replan(self, driver, phase: str, exc: BaseException) -> None:
         machine = self.machine
         self.rec.replans += 1
@@ -366,7 +371,7 @@ class SortSupervisor:
             if gpu not in self.excluded:
                 self.excluded = self.excluded + (gpu,)
         now = machine.env.now
-        machine.trace.record("Replan", self._actor(), now)
+        machine.trace.record("Replan", self.actor, now)
         if machine.obs is not None:
             machine.obs.replanned(phase, type(exc).__name__, dead,
                                   survivors, now)

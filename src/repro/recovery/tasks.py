@@ -18,7 +18,8 @@ survivors, drains them, and then raises — so the supervisor observes
 one typed error per phase, never a half-torn-down event loop.
 :meth:`TaskGroup.supervise` is how a driver runs one phase: the runner
 in its own process, plus a force-drain backstop for anything the
-runner could not reap.
+runner could not reap.  An unshielded group, for a phase nothing can
+stop early, runs its tasks as plain processes instead.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ class TaskGroup:
     of beginning fresh work.
     """
 
-    def __init__(self, env: Environment, name: str = "phase"):
+    def __init__(self, env: Environment, name: str = "phase",
+                 shielded: bool = True):
         self.env = env
         self.name = name
+        #: Unshielded, the group is for a phase nothing can stop early:
+        #: its tasks are plain processes whose failures propagate, and
+        #: :meth:`supervise` runs the body in the caller's process.
+        self.shielded = shielded
         self.procs: List[Process] = []
         #: Results of finished tasks by name (``None`` for failed ones).
         self.results: Dict[str, object] = {}
@@ -52,13 +58,13 @@ class TaskGroup:
 
     # -- spawning ----------------------------------------------------------
     def spawn(self, gen, name: Optional[str] = None) -> Process:
-        """Run ``gen`` as a shielded task; its failures go to the group.
-
-        ``name`` keys the task's result; unnamed tasks are numbered.
-        """
+        """Run ``gen`` as a task: shielded, its failures go to the
+        group.  ``name`` keys the task's result; unnamed tasks are
+        numbered."""
         if name is None:
             name = f"t{len(self.procs)}"
-        proc = self.env.process(self._shield(gen, name))
+        proc = self.env.process(self._shield(gen, name) if self.shielded
+                                else gen)
         self.procs.append(proc)
         return proc
 
@@ -179,7 +185,16 @@ class TaskGroup:
         no task outlives its phase.  A caller closed mid-phase (its
         frame abandoned after a typed error crossed ``machine.run``)
         unwinds at once: yielding inside ``close()`` is illegal.
+
+        An unshielded group runs ``body`` in the caller's process and
+        then waits for the tasks still running.
         """
+        if not self.shielded:
+            yield from body
+            live = self.alive()
+            if live:
+                yield self.env.all_of(live)
+            return
         runner = self.env.process(self.run(body, deadline=deadline))
         try:
             yield runner

@@ -59,6 +59,11 @@ from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, copy_in, copy_out,
 from repro.sort.result import SortRecord, SortResult, stage_input
 
 
+#: Fraction of each GPU's memory usable for the chunk buffers (Figure
+#: 15a uses 33 GB of the A100's 40 GB).
+MEMORY_BUDGET = 0.825
+
+
 @dataclass
 class HetConfig:
     """Tunables of the HET sort (defaults follow the paper)."""
@@ -76,9 +81,6 @@ class HetConfig:
     #: the 2n approach and a power-of-two GPU count; incompatible with
     #: eager merging (the group runs are already merged).
     gpu_merge_groups: bool = False
-    #: Fraction of each GPU's memory usable for the chunk buffers
-    #: (Figure 15a uses 33 GB of the A100's 40 GB).
-    memory_budget: float = 0.825
 
     def buffers_per_gpu(self) -> int:
         """Number of chunk-sized device buffers the approach needs."""
@@ -160,7 +162,7 @@ def chunk_capacity_for(machine: Machine, devices, config: HetConfig,
     record_bytes = dtype.itemsize + (value_dtype.itemsize
                                      if value_dtype else 0)
     per_record_logical = record_bytes * machine.scale
-    chunk_capacity = int(capacity * config.memory_budget
+    chunk_capacity = int(capacity * MEMORY_BUDGET
                          / buffers / per_record_logical)
     per_gpu_need = -(-n // len(devices))
     if per_gpu_need * buffers * per_record_logical <= capacity:

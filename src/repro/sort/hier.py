@@ -326,26 +326,20 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
 
         ``tasks`` is a list of ``(label, make)``; ``make(spawn, check)``
         returns a task's generator, given the supervision seam its
-        inner processes use (``None``, ``None`` unshielded).  With
-        ``inline`` a lone unshielded task runs in the caller's process.
+        inner processes use.  With ``inline`` a lone unshielded task
+        runs in the caller's process.
         """
         failing["phase"] = name
         failing["started"] = env.now
-        if not shielded:
-            if inline and len(tasks) == 1:
-                yield from tasks[0][1](None, None)
-                return
-            procs = [env.process(make(None, None)) for _label, make in tasks]
-            if procs:
-                yield env.all_of(procs)
-            return
-        group = TaskGroup(env, name=name)
+        group = TaskGroup(env, name=name, shielded=shielded)
 
         def body():
+            if inline and not shielded and len(tasks) == 1:
+                yield from tasks[0][1](group.spawn, group.check)
+                return
             for label, make in tasks:
                 group.spawn(make(group.spawn, group.check), name=label)
-            return None
-            yield  # pragma: no cover - makes ``body`` a generator
+            yield from ()
 
         yield from group.supervise(body(), deadline)
 

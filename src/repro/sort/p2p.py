@@ -32,13 +32,12 @@ import numpy as np
 
 from repro.errors import SortError
 from repro.faults.policy import ResiliencePolicy
-from repro.runtime.buffer import DeviceBuffer, HostBuffer, default_pool
+from repro.runtime.buffer import DeviceBuffer, HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import Span, copy_async, span
-from repro.sort.gpu_set import plan_gpu_set
 from repro.sort.pivot import is_valid_pivot, select_pivot, select_pivot_paper
-from repro.sort.result import SortRecord, SortResult, stage_input
+from repro.sort.result import SortResult
 from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
 from repro.units import US
 
@@ -67,8 +66,10 @@ class P2PConfig:
     #: With ``numa-local`` placement, charge the one-time host-to-host
     #: shuffle that moves remote chunks across the CPU interconnect.
     charge_redistribution: bool = True
-    #: Latency of one remote P2P memory read during pivot selection.
-    pivot_probe_latency_s: float = 2 * US
+
+
+#: Latency of one remote P2P memory read during pivot selection.
+PIVOT_PROBE_LATENCY_S = 2 * US
 
 
 @dataclass
@@ -178,14 +179,10 @@ def _no_check() -> None:
 
 
 def _serialized_swap(machine: Machine, left: Chunk, right: Chunk,
-                     pivot: int, spawn=None, check=None):
+                     pivot: int, spawn, check):
     """In-place-style swap for the ablation: staged, serialized copies."""
     from repro.runtime.kernels import merge_two_on_device
 
-    if spawn is None:
-        spawn = machine.env.process
-    if check is None:
-        check = _no_check
     n = left.size
     keep_left = n - pivot
     if pivot == 0:
@@ -230,16 +227,14 @@ def merge_chunks(machine: Machine, chunks: List[Chunk],
 
     ``spawn``/``check`` thread the supervision seam down the recursion
     and into the swaps (see :func:`repro.sort.swap.swap_and_merge_pair`);
-    unset, the merge runs exactly as before supervision existed.
+    unset, the merge spawns bare processes and checks nothing.
     """
     g = len(chunks)
     if g < 2:
         return
     env = machine.env
-    if spawn is None:
-        spawn = env.process
-    if check is None:
-        check = _no_check
+    spawn = spawn or env.process
+    check = check or _no_check
     half = g // 2
     left_chunks, right_chunks = chunks[:half], chunks[half:]
 
@@ -256,7 +251,7 @@ def merge_chunks(machine: Machine, chunks: List[Chunk],
     # O(log n) remote reads for the binary search (Section 5.2: ~0.03%
     # of total time; we charge two probes per bisection step).
     probes = 2 * max(1, math.ceil(math.log2(len(left) + 1)))
-    yield env.timeout(probes * config.pivot_probe_latency_s)
+    yield env.timeout(probes * PIVOT_PROBE_LATENCY_S)
     check()
     pivot = _pivot_for(config, left, right)
     stats.pivots.append(pivot)
@@ -428,10 +423,8 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
     if chunk == 0:
         return
     env = machine.env
-    if spawn is None:
-        spawn = env.process
-    if check is None:
-        check = _no_check
+    spawn = spawn or env.process
+    check = check or _no_check
     value_dtype = (value_sources[0].buffer.data.dtype
                    if value_sources is not None else None)
     chunks: List[Chunk] = []
@@ -476,103 +469,19 @@ def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  On a machine with an installed fault plan, failed or
-    badly straggling GPUs are dropped and the chunks re-planned over
-    the largest power-of-two prefix of the survivors; recovery work
-    (retries, re-routes, downtime) is reported on the result.
+    included).  The sort is the supervised sort with nothing installed
+    (no checkpoint, speculation or deadline), so failed or badly
+    straggling GPUs, at planning time or mid-run, are dropped and the
+    chunks re-planned over the largest power-of-two prefix of the
+    survivors; recovery work is reported on the result.
     """
+    from repro.recovery.supervisor import SortSupervisor, SupervisorConfig
+
+    plain = SupervisorConfig(checkpoint_sorted_chunks=False,
+                             checkpoint_merged_chunks=False,
+                             speculation=False)
     with machine.resilience_override(resilience):
-        return _p2p_sort(machine, data, gpu_ids, config, values)
-
-
-def _p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
-              gpu_ids: Optional[Sequence[int]],
-              config: Optional[P2PConfig],
-              values: Optional[np.ndarray]) -> SortResult:
-    config = config or P2PConfig()
-    host_in, host_values = stage_input(machine, data, values)
-    ids, excluded = plan_gpu_set(machine, gpu_ids, power_of_two=True)
-    n = len(host_in.data)
-    g = len(ids)
-    chunk = -(-n // g)
-    padded = chunk * g
-    value_dtype = host_values.dtype if host_values is not None else None
-    check_fits(machine, ids, chunk, host_in.dtype.itemsize
-               + (value_dtype.itemsize if value_dtype is not None else 0))
-
-    # Padded staging arrays are pure scratch — dead once the HtoD copies
-    # have run — so they come from the workspace pool instead of fresh
-    # allocations and go back after the run.
-    borrowed: List[np.ndarray] = []
-
-    def take(size: int, dtype) -> np.ndarray:
-        borrowed.append(default_pool.take(size, dtype))
-        return borrowed[-1]
-
-    staging, value_staging = padded_staging(
-        machine, host_in.data, padded, host_in.numa, host_in.pinned,
-        values=host_values.data if host_values is not None else None,
-        take=take)
-    host_out = machine.host_buffer(np.empty(padded, dtype=host_in.dtype),
-                                   numa=staging.numa, pinned=staging.pinned)
-    values_out = None
-    if value_dtype is not None:
-        values_out = machine.host_buffer(
-            np.empty(padded, dtype=value_dtype),
-            numa=staging.numa, pinned=staging.pinned)
-
-    # Input placement (Section 7 / repro.sort.placement): the paper's
-    # default keeps everything on node 0; "numa-local" stages each
-    # GPU's chunk (and payloads) on the GPU's own node.
-    from repro.sort import placement as pl
-
-    if config.input_placement not in (pl.NODE0, pl.NUMA_LOCAL):
-        raise SortError(
-            f"unknown input_placement {config.input_placement!r}")
-    ranges = [(i * chunk, (i + 1) * chunk) for i in range(g)]
-    charged = (config.input_placement == pl.NUMA_LOCAL
-               and config.charge_redistribution)
-
-    def place(host: HostBuffer, out: HostBuffer):
-        placed = pl.place_chunks(machine, host, ids, ranges,
-                                 placement=config.input_placement,
-                                 charge_redistribution=charged)
-        outputs = [span(pl.output_buffer_for(machine, gpu_id, out, start,
-                                             stop, config.input_placement))
-                   for gpu_id, (start, stop) in zip(ids, ranges)]
-        return placed, outputs
-
-    placed, outputs = place(staging, host_out)
-    placed_values = value_sources = value_outputs = None
-    if values_out is not None:
-        placed_values, value_outputs = place(value_staging, values_out)
-        value_sources = [span(c.staging) for c in placed_values]
-
-    stats = P2PStats()
-
-    def run():
-        if charged:
-            yield from pl.redistribute(machine, staging, placed)
-            if placed_values is not None:
-                yield from pl.redistribute(machine, value_staging,
-                                           placed_values)
-        yield from p2p_pipeline(
-            machine, ids, [span(c.staging) for c in placed], outputs,
-            config, stats, value_sources=value_sources,
-            value_outputs=value_outputs)
-
-    try:
-        with SortRecord(machine, "P2PSort", host_in) as record:
-            machine.run(run())
-    finally:
-        for array in borrowed:
-            default_pool.give(array)
-    return record.result(
-        "p2p", ids, ("Redistribute", "HtoD", "Sort", "Merge", "DtoH"),
-        excluded=excluded,
-        p2p_bytes=stats.p2p_bytes,
-        merge_stages=merge_stages(g),
-        pivots=tuple(stats.pivots),
-        output=host_out.data[:n],
-        output_values=values_out.data[:n] if values_out is not None
-        else None)
+        # One process, as every plain sort runs.
+        return machine.run(SortSupervisor(machine, plain).sort_async(
+            data, algorithm="p2p", gpu_ids=gpu_ids, values=values,
+            p2p_config=config))

@@ -82,10 +82,8 @@ def swap_and_merge_pair(machine: "Machine", left: "Chunk",
     Returns the logical byte volume moved over P2P links.
     """
     env = machine.env
-    if spawn is None:
-        spawn = env.process
-    if check is None:
-        check = _no_check
+    spawn = spawn or env.process
+    check = check or _no_check
     n = left.size
     if right.size != n:
         raise SortError(

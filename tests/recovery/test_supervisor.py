@@ -18,6 +18,7 @@ from repro.recovery.tasks import TaskGroup
 from repro.runtime import Machine
 from repro.sort import P2PConfig, p2p_sort
 from repro.sort.result import stage_input
+from tests.sort.test_key_value import check_kv
 
 N = 32_000
 SCALE = 2.0e9 / N
@@ -28,8 +29,13 @@ def _data() -> np.ndarray:
     return rng.integers(0, 2**31, N, dtype=np.int64)
 
 
-def _machine(plan=None) -> Machine:
-    machine = Machine(dgx_a100(), scale=SCALE)
+def _values() -> np.ndarray:
+    """One payload per key: its input position (see ``check_kv``)."""
+    return np.arange(N, dtype=np.int64)
+
+
+def _machine(plan=None, scale: float = SCALE) -> Machine:
+    machine = Machine(dgx_a100(), scale=scale)
     if plan is not None:
         machine.install_faults(plan)
     return machine
@@ -38,6 +44,12 @@ def _machine(plan=None) -> Machine:
 @pytest.fixture(scope="module")
 def clean_p2p():
     return SortSupervisor(_machine()).sort(_data(), algorithm="p2p")
+
+
+@pytest.fixture(scope="module")
+def clean_p2p_kv():
+    return SortSupervisor(_machine()).sort(_data(), algorithm="p2p",
+                                           values=_values())
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +124,16 @@ class TestReplanning:
         assert result.replans == 1
         assert result.checkpoints_restored >= 1
 
+    def test_replan_restores_payloads_from_sorted_checkpoint(
+            self, clean_p2p_kv):
+        at = 0.55 * clean_p2p_kv.duration  # after the LocalSort checkpoint
+        plan = FaultPlan(events=(GpuFail(at=at, gpu=5),))
+        result = SortSupervisor(_machine(plan)).sort(
+            _data(), algorithm="p2p", values=_values())
+        assert result.replans == 1
+        assert result.checkpoints_restored >= 1
+        check_kv(_data(), result)
+
     def test_replan_without_checkpoints_restarts_from_source(self,
                                                              clean_p2p):
         at = 0.7 * clean_p2p.duration
@@ -158,6 +180,33 @@ class TestReplanning:
         finally:
             driver.cleanup()
 
+    @pytest.mark.parametrize("payloads", [False, True],
+                             ids=["keys", "key-value"])
+    def test_survivors_too_small_fall_back_to_a_cpu_merge(self, payloads):
+        # 15 GB chunks fit two to a 40 GB A100 on eight GPUs.  GPU 5
+        # dies after the LocalSort checkpoint; the four survivors would
+        # need 30 GB chunks, so the staged runs merge on the CPU.
+        # Payloads double the record, so they run at half the keys.
+        physical = 8192
+        scale = (15e9 if payloads else 30e9) / physical
+        keys = np.random.default_rng(3).integers(
+            0, 2**31 - 1, physical).astype(np.int32)
+        values = np.arange(physical, dtype=np.int32) if payloads else None
+        clean = SortSupervisor(_machine(scale=scale)).sort(
+            keys, algorithm="p2p", values=values)
+        plan = FaultPlan(events=(GpuFail(at=0.5 * clean.duration, gpu=5),))
+        machine = _machine(plan, scale=scale)
+        result = SortSupervisor(machine).sort(keys, algorithm="p2p",
+                                              values=values)
+        assert np.array_equal(result.output, np.sort(keys))
+        assert result.checkpoints_restored == 1
+        assert any(span.phase == "Merge" and span.actor.startswith("cpu")
+                   for span in machine.trace.spans)
+        if payloads:
+            check_kv(keys, result)
+        else:
+            assert result.output_values is None
+
     def test_early_kill_replans_from_scratch(self, clean_p2p):
         at = 0.1 * clean_p2p.duration  # partition phase
         plan = FaultPlan(events=(GpuFail(at=at, gpu=3),))
@@ -179,6 +228,15 @@ class TestSpeculation:
         assert result.speculations == 1
         assert result.speculative_wins == 1
         assert result.degraded
+
+    def test_backup_carries_the_stragglers_payloads(self, clean_p2p_kv):
+        plan = FaultPlan(events=(StragglerGpu(
+            at=0.15 * clean_p2p_kv.duration, gpu=3, duration=100.0,
+            slowdown=30.0),))
+        result = SortSupervisor(_machine(plan)).sort(
+            _data(), algorithm="p2p", values=_values())
+        assert result.speculative_wins == 1
+        check_kv(_data(), result)
 
     def test_disabling_speculation_waits_out_the_straggler(self,
                                                            clean_p2p):
@@ -225,6 +283,11 @@ class TestErrors:
         with pytest.raises(SortError, match="empty"):
             SortSupervisor(_machine()).sort(
                 np.array([], dtype=np.int64), algorithm="p2p")
+
+    def test_het_rejects_payloads(self):
+        with pytest.raises(SortError, match="keys only"):
+            SortSupervisor(_machine()).sort(
+                _data(), algorithm="het", values=_values())
 
     def test_duplicate_gpu_ids_rejected(self):
         with pytest.raises(SortError, match="duplicate"):

@@ -190,7 +190,7 @@ def out_of_core_setup(case: InputCase):
     at least that many chunk groups.
     """
     from repro.runtime import Machine
-    from repro.sort.het import HetConfig
+    from repro.sort.het import MEMORY_BUDGET, HetConfig
 
     spec = dgx_a100()
     gpu_ids = spec.preferred_gpu_set(case.gpus)
@@ -203,7 +203,7 @@ def out_of_core_setup(case: InputCase):
                    for gpu_id in gpu_ids)
     # Half a key of headroom keeps float rounding from shrinking the
     # chunk capacity below ``chunk``.
-    scale = (capacity * config.memory_budget
+    scale = (capacity * MEMORY_BUDGET
              / (config.buffers_per_gpu() * record * (chunk + 0.5)))
     return Machine(spec, scale=scale), gpu_ids, config
 

@@ -213,3 +213,33 @@ class TestResilienceOverrideScope:
             p2p_sort(machine, data,
                      resilience=ResiliencePolicy(max_retries=9))
         assert machine.resilience is original
+
+
+class TestMidRunGpuLoss:
+    """A plain sort that loses a GPU mid-run replans onto the survivors
+    and leaves the machine as reusable as a fresh one."""
+
+    PHYSICAL = 200_000
+
+    def _machine(self) -> Machine:
+        return Machine(dgx_a100(), scale=2.0e9 / self.PHYSICAL)
+
+    def test_lost_gpu_replans_and_machine_stays_reusable(self):
+        data = generate(self.PHYSICAL, "uniform", np.int32, seed=42)
+        machine = self._machine()
+        machine.install_faults(FaultPlan(events=(GpuFail(at=0.05, gpu=5),)))
+        result = p2p_sort(machine, data)
+        assert result.gpu_ids == (0, 1, 2, 3)
+        assert result.replans == 1
+        assert np.array_equal(result.output, np.sort(data))
+        # Nothing of the failed attempt is left behind.
+        assert all(device.allocated_logical == 0.0
+                   for device in machine.devices)
+        assert machine.net.active_flows == []
+        assert machine.in_flight == {}
+
+        retry = p2p_sort(machine, data, gpu_ids=(0, 1, 2, 3))
+        fresh = p2p_sort(self._machine(), data, gpu_ids=(0, 1, 2, 3))
+        assert np.array_equal(retry.output, fresh.output)
+        # The retry starts on a later clock, which moves the last bits.
+        assert retry.duration == pytest.approx(fresh.duration, rel=1e-12)
