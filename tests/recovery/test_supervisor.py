@@ -93,6 +93,22 @@ class TestCleanRuns:
             plain.phase_durations["Sort"], rel=1e-12)
         assert np.array_equal(supervised.output, plain.output)
 
+    def test_a_run_that_installs_nothing_is_the_plain_p2p_sort(self):
+        config = SupervisorConfig(checkpoint_sorted_chunks=False,
+                                  checkpoint_merged_chunks=False,
+                                  speculation=False)
+        bare = SortSupervisor(_machine(), config).sort(_data(),
+                                                       algorithm="p2p")
+        plain = p2p_sort(_machine(), _data())
+        for result in (bare, plain):
+            assert result.algorithm == "p2p"
+            assert result.checkpoints == 0
+            assert result.completed_phases == (
+                "Partition", "LocalSort", "Exchange", "Gather")
+        assert bare.duration == plain.duration
+        assert bare.phase_durations == plain.phase_durations
+        assert np.array_equal(bare.output, plain.output)
+
     def test_supervised_run_is_deterministic(self, clean_p2p):
         again = SortSupervisor(_machine()).sort(_data(), algorithm="p2p")
         assert again.duration == clean_p2p.duration
