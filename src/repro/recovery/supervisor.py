@@ -268,12 +268,11 @@ class SortSupervisor:
                             nest=cfg.job_label is None)
         deadline = (env.timeout(cfg.deadline_s)
                     if cfg.deadline_s is not None else None)
-        # Phases run shielded only when something can stop their tasks
-        # early: a fault plan, a deadline or a speculative backup.
-        # Otherwise their tasks are plain processes, so a run that
-        # installs nothing has the plain pipeline's event stream.
-        shielded = (machine.faults is not None or deadline is not None
-                    or cfg.speculation)
+        # Only the plain sort on a machine with no fault plan runs its
+        # phases unshielded, as plain processes, so it has the plain
+        # pipeline's event stream.  Any other run (a service job, which
+        # a shutdown can interrupt, among them) stays shielded.
+        shielded = not plain or machine.faults is not None
         deadline_hit = False
         failing_phase: Optional[str] = None
         phase_started: Optional[float] = None

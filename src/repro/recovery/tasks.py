@@ -45,7 +45,8 @@ class TaskGroup:
         self.name = name
         #: Unshielded, the group is for a phase nothing can stop early:
         #: its tasks are plain processes whose failures propagate, and
-        #: :meth:`supervise` runs the body in the caller's process.
+        #: :meth:`supervise` runs the body in the caller's process.  A
+        #: deadline given to :meth:`supervise` shields the group.
         self.shielded = shielded
         self.procs: List[Process] = []
         #: Results of finished tasks by name (``None`` for failed ones).
@@ -186,9 +187,13 @@ class TaskGroup:
         frame abandoned after a typed error crossed ``machine.run``)
         unwinds at once: yielding inside ``close()`` is illegal.
 
-        An unshielded group runs ``body`` in the caller's process and
-        then waits for the tasks still running.
+        A deadline can stop any phase, so a group given one is
+        shielded; tasks are spawned from ``body``, so they all get the
+        shield.  An unshielded group runs ``body`` in the caller's
+        process and then waits for the tasks still running.
         """
+        if deadline is not None:
+            self.shielded = True
         if not self.shielded:
             yield from body
             live = self.alive()

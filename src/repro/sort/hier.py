@@ -268,7 +268,8 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     """
     env = machine.env
     faults = machine.faults
-    shielded = faults is not None or config.deadline_s is not None
+    # A deadline shields a phase too: ``TaskGroup.supervise`` sees it.
+    shielded = faults is not None
     n = len(host_in.data)
     num_nodes = spec.num_nodes
     dtype = host_in.dtype
@@ -334,7 +335,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         group = TaskGroup(env, name=name, shielded=shielded)
 
         def body():
-            if inline and not shielded and len(tasks) == 1:
+            if inline and not group.shielded and len(tasks) == 1:
                 yield from tasks[0][1](group.spawn, group.check)
                 return
             for label, make in tasks:

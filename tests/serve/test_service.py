@@ -16,6 +16,7 @@ from repro.errors import ServiceError
 from repro.faults.events import GpuFail, StragglerGpu
 from repro.faults.plan import FaultPlan
 from repro.hw import ibm_ac922
+from repro.recovery.supervisor import SupervisorConfig
 from repro.runtime import Machine
 from repro.serve import (
     JobSpec,
@@ -243,6 +244,26 @@ class TestDrainAndShutdown:
         # The machine unwound cleanly: nothing still running or queued.
         assert service._running == {}
         assert len(service.queue) == 0
+
+    @pytest.mark.parametrize("algorithm", ["p2p", "het"])
+    def test_shutdown_without_speculation_frees_the_machine(self, algorithm):
+        # Without speculation or a deadline only the shutdown can stop
+        # a job's phase; its tasks must still be drained before the
+        # job's buffers are freed.
+        jobs = [_spec(i, arrival_s=0.0, keys=16384, algorithm=algorithm)
+                for i in range(6)]
+        machine = _machine()
+        service = SortService(machine, config=ServiceConfig(
+            queue_capacity=6, drain_at_s=0.0005, shutdown_grace_s=0.0005,
+            supervisor=SupervisorConfig(speculation=False)))
+        report = service.run(jobs)
+        assert [r for r in report.results if r.status == "cancelled"]
+        # Let anything the shutdown left suspended run out.
+        machine.env.run()
+        assert all(device.allocated_logical == 0.0
+                   for device in machine.devices)
+        assert machine.net.active_flows == []
+        assert machine.in_flight == {}
 
 
 class TestReportShape:
