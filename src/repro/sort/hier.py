@@ -327,19 +327,22 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
 
         ``tasks`` is a list of ``(label, make)``; ``make(spawn, check)``
         returns a task's generator, given the supervision seam its
-        inner processes use.  With ``inline`` a lone unshielded task
-        runs in the caller's process.
+        inner processes use (``None``, ``None`` unshielded: each task
+        waits for its own, so the group need not keep them).  With
+        ``inline`` a lone unshielded task runs in the caller's process.
         """
         failing["phase"] = name
         failing["started"] = env.now
         group = TaskGroup(env, name=name, shielded=shielded)
 
         def body():
+            seam = ((group.spawn, group.check) if group.shielded
+                    else (None, None))
             if inline and not group.shielded and len(tasks) == 1:
-                yield from tasks[0][1](group.spawn, group.check)
+                yield from tasks[0][1](*seam)
                 return
             for label, make in tasks:
-                group.spawn(make(group.spawn, group.check), name=label)
+                group.spawn(make(*seam), name=label)
             yield from ()
 
         yield from group.supervise(body(), deadline)
