@@ -137,7 +137,11 @@ class Recorder:
         self.metrics = MetricsRegistry()
         #: Compiled flow lifecycles, in start order.
         self.flows: List[FlowRecord] = []
+        #: Records of the flows still in the network, by ``id(flow)``.
         self._live_flows: Dict[int, FlowRecord] = {}
+        #: Flow ids are start-order sequence numbers, so two runs of one
+        #: sort record equal streams and no id is reused within a run.
+        self._next_fid = 0
         #: Last emitted per-link rates: packed key -> (rate, capacity).
         self._last_rates: Dict[int, Tuple[float, float]] = {}
         #: Names for packed keys seen so far (resource may be gone later).
@@ -195,7 +199,7 @@ class Recorder:
                   if count > ring.cap_for(kind)}
         if not excess:
             return
-        live_fids = self._live_flows.keys()
+        live_fids = {record.fid for record in self._live_flows.values()}
         open_faults = self._open_faults
         kept: List[ObsEvent] = []
         for event in self.events:
@@ -283,10 +287,10 @@ class Recorder:
     # -- flow network hooks ------------------------------------------------
     def flow_started(self, net, flow) -> None:
         """Hook: ``flow`` entered ``net`` and received its first rate."""
-        fid = id(flow)
+        fid = self._new_fid()
         record = FlowRecord(fid, flow.label, flow.size, flow.started_at,
                             tuple(r.name for r in flow.resources))
-        self._live_flows[fid] = record
+        self._live_flows[id(flow)] = record
         self.flows.append(record)
         self._emit(FlowStart(net.env.now, fid, flow.label, flow.size,
                              flow.rate, record.links))
@@ -296,8 +300,8 @@ class Recorder:
     def flow_retired(self, net, flow) -> None:
         """Hook: ``flow`` delivered its last byte."""
         now = net.env.now
-        self._emit(FlowRetire(now, id(flow), flow.label))
-        self._finish_flow(id(flow), now, aborted=False)
+        self._emit(FlowRetire(now, self._fid_of(flow), flow.label))
+        self._finish_flow(flow, now, aborted=False)
         self.metrics.counter("flows.retired").inc()
         self.metrics.gauge("flows.active").set(len(net._flows))
 
@@ -305,13 +309,22 @@ class Recorder:
         """Hook: ``flow`` was removed before completion."""
         now = net.env.now
         delivered = flow.size - flow.remaining
-        self._emit(FlowAbort(now, id(flow), flow.label, delivered))
-        self._finish_flow(id(flow), now, aborted=True)
+        self._emit(FlowAbort(now, self._fid_of(flow), flow.label, delivered))
+        self._finish_flow(flow, now, aborted=True)
         self.metrics.counter("flows.aborted").inc()
         self.metrics.gauge("flows.active").set(len(net._flows))
 
-    def _finish_flow(self, fid: int, now: float, aborted: bool) -> None:
-        record = self._live_flows.pop(fid, None)
+    def _new_fid(self) -> int:
+        self._next_fid += 1
+        return self._next_fid - 1
+
+    def _fid_of(self, flow) -> int:
+        """A live flow's id (a fresh one for a flow started unrecorded)."""
+        record = self._live_flows.get(id(flow))
+        return record.fid if record is not None else self._new_fid()
+
+    def _finish_flow(self, flow, now: float, aborted: bool) -> None:
+        record = self._live_flows.pop(id(flow), None)
         if record is not None:
             record.end = now
             record.aborted = aborted
@@ -335,7 +348,7 @@ class Recorder:
         if record is not None:
             record.parent_span = span_id
             for event in reversed(self.events):
-                if isinstance(event, FlowStart) and event.fid == id(flow):
+                if isinstance(event, FlowStart) and event.fid == record.fid:
                     event.parent_span = span_id
                     break
 

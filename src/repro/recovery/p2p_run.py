@@ -278,9 +278,9 @@ class P2PRun(PhaseDriver):
                 done_evt.succeed()
 
     def _exchange(self, group):
+        spawn, check = group.seam()
         yield from merge_chunks(self.machine, self.chunks, self.config,
-                                self.stats, spawn=group.spawn,
-                                check=group.check)
+                                self.stats, spawn=spawn, check=check)
 
     def _gather(self, group):
         copy_out(self.machine, self.chunks, self._outputs(self.host_out),

@@ -75,6 +75,14 @@ class TaskGroup:
         if self.failure is not None:
             raise self.failure
 
+    def seam(self) -> tuple:
+        """``(spawn, check)`` for the inner processes of a task that
+        waits for its own: the group's when it is shielded, so a failure
+        or cancellation reaches them; ``(None, None)`` unshielded, where
+        the group need not keep them (bare processes, nothing to
+        check)."""
+        return (self.spawn, self.check) if self.shielded else (None, None)
+
     def _shield(self, gen, name: str):
         if self.cancelled:
             # The group was torn down before this task ever started —

@@ -26,11 +26,12 @@ class Stream:
         self._tail: Optional[Event] = None
         self._depth = 0
 
-    def submit(self, operation: Generator) -> Process:
+    def submit(self, operation: Generator, spawn=None) -> Process:
         """Enqueue an operation; it starts when the previous one ends.
 
         Returns the process of the operation (an event; its value is
-        the operation's return value).
+        the operation's return value).  ``spawn`` starts that process
+        (default: ``env.process``), so a supervised phase can own it.
         """
         previous = self._tail
         self._depth += 1
@@ -38,7 +39,7 @@ class Stream:
         if obs is not None:
             obs.stream_submitted(self.name, self._depth,
                                  self.machine.env.now)
-        process = self.machine.env.process(
+        process = (spawn or self.machine.env.process)(
             self._run_after(previous, operation))
         self._tail = process
         return process

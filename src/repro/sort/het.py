@@ -42,7 +42,7 @@ runs the same steps over the same :func:`plan_chunks` plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, List, Optional, Sequence, Tuple, Union
+from typing import Container, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -54,8 +54,9 @@ from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.memcpy import span
 from repro.runtime.stream import Stream
 from repro.sort.gpu_set import plan_gpu_set
-from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, copy_in, copy_out,
-                            merge_chunks, sort_chunk)
+from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, _device_alloc,
+                            _no_check, copy_in, copy_out, merge_chunks,
+                            sort_chunk)
 from repro.sort.result import SortRecord, SortResult, stage_input
 
 
@@ -201,7 +202,7 @@ def _grouped_pipeline(machine: Machine, devices,
                       groups: Sequence[Sequence[ChunkTask]],
                       merged: Container[int], staging: HostBuffer,
                       value_staging: Optional[HostBuffer], primitive: str,
-                      capacity: int, on_chunk_done):
+                      capacity: int, on_chunk_done, spawn, check, alloc):
     """The 2n pipeline: one lane per device steps through ``groups``.
 
     Every lane holds one :class:`~repro.sort.p2p.Chunk`, and every group
@@ -212,17 +213,19 @@ def _grouped_pipeline(machine: Machine, devices,
     whose index is in ``merged`` (uniform, so it fills the buffers) is
     P2P-merged on the devices before it returns: the merge phase of the
     P2P sort, verbatim.  Over one lane this is the per-GPU 2n pipeline.
-    The device buffers are freed on every exit.
+    ``spawn``/``check`` are the supervision seam of
+    :func:`~repro.sort.p2p.p2p_pipeline`: a chunk is done only once its
+    DtoH landed and ``check`` passed.  The device buffers come from
+    ``alloc`` and are freed on every exit.
     """
     env = machine.env
-    spawn = env.process
     value_dtype = value_staging.dtype if value_staging is not None else None
     merge_config = P2PConfig(primitive=primitive)
     chunks: List[Chunk] = []
     try:
         for device in devices:
             chunks.append(Chunk.alloc(device, capacity, staging.dtype,
-                                      value_dtype))
+                                      value_dtype, alloc=alloc))
         previous: Sequence[ChunkTask] = ()
         for group in groups:
             lanes = chunks[:len(group)]
@@ -233,17 +236,20 @@ def _grouped_pipeline(machine: Machine, devices,
             copies += copy_tasks_in(machine, lanes, group, staging,
                                     value_staging, spawn)
             yield env.all_of(copies)
+            check()
             for task in previous:
                 on_chunk_done(task)
             yield env.all_of([spawn(sort_chunk(machine, chunk, primitive,
                                                task.size))
                               for task, chunk in zip(group, lanes)])
+            check()
             if group[0].group in merged:
                 yield from merge_chunks(machine, chunks, merge_config,
-                                        P2PStats())
+                                        P2PStats(), spawn, check)
             previous = group
         yield env.all_of(copy_tasks_out(machine, chunks, previous,
                                         staging.numa, spawn))
+        check()
         for task in previous:
             on_chunk_done(task)
     finally:
@@ -253,28 +259,29 @@ def _grouped_pipeline(machine: Machine, devices,
 
 def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
                  staging: HostBuffer, value_staging: Optional[HostBuffer],
-                 primitive: str, capacity: int, on_chunk_done):
+                 primitive: str, capacity: int, on_chunk_done, spawn, check,
+                 alloc):
     """Per-GPU 3n pipeline: sorting overlaps the in-place transfer swap.
 
     A :class:`~repro.sort.p2p.Chunk`'s two buffers alternate, and a
     third allocation is the sort's auxiliary memory: while chunk ``i``
     sorts in the primary buffer, the other one streams chunk ``i-1``
-    out and chunk ``i+1`` in (Figure 10).  The device buffers are freed
-    on every exit.
+    out and chunk ``i+1`` in (Figure 10).  Seam and buffers as in
+    :func:`_grouped_pipeline`.
     """
     env = machine.env
-    spawn = env.process
     dtypes = [staging.dtype]
     if value_staging is not None:
         dtypes.append(value_staging.dtype)
-    chunk = Chunk.alloc(device, capacity, *dtypes)
+    chunk = Chunk.alloc(device, capacity, *dtypes, alloc=alloc)
     sort_aux = []
     try:
         for dtype in dtypes:
-            sort_aux.append(device.alloc(capacity, dtype,
-                                         label=f"saux{device.id}"))
+            sort_aux.append(alloc(device, capacity, dtype,
+                                  f"saux{device.id}"))
         yield env.all_of(copy_tasks_in(machine, [chunk], tasks[:1], staging,
                                        value_staging, spawn))
+        check()
         for step, task in enumerate(tasks):
             ops = [spawn(sort_chunk(machine, chunk, primitive, task.size))]
             chunk.flip_buffers()
@@ -283,16 +290,191 @@ def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
             ops += copy_tasks_in(machine, [chunk], tasks[step + 1:step + 2],
                                  staging, value_staging, spawn)
             yield env.all_of(ops)
+            check()
             if step:
                 on_chunk_done(tasks[step - 1])
         chunk.flip_buffers()
         yield env.all_of(copy_tasks_out(machine, [chunk], tasks[-1:],
                                         staging.numa, spawn))
+        check()
         on_chunk_done(tasks[-1])
     finally:
         chunk.free()
         for buffer in sort_aux:
             buffer.free()
+
+
+class HetPlan:
+    """One HET sort's chunk plan, the lanes that run it and its merge.
+
+    The plan (:func:`chunk_capacity_for`, then :func:`plan_chunks`) cuts
+    the input into :class:`ChunkTask` groups of one chunk per GPU.  A
+    chunk's sorted run is host staging from ``take(size, dtype)``;
+    every uniform group of a ``gpu_merge_groups`` run comes back as one
+    GPU-merged run (its chunks' runs are slices of it), and a plan that
+    comes back as one run (one chunk, or one GPU-merged group) stages
+    straight into ``outputs``.  :meth:`lanes` sorts every chunk not yet
+    ``flushed`` and :meth:`merge` merges the runs into the output, for
+    :func:`het_sort` and for the supervised HET driver
+    (:mod:`repro.recovery.het_run`) alike.
+    """
+
+    def __init__(self, machine: Machine, devices, config: HetConfig, n: int,
+                 dtype, value_dtype, outputs, take):
+        self.config = config
+        self.dtypes = (dtype, value_dtype)
+        self._take = take
+        g = len(devices)
+        group_sizes, self.capacity = plan_chunks(n, g, chunk_capacity_for(
+            machine, devices, config, dtype, value_dtype, n))
+        # GPU-merged groups: every uniform group, whose chunks fill the
+        # buffers exactly (plan_chunks), comes back as one sorted run.
+        self.merged = {index for index, sizes in enumerate(group_sizes)
+                       if config.gpu_merge_groups and g > 1
+                       and sizes == [self.capacity] * g}
+        #: GPU-merged groups run in lockstep over every GPU.
+        self.lockstep = config.gpu_merge_groups
+        # A plan that comes back as one run needs no final merge — the
+        # paper's 1-GPU baseline is plain Thrust without a merge phase.
+        self.one_run = len(group_sizes) == 1 and (len(group_sizes[0]) == 1
+                                                  or 0 in self.merged)
+        #: The one run of every GPU-merged or eager-merged group.
+        self.group_runs: dict = {}
+        self.tasks: List[ChunkTask] = []
+        self.by_group: List[List[ChunkTask]] = []
+        #: Indices of the chunks whose DtoH landed: their runs are
+        #: durable, and no later lane sorts them again.
+        self.flushed: Set[int] = set()
+        offset = 0
+        for index, sizes in enumerate(group_sizes):
+            if index in self.merged:
+                self.group_runs[index] = (outputs if self.one_run
+                                          else self._runs(sum(sizes)))
+            self.by_group.append([])
+            for j, size in enumerate(sizes):
+                if index in self.merged:
+                    run, value_run = (array[j * size:(j + 1) * size]
+                                      if array is not None else None
+                                      for array in self.group_runs[index])
+                else:
+                    run, value_run = (outputs if self.one_run
+                                      else self._runs(size))
+                self.tasks.append(ChunkTask(
+                    index=len(self.tasks), group=index, src_start=offset,
+                    src_stop=offset + size, run=run, value_run=value_run))
+                self.by_group[-1].append(self.tasks[-1])
+                offset += size
+
+    def _runs(self, size: int):
+        """Fresh host staging for ``size`` records: keys, payloads."""
+        return tuple(self._take(size, dtype) if dtype is not None else None
+                     for dtype in self.dtypes)
+
+    def lanes(self, machine: Machine, devices, staging: HostBuffer,
+              value_staging: Optional[HostBuffer], spawn=None, check=None,
+              alloc=None, on_group_flushed=None):
+        """Process: sort every chunk not yet flushed on ``devices``.
+
+        GPU-merged groups step through the GPUs in lockstep; otherwise
+        GPU ``slot`` runs a 2n or 3n lane over every ``len(devices)``-th
+        pending chunk.  With ``eager_merge`` each group but the last is
+        merged on the CPU (serialized on one merge stream) as soon as
+        its last chunk flushed, while the GPUs continue (Section 5.3).
+        ``on_group_flushed(index)`` runs when group ``index``'s last
+        chunk flushed.  ``spawn``/``check``/``alloc`` are the
+        supervision seam and device allocator of the pipelines.
+        """
+        env = machine.env
+        spawn = spawn or env.process
+        check = check or _no_check
+        alloc = alloc or _device_alloc
+        pending = [task for task in self.tasks
+                   if task.index not in self.flushed]
+        remaining = [sum(task.index not in self.flushed for task in group)
+                     for group in self.by_group]
+        cpu_stream = Stream(machine, name="cpu-merge")
+
+        def on_chunk_done(task: ChunkTask) -> None:
+            self.flushed.add(task.index)
+            remaining[task.group] -= 1
+            if remaining[task.group]:
+                return
+            if on_group_flushed is not None:
+                on_group_flushed(task.group)
+            if (self.config.eager_merge
+                    and task.group < len(self.by_group) - 1):
+                cpu_stream.submit(self._eager_merge(machine, task.group,
+                                                    staging.numa), spawn)
+
+        args = (staging, value_staging, self.config.primitive,
+                self.capacity, on_chunk_done, spawn, check, alloc)
+        if self.lockstep:
+            yield from _grouped_pipeline(machine, devices, self.by_group,
+                                         self.merged, *args)
+        else:
+            g = len(devices)
+            if self.config.approach == "3n":
+                lanes = [_pipeline_3n(machine, devices[slot],
+                                      pending[slot::g], *args)
+                         for slot in range(min(g, len(pending)))]
+            else:
+                lanes = [_grouped_pipeline(
+                    machine, [devices[slot]],
+                    [[task] for task in pending[slot::g]], (), *args)
+                    for slot in range(min(g, len(pending)))]
+            yield env.all_of([spawn(lane) for lane in lanes])
+        yield cpu_stream.synchronize()
+        check()
+
+    def _eager_merge(self, machine: Machine, index: int, numa: int):
+        """Process: merge group ``index``'s runs into one on the CPU; the
+        group's run counts only once the merge is complete."""
+        group = self.by_group[index]
+        keys, values = self._runs(sum(task.size for task in group))
+        yield from cpu_multiway_merge(
+            machine, keys, [task.run for task in group], numa=numa,
+            phase="Merge", values_out=values,
+            value_runs=[task.value_run for task in group]
+            if values is not None else None)
+        self.group_runs[index] = keys, values
+
+    def merge(self, machine: Machine, host_out: HostBuffer,
+              values_out: Optional[HostBuffer]):
+        """Process: the final CPU merge of every run into the output:
+        one run per eager- or GPU-merged group, one per chunk of any
+        other group (nothing to do for a one-run plan)."""
+        if self.one_run:
+            return
+        runs = []
+        for index, group in enumerate(self.by_group):
+            runs.extend([self.group_runs[index]] if index in self.group_runs
+                        else [(task.run, task.value_run) for task in group])
+        yield from cpu_multiway_merge(
+            machine, host_out.data, [keys for keys, _ in runs],
+            numa=host_out.numa, phase="Merge",
+            values_out=values_out.data if values_out is not None else None,
+            value_runs=[payloads for _, payloads in runs]
+            if values_out is not None else None)
+
+    def replan(self) -> None:
+        """Re-lane the chunks not yet flushed, on any GPU count.
+
+        The lanes no longer step in lockstep, and a GPU-merged group
+        that had not fully flushed falls back to per-chunk runs in fresh
+        staging: its flushed chunks, if any, hold slices of a merge that
+        never completed.
+        """
+        self.lockstep = False
+        for index in sorted(self.merged):
+            group = self.by_group[index]
+            if all(task.index in self.flushed for task in group):
+                continue
+            self.merged.discard(index)
+            del self.group_runs[index]
+            self.one_run = False
+            for task in group:
+                self.flushed.discard(task.index)
+                task.run, task.value_run = self._runs(task.size)
 
 
 def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -312,11 +494,15 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  On a machine with an installed fault plan, failed or
-    badly straggling GPUs are dropped and the chunk groups re-planned
-    over the survivors (any count works — HET needs no power of two
-    unless ``gpu_merge_groups`` is on); recovery work is reported on
-    the result.
+    included).  GPUs that have failed or straggle badly when the sort
+    is planned are left out of the GPU set (any count works — HET needs
+    no power of two unless ``gpu_merge_groups`` is on), and the
+    exclusions are reported on the result.  A GPU lost *mid-run* is not
+    recovered from: the sort raises
+    :class:`~repro.errors.DeviceFaultError` and may leave the machine
+    holding the failed run's device buffers and flows.  The supervised
+    sort (``SortSupervisor.sort(algorithm="het")``) re-lanes the
+    unflushed chunks over the survivors instead.
     """
     with machine.resilience_override(resilience):
         return _het_sort(machine, data, gpu_ids, config, values)
@@ -334,131 +520,29 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     # The on-GPU group merge needs 2^k chunks per group.
     ids, excluded = plan_gpu_set(machine, gpu_ids,
                                  power_of_two=config.gpu_merge_groups)
-    g = len(ids)
-    dtype = host_in.dtype
-
     devices = [machine.device(i) for i in ids]
-    group_sizes, capacity = plan_chunks(n, g, chunk_capacity_for(
-        machine, devices, config, dtype, value_dtype, n))
-    groups = len(group_sizes)
-    # GPU-merged groups: every uniform group, whose chunks fill the
-    # buffers exactly (plan_chunks), comes back as one sorted run.
-    merged = {index for index, sizes in enumerate(group_sizes)
-              if config.gpu_merge_groups and g > 1
-              and sizes == [capacity] * g}
-    # A plan that comes back as one run (one chunk, or one GPU-merged
-    # group) needs no final merge — the paper's 1-GPU baseline is plain
-    # Thrust without a merge phase — so that run stages straight into
-    # the output.
-    one_run = len(group_sizes) == 1 and (len(group_sizes[0]) == 1
-                                         or 0 in merged)
-
-    host_out = machine.host_buffer(np.empty(n, dtype=dtype),
-                                   numa=host_in.numa)
-    values_out = None
-    if value_dtype is not None:
-        values_out = machine.host_buffer(np.empty(n, dtype=value_dtype),
-                                         numa=host_in.numa)
+    host_out, values_out = (
+        machine.host_buffer(np.empty(n, dtype=dtype), numa=host_in.numa)
+        if dtype is not None else None
+        for dtype in (host_in.dtype, value_dtype))
 
     # Every staging run (per-chunk, per-group, eager-merged) is dead
     # once the final merge lands in host_out, so they all come from the
     # workspace pool and go back after the run.
     borrowed: List[np.ndarray] = []
 
-    def staging_array(size: int, array_dtype) -> Optional[np.ndarray]:
-        if array_dtype is None:
-            return None
-        borrowed.append(default_pool.take(size, array_dtype))
+    def take(size: int, dtype) -> np.ndarray:
+        borrowed.append(default_pool.take(size, dtype))
         return borrowed[-1]
 
-    def staging_runs(size: int):
-        return staging_array(size, dtype), staging_array(size, value_dtype)
-
-    output_runs = (host_out.data,
-                   values_out.data if values_out is not None else None)
-
-    # Chunk j of group i reads a contiguous input range and owns one
-    # host staging run; a GPU-merged group's runs are slices of the one
-    # group run.  ``group_runs`` holds the one run of every GPU-merged
-    # or eager-merged group.
-    tasks: List[ChunkTask] = []
-    by_group: List[List[ChunkTask]] = []
-    group_runs: dict = {}
-    offset = 0
-    for index, sizes in enumerate(group_sizes):
-        if index in merged:
-            group_runs[index] = (output_runs if one_run
-                                 else staging_runs(sum(sizes)))
-        by_group.append([])
-        for j, size in enumerate(sizes):
-            if index in merged:
-                run, value_run = (array[j * size:(j + 1) * size]
-                                  if array is not None else None
-                                  for array in group_runs[index])
-            else:
-                run, value_run = output_runs if one_run else staging_runs(size)
-            tasks.append(ChunkTask(
-                index=len(tasks), group=index, src_start=offset,
-                src_stop=offset + size, run=run, value_run=value_run))
-            by_group[-1].append(tasks[-1])
-            offset += size
-
-    # Eager merging: once a whole group's chunks are back in host
-    # memory, merge them on the CPU (serialized on one merge stream)
-    # while the GPUs continue — except the last group (Section 5.3).
-    group_remaining = [len(sizes) for sizes in group_sizes]
-    cpu_stream = Stream(machine, name="cpu-merge")
-
-    def on_chunk_done(task: ChunkTask) -> None:
-        group_remaining[task.group] -= 1
-        if (config.eager_merge and group_remaining[task.group] == 0
-                and task.group < groups - 1):
-            group = by_group[task.group]
-            merged_keys, merged_values = group_runs[task.group] = \
-                staging_runs(sum(t.size for t in group))
-            cpu_stream.submit(cpu_multiway_merge(
-                machine, merged_keys, [t.run for t in group],
-                numa=host_in.numa, phase="Merge",
-                values_out=merged_values,
-                value_runs=[t.value_run for t in group]
-                if value_dtype is not None else None))
-
-    def per_gpu_pipeline(device, lane_tasks: List[ChunkTask]):
-        if config.approach == "3n":
-            return _pipeline_3n(machine, device, lane_tasks, host_in,
-                                value_staging, config.primitive, capacity,
-                                on_chunk_done)
-        return _grouped_pipeline(machine, [device],
-                                 [[task] for task in lane_tasks], (),
-                                 host_in, value_staging, config.primitive,
-                                 capacity, on_chunk_done)
+    plan = HetPlan(machine, devices, config, n, host_in.dtype, value_dtype,
+                   (host_out.data,
+                    values_out.data if values_out is not None else None),
+                   take)
 
     def run():
-        env = machine.env
-        if config.gpu_merge_groups:
-            # The GPUs step through the groups in lockstep.
-            yield from _grouped_pipeline(
-                machine, devices, by_group, merged, host_in, value_staging,
-                config.primitive, capacity, on_chunk_done)
-        else:
-            yield env.all_of([
-                env.process(per_gpu_pipeline(devices[slot], tasks[slot::g]))
-                for slot in range(min(g, len(tasks)))])
-        yield cpu_stream.synchronize()
-        if one_run:
-            return
-        # The final merge's runs: one per eager- or GPU-merged group,
-        # one per chunk of any other group.
-        runs = []
-        for index, group in enumerate(by_group):
-            runs.extend([group_runs[index]] if index in group_runs
-                        else [(task.run, task.value_run) for task in group])
-        yield from cpu_multiway_merge(
-            machine, host_out.data, [keys for keys, _ in runs],
-            numa=host_in.numa, phase="Merge",
-            values_out=values_out.data if values_out is not None else None,
-            value_runs=[payloads for _, payloads in runs]
-            if value_dtype is not None else None)
+        yield from plan.lanes(machine, devices, host_in, value_staging)
+        yield from plan.merge(machine, host_out, values_out)
 
     try:
         with SortRecord(machine, "HetSort", host_in) as record:
@@ -468,6 +552,6 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             default_pool.give(array)
     return record.result(
         "het", ids, ("HtoD", "Sort", "DtoH", "Merge"), excluded=excluded,
-        chunk_groups=groups,
+        chunk_groups=len(plan.by_group),
         output=host_out.data,
         output_values=values_out.data if values_out is not None else None)

@@ -327,8 +327,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
 
         ``tasks`` is a list of ``(label, make)``; ``make(spawn, check)``
         returns a task's generator, given the supervision seam its
-        inner processes use (``None``, ``None`` unshielded: each task
-        waits for its own, so the group need not keep them).  With
+        inner processes use (:meth:`TaskGroup.seam`).  With
         ``inline`` a lone unshielded task runs in the caller's process.
         """
         failing["phase"] = name
@@ -336,8 +335,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         group = TaskGroup(env, name=name, shielded=shielded)
 
         def body():
-            seam = ((group.spawn, group.check) if group.shielded
-                    else (None, None))
+            seam = group.seam()
             if inline and not group.shielded and len(tasks) == 1:
                 yield from tasks[0][1](*seam)
                 return

@@ -182,6 +182,25 @@ class TestMachineIntegration:
         assert '"kind": "flow_start"' in payload
 
 
+    def test_two_runs_of_one_sort_record_equal_streams(self):
+        streams = []
+        for _ in range(2):
+            machine = Machine(dgx_a100(), scale=2e9 / 4096)
+            recorder, _ = self._sorted_run(machine)
+            streams.append(recorder.to_dicts())
+        assert streams[0] == streams[1]
+
+    def test_no_flow_id_is_reused_within_a_run(self, dgx):
+        recorder, _ = self._sorted_run(dgx)
+        starts = [event.fid for event in recorder.events_of("flow_start")]
+        assert len(starts) == len(recorder.flows) > 1
+        assert len(set(starts)) == len(starts)
+        assert [record.fid for record in recorder.flows] == starts
+        ended = [event.fid for event in recorder.events
+                 if event.kind in ("flow_retire", "flow_abort")]
+        assert sorted(ended) == sorted(starts)
+
+
 class TestRecorderGuards:
     def test_sample_decimation_validated(self):
         with pytest.raises(ValueError):
