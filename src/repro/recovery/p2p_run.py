@@ -33,7 +33,7 @@ their keys through every phase, checkpoint, restore and backup.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +67,11 @@ def _records(chunk: Chunk) -> list:
 class P2PRun(PhaseDriver):
     """State and phase bodies of one P2P sort."""
 
-    def __init__(self, sup, host_in: HostBuffer, ids: Tuple[int, ...],
+    def __init__(self, sup, host_in: HostBuffer,
+                 gpu_ids: Optional[Sequence[int]],
                  host_values: Optional[HostBuffer] = None,
                  p2p_config: Optional[P2PConfig] = None):
-        super().__init__(sup, host_in, ids)
+        super().__init__(sup, host_in, gpu_ids, power_of_two=True)
         self.config = p2p_config or P2PConfig()
         if self.config.input_placement not in (pl.NODE0, pl.NUMA_LOCAL):
             raise SortError(

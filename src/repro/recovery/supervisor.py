@@ -79,7 +79,8 @@ class SupervisorConfig:
 class PhaseDriver:
     """Base of the supervised algorithm drivers.
 
-    A driver owns the run's GPU set ``ids`` and its phase ``queue``.
+    A driver owns the run's GPU set ``ids`` (planned from ``gpu_ids``;
+    ``excluded`` lists the GPUs left out) and its phase ``queue``.
     Per phase the supervisor runs ``body(name)`` and, if there is one,
     ``checkpoint_body(name)``, then calls ``after_phase``; a device or
     transfer failure calls ``replan`` instead.  ``finalize`` returns the
@@ -89,13 +90,15 @@ class PhaseDriver:
     the run's pool.
     """
 
-    def __init__(self, sup, host_in: HostBuffer, ids: Sequence[int]):
+    def __init__(self, sup, host_in: HostBuffer,
+                 gpu_ids: Optional[Sequence[int]], power_of_two: bool):
         self.sup = sup
         self.machine = sup.machine
         self.host_in = host_in
         self.n = len(host_in.data)
         self.dtype = host_in.dtype
-        self.ids = tuple(ids)
+        self.ids, self.excluded = plan_gpu_set(self.machine, gpu_ids,
+                                               power_of_two=power_of_two)
         self._allocated: List = []
         self._borrowed: List[np.ndarray] = []
 
@@ -191,11 +194,11 @@ class SortSupervisor:
         """Run a supervised sort; returns a :class:`SortResult`.
 
         ``algorithm`` is ``"p2p"`` or ``"het"``.  ``values`` (one
-        payload per key) sorts records: the P2P run carries them through
-        every phase, checkpoint, restore and backup, and returns them in
-        ``result.output_values``; the supervised HET run carries keys
-        only and rejects them.  Extra keyword arguments go to the
-        algorithm driver (``p2p_config=`` / ``het_config=``).
+        payload per key) sorts records: both drivers carry them through
+        every phase, checkpoint and replan (and P2P's restores and
+        backups) and return them in ``result.output_values``.  Extra
+        keyword arguments go to the algorithm driver (``p2p_config=`` /
+        ``het_config=``).
 
         The run is driven from the host side: this trampoline replays
         :meth:`sort_async`'s yielded events through ``env.run`` without
@@ -243,10 +246,9 @@ class SortSupervisor:
                             "(expected 'p2p' or 'het')")
 
         host_in, host_values = stage_input(machine, data, values)
-        ids, self.excluded = plan_gpu_set(
-            machine, gpu_ids, power_of_two=algorithm == "p2p")
-        driver = driver_cls(self, host_in, ids, host_values=host_values,
+        driver = driver_cls(self, host_in, gpu_ids, host_values=host_values,
                             **driver_kwargs)
+        self.excluded = driver.excluded
         cfg = self.config
         # A P2P run that installs nothing (no checkpoint kind,
         # speculation, deadline or job label) is the plain P2P sort and

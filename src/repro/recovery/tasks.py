@@ -77,10 +77,8 @@ class TaskGroup:
 
     def seam(self) -> tuple:
         """``(spawn, check)`` for the inner processes of a task that
-        waits for its own: the group's when it is shielded, so a failure
-        or cancellation reaches them; ``(None, None)`` unshielded, where
-        the group need not keep them (bare processes, nothing to
-        check)."""
+        waits for its own: the group's when shielded, ``(None, None)``
+        (bare processes the group need not keep) when not."""
         return (self.spawn, self.check) if self.shielded else (None, None)
 
     def _shield(self, gen, name: str):

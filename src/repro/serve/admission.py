@@ -26,9 +26,12 @@ def scratch_bytes(spec: JobSpec) -> int:
     """Host scratch the supervisor will borrow for ``spec``.
 
     The P2P driver stages a padded copy of the input when the GPU
-    count does not divide it; the HET driver borrows one run per chunk
-    totalling the input size.  Either way the bound is one input-sized
-    scratch array.
+    count does not divide it; the HET driver borrows at most one run
+    per chunk, totalling the input size (none when the plan comes back
+    as one run).  Either way the bound is one input-sized scratch
+    array.  Eager merging would borrow one more run per group, but
+    service jobs never set it.  Device buffers (two or three
+    chunk-sized ones per GPU for HET) are not host scratch.
     """
     itemsize = np.dtype(spec.dtype).itemsize
     if spec.algorithm == "p2p":

@@ -35,8 +35,11 @@ of a :class:`~repro.sort.p2p.Chunk` (:func:`copy_tasks_in` and
 them).  The 2n loop exists once, :func:`_grouped_pipeline`: a per-GPU
 2n pipeline is that loop over one lane, and GPU-merged groups run it
 over all GPUs in lockstep.  The 3n pipeline keeps its own overlap
-structure.  The supervised driver (:mod:`repro.recovery.het_run`)
-runs the same steps over the same :func:`plan_chunks` plan.
+structure.  The plan, the lane dispatch, eager merging and the final
+merge exist once too, :class:`HetPlan`: :func:`het_sort` runs it, and
+so does the supervised driver (:mod:`repro.recovery.het_run`), through
+the pipelines' ``spawn``/``check`` seam, over the chunks not yet
+flushed.
 """
 
 from __future__ import annotations
@@ -134,18 +137,8 @@ def plan_chunks(n: int, g: int,
     # Use the smallest equal chunk size that fits the group count, so
     # chunks stay balanced across GPUs (paper: equally sized chunks).
     chunk = -(-n // (groups_needed * g))
-    sizes: List[List[int]] = []
-    remaining = n
-    while remaining > 0:
-        group = []
-        for _ in range(g):
-            take = min(chunk, remaining)
-            if take == 0:
-                break
-            group.append(take)
-            remaining -= take
-        sizes.append(group)
-    return sizes, chunk
+    sizes = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+    return [sizes[i:i + g] for i in range(0, len(sizes), g)], chunk
 
 
 def chunk_capacity_for(machine: Machine, devices, config: HetConfig,
@@ -155,8 +148,7 @@ def chunk_capacity_for(machine: Machine, devices, config: HetConfig,
     The memory budget governs the out-of-core streaming chunk size
     (Figure 15a reserves 33 of the A100's 40 GB); in-core data gets one
     chunk of ``n/g`` keys per GPU when the device can hold it with the
-    approach's buffer count.  Shared by :func:`het_sort` and the
-    supervised HET driver so both plan identical chunks.
+    approach's buffer count.
     """
     capacity = min(d.capacity_logical for d in devices)
     buffers = config.buffers_per_gpu()
@@ -304,29 +296,38 @@ def _pipeline_3n(machine: Machine, device, tasks: Sequence[ChunkTask],
             buffer.free()
 
 
+def _cpu_merge(machine: Machine, out, runs, numa: int):
+    """Process: CPU-merge ``runs``, ``(keys, payloads)`` pairs, into
+    ``out``, a pair too."""
+    return cpu_multiway_merge(
+        machine, out[0], [keys for keys, _ in runs], numa=numa,
+        phase="Merge", values_out=out[1],
+        value_runs=[values for _, values in runs]
+        if out[1] is not None else None)
+
+
 class HetPlan:
     """One HET sort's chunk plan, the lanes that run it and its merge.
 
     The plan (:func:`chunk_capacity_for`, then :func:`plan_chunks`) cuts
     the input into :class:`ChunkTask` groups of one chunk per GPU.  A
-    chunk's sorted run is host staging from ``take(size, dtype)``;
-    every uniform group of a ``gpu_merge_groups`` run comes back as one
-    GPU-merged run (its chunks' runs are slices of it), and a plan that
-    comes back as one run (one chunk, or one GPU-merged group) stages
-    straight into ``outputs``.  :meth:`lanes` sorts every chunk not yet
-    ``flushed`` and :meth:`merge` merges the runs into the output, for
-    :func:`het_sort` and for the supervised HET driver
-    (:mod:`repro.recovery.het_run`) alike.
+    chunk's sorted run is host staging from ``take(size, dtype)``, a
+    slice of its group's one run if the group is GPU-merged, or, when
+    the plan comes back as one run, ``outputs`` (keys, payloads) itself.
+    :meth:`lanes` sorts every chunk not yet ``flushed``; :meth:`merge`
+    merges the runs into ``outputs``.
     """
 
-    def __init__(self, machine: Machine, devices, config: HetConfig, n: int,
-                 dtype, value_dtype, outputs, take):
+    def __init__(self, machine: Machine, devices, config: HetConfig,
+                 outputs, take):
         self.config = config
-        self.dtypes = (dtype, value_dtype)
+        self.outputs = outputs
+        self.dtypes = tuple(out.dtype if out is not None else None
+                            for out in outputs)
         self._take = take
-        g = len(devices)
+        n, g = len(outputs[0]), len(devices)
         group_sizes, self.capacity = plan_chunks(n, g, chunk_capacity_for(
-            machine, devices, config, dtype, value_dtype, n))
+            machine, devices, config, *self.dtypes, n))
         # GPU-merged groups: every uniform group, whose chunks fill the
         # buffers exactly (plan_chunks), comes back as one sorted run.
         self.merged = {index for index, sizes in enumerate(group_sizes)
@@ -377,12 +378,11 @@ class HetPlan:
 
         GPU-merged groups step through the GPUs in lockstep; otherwise
         GPU ``slot`` runs a 2n or 3n lane over every ``len(devices)``-th
-        pending chunk.  With ``eager_merge`` each group but the last is
-        merged on the CPU (serialized on one merge stream) as soon as
-        its last chunk flushed, while the GPUs continue (Section 5.3).
-        ``on_group_flushed(index)`` runs when group ``index``'s last
-        chunk flushed.  ``spawn``/``check``/``alloc`` are the
-        supervision seam and device allocator of the pipelines.
+        pending chunk.  Once a group's last chunk flushed,
+        ``on_group_flushed(index)`` runs and, with ``eager_merge``, all
+        groups but the last merge on one CPU stream while the GPUs
+        continue (Section 5.3).  ``spawn``/``check``/``alloc`` are the
+        pipelines' supervision seam and device allocator.
         """
         env = machine.env
         spawn = spawn or env.process
@@ -430,16 +430,12 @@ class HetPlan:
         """Process: merge group ``index``'s runs into one on the CPU; the
         group's run counts only once the merge is complete."""
         group = self.by_group[index]
-        keys, values = self._runs(sum(task.size for task in group))
-        yield from cpu_multiway_merge(
-            machine, keys, [task.run for task in group], numa=numa,
-            phase="Merge", values_out=values,
-            value_runs=[task.value_run for task in group]
-            if values is not None else None)
-        self.group_runs[index] = keys, values
+        out = self._runs(sum(task.size for task in group))
+        yield from _cpu_merge(machine, out, [(task.run, task.value_run)
+                                             for task in group], numa)
+        self.group_runs[index] = out
 
-    def merge(self, machine: Machine, host_out: HostBuffer,
-              values_out: Optional[HostBuffer]):
+    def merge(self, machine: Machine, numa: int):
         """Process: the final CPU merge of every run into the output:
         one run per eager- or GPU-merged group, one per chunk of any
         other group (nothing to do for a one-run plan)."""
@@ -449,31 +445,23 @@ class HetPlan:
         for index, group in enumerate(self.by_group):
             runs.extend([self.group_runs[index]] if index in self.group_runs
                         else [(task.run, task.value_run) for task in group])
-        yield from cpu_multiway_merge(
-            machine, host_out.data, [keys for keys, _ in runs],
-            numa=host_out.numa, phase="Merge",
-            values_out=values_out.data if values_out is not None else None,
-            value_runs=[payloads for _, payloads in runs]
-            if values_out is not None else None)
+        yield from _cpu_merge(machine, self.outputs, runs, numa)
 
     def replan(self) -> None:
         """Re-lane the chunks not yet flushed, on any GPU count.
 
-        The lanes no longer step in lockstep, and a GPU-merged group
-        that had not fully flushed falls back to per-chunk runs in fresh
-        staging: its flushed chunks, if any, hold slices of a merge that
-        never completed.
+        The lanes no longer step in lockstep, so a GPU-merged group that
+        had not flushed (its chunks flush together) falls back to
+        per-chunk runs in fresh staging.
         """
         self.lockstep = False
-        for index in sorted(self.merged):
-            group = self.by_group[index]
-            if all(task.index in self.flushed for task in group):
+        for index in list(self.merged):
+            if self.by_group[index][0].index in self.flushed:
                 continue
             self.merged.discard(index)
             del self.group_runs[index]
             self.one_run = False
-            for task in group:
-                self.flushed.discard(task.index)
+            for task in self.by_group[index]:
                 task.run, task.value_run = self._runs(task.size)
 
 
@@ -494,15 +482,13 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  GPUs that have failed or straggle badly when the sort
-    is planned are left out of the GPU set (any count works — HET needs
-    no power of two unless ``gpu_merge_groups`` is on), and the
-    exclusions are reported on the result.  A GPU lost *mid-run* is not
-    recovered from: the sort raises
-    :class:`~repro.errors.DeviceFaultError` and may leave the machine
-    holding the failed run's device buffers and flows.  The supervised
-    sort (``SortSupervisor.sort(algorithm="het")``) re-lanes the
-    unflushed chunks over the survivors instead.
+    included).  GPUs failed or badly straggling when the sort is
+    planned are left out (HET needs no power of two unless
+    ``gpu_merge_groups`` is on) and reported on the result.  A GPU lost
+    *mid-run* raises :class:`~repro.errors.DeviceFaultError` and may
+    leave the machine holding the run's device buffers and flows; the
+    supervised sort (``SortSupervisor.sort(algorithm="het")``) re-lanes
+    the unflushed chunks over the survivors instead.
     """
     with machine.resilience_override(resilience):
         return _het_sort(machine, data, gpu_ids, config, values)
@@ -521,13 +507,11 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     ids, excluded = plan_gpu_set(machine, gpu_ids,
                                  power_of_two=config.gpu_merge_groups)
     devices = [machine.device(i) for i in ids]
-    host_out, values_out = (
-        machine.host_buffer(np.empty(n, dtype=dtype), numa=host_in.numa)
-        if dtype is not None else None
-        for dtype in (host_in.dtype, value_dtype))
+    outputs = tuple(np.empty(n, dtype=dtype) if dtype is not None else None
+                    for dtype in (host_in.dtype, value_dtype))
 
     # Every staging run (per-chunk, per-group, eager-merged) is dead
-    # once the final merge lands in host_out, so they all come from the
+    # once the final merge lands in the output, so they all come from the
     # workspace pool and go back after the run.
     borrowed: List[np.ndarray] = []
 
@@ -535,14 +519,11 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
         borrowed.append(default_pool.take(size, dtype))
         return borrowed[-1]
 
-    plan = HetPlan(machine, devices, config, n, host_in.dtype, value_dtype,
-                   (host_out.data,
-                    values_out.data if values_out is not None else None),
-                   take)
+    plan = HetPlan(machine, devices, config, outputs, take)
 
     def run():
         yield from plan.lanes(machine, devices, host_in, value_staging)
-        yield from plan.merge(machine, host_out, values_out)
+        yield from plan.merge(machine, host_in.numa)
 
     try:
         with SortRecord(machine, "HetSort", host_in) as record:
@@ -552,6 +533,5 @@ def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             default_pool.give(array)
     return record.result(
         "het", ids, ("HtoD", "Sort", "DtoH", "Merge"), excluded=excluded,
-        chunk_groups=len(plan.by_group),
-        output=host_out.data,
-        output_values=values_out.data if values_out is not None else None)
+        chunk_groups=len(plan.by_group), output=outputs[0],
+        output_values=outputs[1])

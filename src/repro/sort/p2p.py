@@ -81,16 +81,9 @@ class P2PStats:
 
 
 class Chunk:
-    """One GPU's chunk: primary/auxiliary key buffers, optional payloads.
+    """One GPU's chunk: primary/auxiliary key buffers, optional payloads."""
 
-    The pipeline steps (:func:`copy_in`, :func:`sort_chunk`,
-    :func:`copy_out`) touch only the primary buffers, so a chunk that is
-    only copied and sorted, never flipped (a supervised HET lane), may
-    have no ``aux``.
-    """
-
-    def __init__(self, device, primary: DeviceBuffer,
-                 aux: Optional[DeviceBuffer],
+    def __init__(self, device, primary: DeviceBuffer, aux: DeviceBuffer,
                  value_primary: Optional[DeviceBuffer] = None,
                  value_aux: Optional[DeviceBuffer] = None):
         self.device = device

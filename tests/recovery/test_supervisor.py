@@ -16,7 +16,7 @@ from repro.recovery import SortSupervisor, SupervisorConfig
 from repro.recovery.het_run import HetRun
 from repro.recovery.tasks import TaskGroup
 from repro.runtime import Machine
-from repro.sort import P2PConfig, p2p_sort
+from repro.sort import HetConfig, P2PConfig, het_sort, p2p_sort
 from repro.sort.result import stage_input
 from tests.sort.test_key_value import check_kv
 
@@ -171,9 +171,10 @@ class TestReplanning:
         assert 2 not in result.gpu_ids
 
     def test_het_flushes_only_chunks_whose_dtoh_completed(self):
-        # Out of core, one chunk per GPU per batch.  GPU 2 dies halfway
-        # through its second DtoH: the first batch is on the host, the
-        # second batch's chains died in flight and stay unflushed.
+        # Out of core, every GPU's 2n lane streams chunk after chunk.
+        # GPU 2 dies halfway through its second DtoH: its first chunk is
+        # on the host, the dying chain's chunk stays unflushed, and
+        # every run that did flush is its input slice, sorted.
         scale = 512e9 / N
         clean = Machine(dgx_a100(), scale=scale)
         SortSupervisor(clean).sort(_data(), algorithm="het")
@@ -184,15 +185,20 @@ class TestReplanning:
             at=(second.start + second.end) / 2, gpu=2),)))
         host_in, _ = stage_input(machine, _data())
         driver = HetRun(SortSupervisor(machine), host_in, tuple(range(8)))
+        plan = driver.plan
         group = TaskGroup(machine.env, name="Pipeline")
         try:
             with pytest.raises(DeviceFaultError):
                 machine.env.run(until=machine.env.process(
                     group.supervise(driver.body("Pipeline")(group))))
-            assert driver.flushed == set(range(8))
-            for task in driver.tasks[:8]:
-                assert np.array_equal(task.run, np.sort(
-                    _data()[task.src_start:task.src_stop]))
+            gpu2_chunks = plan.tasks[2::8]
+            assert gpu2_chunks[0].index in plan.flushed
+            assert gpu2_chunks[1].index not in plan.flushed
+            assert len(plan.flushed) >= 8
+            for task in plan.tasks:
+                if task.index in plan.flushed:
+                    assert np.array_equal(task.run, np.sort(
+                        _data()[task.src_start:task.src_stop]))
         finally:
             driver.cleanup()
 
@@ -230,6 +236,101 @@ class TestReplanning:
             _data(), algorithm="p2p")
         assert np.array_equal(result.output, np.sort(_data()))
         assert result.replans >= 1
+
+
+#: Every HET pipeline the supervised HET sort runs.
+HET_CONFIGS = {
+    "2n": HetConfig(),
+    "3n": HetConfig(approach="3n"),
+    "eager": HetConfig(eager_merge=True),
+    "gpu-merged": HetConfig(gpu_merge_groups=True),
+}
+#: Out of core: 8 chunk groups of keys, 15 of key-value records.
+HET_SCALE = 128e9 / N
+
+
+def _het_sort(machine, approach, payloads, supervised=True):
+    values = _values() if payloads else None
+    if not supervised:
+        return het_sort(machine, _data(), config=HET_CONFIGS[approach],
+                        values=values)
+    return SortSupervisor(machine).sort(
+        _data(), algorithm="het", values=values,
+        het_config=HET_CONFIGS[approach])
+
+
+def _check_het_output(result, payloads):
+    assert np.array_equal(result.output, np.sort(_data()))
+    if payloads:
+        check_kv(_data(), result)
+    else:
+        assert result.output_values is None
+
+
+def _machine_is_clean(machine):
+    assert all(device.allocated_logical == 0.0
+               for device in machine.devices)
+    assert machine.net.active_flows == []
+    assert machine.in_flight == {}
+
+
+@pytest.mark.parametrize("payloads", [False, True],
+                         ids=["keys", "key-value"])
+@pytest.mark.parametrize("approach", sorted(HET_CONFIGS))
+class TestHetPipelines:
+    """The supervised HET sort runs the plain sort's lanes: 2n, 3n,
+    eager merging and GPU-merged groups, keys or records."""
+
+    def test_clean_run_is_the_plain_pipeline(self, approach, payloads):
+        machine = _machine(scale=HET_SCALE)
+        result = _het_sort(machine, approach, payloads)
+        _check_het_output(result, payloads)
+        plain = _het_sort(_machine(scale=HET_SCALE), approach, payloads,
+                          supervised=False)
+        assert result.duration == plain.duration
+        assert result.phase_durations == plain.phase_durations
+        # One runs checkpoint per chunk group.
+        assert result.checkpoints == result.chunk_groups > 1
+        assert result.completed_phases == ("Pipeline", "Merge")
+        _machine_is_clean(machine)
+
+    def test_gpu_lost_mid_pipeline_replans(self, approach, payloads):
+        # Halfway through the GPUs' work (eager merges outlast it).
+        clean = _machine(scale=HET_SCALE)
+        _het_sort(clean, approach, payloads)
+        at = 0.5 * max(span.end for span in clean.trace.spans
+                       if span.phase == "DtoH")
+        plan = FaultPlan(events=(GpuFail(at=at, gpu=5),))
+        machine = _machine(plan, scale=HET_SCALE)
+        result = _het_sort(machine, approach, payloads)
+        _check_het_output(result, payloads)
+        assert result.replans == 1
+        assert 5 not in result.gpu_ids
+        # GPU-merged groups keep a power-of-two GPU set.
+        assert len(result.gpu_ids) == (4 if approach == "gpu-merged"
+                                       else 7)
+        _machine_is_clean(machine)
+
+
+def test_het_gpu_merged_one_run_plan_falls_back_to_chunk_runs():
+    # In core, the one GPU-merged group stages straight into the output.
+    # GPU 5 dies mid-run: the group never flushed, so its chunks re-sort
+    # on the surviving four GPUs into runs of their own, which the final
+    # CPU merge combines.
+    clean_machine = _machine()
+    clean = _het_sort(clean_machine, "gpu-merged", True)
+    assert clean.chunk_groups == 1
+    assert not any(span.phase == "Merge" and span.actor.startswith("cpu")
+                   for span in clean_machine.trace.spans)
+    plan = FaultPlan(events=(GpuFail(at=0.5 * clean.duration, gpu=5),))
+    machine = _machine(plan)
+    result = _het_sort(machine, "gpu-merged", True)
+    _check_het_output(result, True)
+    assert result.replans == 1
+    assert result.gpu_ids == (0, 1, 2, 3)
+    assert any(span.phase == "Merge" and span.actor.startswith("cpu")
+               for span in machine.trace.spans)
+    _machine_is_clean(machine)
 
 
 @pytest.mark.usefixtures("copy_oracle")
@@ -300,10 +401,11 @@ class TestErrors:
             SortSupervisor(_machine()).sort(
                 np.array([], dtype=np.int64), algorithm="p2p")
 
-    def test_het_rejects_payloads(self):
-        with pytest.raises(SortError, match="keys only"):
+    def test_het_gpu_merge_needs_a_power_of_two_gpu_set(self):
+        with pytest.raises(SortError, match="power-of-two"):
             SortSupervisor(_machine()).sort(
-                _data(), algorithm="het", values=_values())
+                _data(), algorithm="het", gpu_ids=(0, 1, 2),
+                het_config=HetConfig(gpu_merge_groups=True))
 
     def test_duplicate_gpu_ids_rejected(self):
         with pytest.raises(SortError, match="duplicate"):

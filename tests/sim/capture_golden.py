@@ -24,9 +24,11 @@ chunk pipeline the HET sort has: the out-of-core run under the 3n
 approach, with eager merging, with GPU-merged groups (whose last group
 is ragged, so it skips the GPU merge), and with a 4-byte payload per
 key, plus a supervised out-of-core HET sort that loses GPU 5
-mid-Pipeline and re-batches the unflushed chunks over the survivors.
+mid-Pipeline and re-lanes the unflushed chunks over the survivors.
 They were captured at commit 95dcf83, before the HET pipelines were
-folded into one set of chunk steps.  The last P2P entries pin what only
+folded into one set of chunk steps; the two supervised HET entries
+were re-captured when the supervised HET sort began running the plain
+sort's 2n lanes instead of one buffer per GPU.  The last P2P entries pin what only
 the plain P2P driver carried: a 4-byte payload per key, NUMA-local
 input placement with a charged redistribution, and the serialized
 (not out-of-place) swap.  They were captured at commit 2552714, before

@@ -3,12 +3,14 @@
 The counterpart of :mod:`repro.faults.fuzzer` for the *data* instead of
 the fault plan.  Every seed deterministically derives one
 :class:`InputCase`: a sort (``p2p``, ``het``, a 4-node ``hier``, ``rp``,
-the supervised P2P, or one job of the sort service), a key dtype from
+the supervised sort, or one job of the sort service), a key dtype from
 int8 to float64, and keys assembled from random, few-distinct,
 all-equal, sorted, reverse and special-value runs (±0.0, ±NaN with and
 without payload bits, signalling NaNs, ±inf, the dtype's extremes).
 Sizes are often not a multiple of the GPU count, so the padding paths
 run.  Sorts that carry records also get an int64 payload half the time.
+The supervised cases alternate the P2P and the HET driver
+(:func:`supervised_algorithm`).
 
 Those HET cases are in-core.  :func:`out_of_core_case_for_seed` derives
 out-of-core HET cases instead: the 2n or the 3n pipeline, keys or int64
@@ -45,7 +47,7 @@ from repro.hw import dgx_a100
 
 SORTS = ("p2p", "het", "hier", "rp", "supervised", "service")
 #: Sorts that take a ``values=`` payload.
-RECORD_SORTS = ("p2p", "het", "rp")
+RECORD_SORTS = ("p2p", "het", "rp", "supervised")
 DTYPES = ("int8", "int16", "int32", "int64", "uint64", "float32",
           "float64")
 #: Nodes of every ``hier`` case.
@@ -150,6 +152,12 @@ def case_for_seed(seed: int) -> InputCase:
                      values=values)
 
 
+def supervised_algorithm(case: InputCase) -> str:
+    """The driver a ``supervised`` case runs: every other such seed is
+    P2P, the rest HET."""
+    return ("p2p", "het")[case.seed // len(SORTS) % 2]
+
+
 def _keys_of(rng: np.random.Generator, dtype: np.dtype,
              n: int) -> np.ndarray:
     """``n`` keys assembled from runs of random shapes."""
@@ -234,9 +242,10 @@ def sort_case(case: InputCase):
     if case.sort == "supervised":
         from repro.recovery import SortSupervisor
 
-        result = SortSupervisor(machine).sort(keys, algorithm="p2p",
-                                              gpu_ids=gpu_ids)
-        return result.output, None
+        result = SortSupervisor(machine).sort(
+            keys, algorithm=supervised_algorithm(case), gpu_ids=gpu_ids,
+            values=values)
+        return result.output, result.output_values
     if case.sort == "service":
         from repro.serve.job import JobSpec
         from repro.serve.service import SortService
@@ -354,6 +363,8 @@ def describe_case(case: InputCase) -> str:
              f"payload={'int64' if case.values is not None else 'none'}"]
     if case.approach is not None:
         lines[0] += f" out-of-core approach={case.approach}"
+    if case.sort == "supervised":
+        lines[0] += f" algorithm={supervised_algorithm(case)}"
     if keys.size <= 64:
         lines.append("key bits: " + " ".join(
             f"0x{int(word):0{2 * keys.dtype.itemsize}X}"

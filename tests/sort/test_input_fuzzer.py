@@ -22,6 +22,7 @@ from tests.sort.input_fuzzer import (
     out_of_core_setup,
     run_case,
     shrink,
+    supervised_algorithm,
 )
 
 SEEDS = range(400)
@@ -74,6 +75,14 @@ def test_seeds_cover_every_sort_dtype_and_payload():
                              if case.keys.dtype == np.float32])
     for pattern in (0x80000000, 0xFFC00001, 0x7F800000, 0xFF800000):
         assert pattern in floats
+
+
+def test_supervised_cases_cover_both_drivers_with_payloads():
+    cases = [case_for_seed(seed) for seed in SEEDS
+             if case_for_seed(seed).sort == "supervised"]
+    assert {(supervised_algorithm(case), case.values is not None)
+            for case in cases} == {("p2p", False), ("p2p", True),
+                                   ("het", False), ("het", True)}
 
 
 def test_same_seed_same_case():
