@@ -95,7 +95,14 @@ def cpu_multiway_merge(machine: "Machine", out: np.ndarray,
     rate = machine.spec.cpu.multiway_merge_rate_for(len(runs))
     flow = machine.net.start_flow(_memory_route(machine, numa), logical,
                                   rate_cap=rate, label="cpu-multiway-merge")
-    yield flow.done
+    try:
+        yield flow.done
+    except BaseException:
+        # Cancelled (a supervised phase torn down): take the flow out of
+        # the network before unwinding, as an interrupted copy does.
+        if flow.active:
+            machine.net.abort_flow(flow)
+        raise
     before_write(machine, out, values_out)
     # The runs never alias the outputs: concatenate them there and sort.
     # A stable sort of concatenated sorted runs is their merge, ties in

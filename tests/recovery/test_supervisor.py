@@ -382,6 +382,20 @@ class TestDeadline:
         assert "Partition" in result.completed_phases
         assert "Gather" not in result.completed_phases
 
+    def test_deadline_during_an_eager_merge_leaves_no_flows(self):
+        # Eager merges run on the CPU beside the GPU lanes; a deadline
+        # in the first one cancels it along with the lanes.
+        clean = _machine(scale=HET_SCALE)
+        _het_sort(clean, "eager", False)
+        first = min((span for span in clean.trace.spans
+                     if span.phase == "Merge"), key=lambda span: span.start)
+        machine = _machine(scale=HET_SCALE)
+        result = SortSupervisor(machine, SupervisorConfig(
+            deadline_s=(first.start + first.end) / 2)).sort(
+            _data(), algorithm="het", het_config=HET_CONFIGS["eager"])
+        assert result.deadline_exceeded
+        _machine_is_clean(machine)
+
     def test_generous_deadline_completes_normally(self, clean_p2p):
         result = SortSupervisor(
             _machine(),
