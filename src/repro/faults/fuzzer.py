@@ -12,15 +12,17 @@ The contract under test (:func:`run_case`):
   ``np.sort`` of the input, or
 * it fails with a *typed* error — :class:`~repro.errors.ReproError` or
   :class:`~repro.sim.engine.SimulationError` — or a typed partial
-  result (``deadline_exceeded``).
+  result (``deadline_exceeded``);
+* either way, a single-machine run leaves the machine clean: no device
+  bytes allocated, no active flows, no copies in flight.
 
 Anything else — a bare ``KeyError`` out of the event loop, a sorted
-but wrong output, an unsorted output — is a fuzzer catch.  When a case
-fails, :func:`shrink` delta-debugs the plan down to a minimal failing
-one (greedy event removal plus zeroing the transient-kill
-probability), so the reproduction printed by the test is as small as
-the bug allows.  Same seed, same case, same timeline — chaos stays
-debuggable.
+but wrong output, an unsorted output, a dirty machine — is a fuzzer
+catch.  When a case fails, :func:`shrink` delta-debugs the plan down
+to a minimal failing one (greedy event removal plus zeroing the
+transient-kill probability), so the reproduction printed by the test
+is as small as the bug allows.  Same seed, same case, same timeline —
+chaos stays debuggable.
 """
 
 from __future__ import annotations
@@ -69,14 +71,15 @@ class Outcome:
     """Result of one chaos run."""
 
     #: ``ok`` (sorted, element-identical), ``typed`` (typed error or
-    #: typed partial result), ``crash`` (untyped exception), or
-    #: ``mismatch`` (completed with wrong output).
+    #: typed partial result), ``crash`` (untyped exception),
+    #: ``mismatch`` (completed with wrong output), or ``dirty`` (ok or
+    #: typed, but the run left device bytes, flows or copies behind).
     status: str
     detail: str = ""
 
     @property
     def failed(self) -> bool:
-        return self.status in ("crash", "mismatch")
+        return self.status in ("crash", "mismatch", "dirty")
 
 
 def case_for_seed(seed: int) -> ChaosCase:
@@ -188,9 +191,24 @@ def run_case(case: ChaosCase) -> Outcome:
                     "rp": rp_sort}[case.algorithm]
             result = sort(machine, data)
     except (ReproError, SimulationError) as exc:
-        return Outcome("typed", f"{type(exc).__name__}: {exc}")
+        outcome = Outcome("typed", f"{type(exc).__name__}: {exc}")
     except BaseException:  # noqa: BLE001 - the fuzzer's whole point
         return Outcome("crash", traceback.format_exc())
+    else:
+        outcome = _judge(result, data)
+    # ROADMAP item 8: a failed plain RP sort still strands its device
+    # buffers and flows; it is exempt until that is mended.
+    exempt = case.nodes or (outcome.status == "typed"
+                            and case.algorithm == "rp")
+    left = "" if outcome.failed or exempt else _leftovers(machine)
+    if left:
+        return Outcome("dirty", f"{outcome.status} run left {left}")
+    return outcome
+
+
+def _judge(result, data: np.ndarray) -> Outcome:
+    """Classify a sort that returned: typed partial, crash, mismatch or
+    ok."""
     if getattr(result, "deadline_exceeded", False):
         return Outcome("typed", "deadline exceeded (typed partial result)")
     if result.output is None:
@@ -199,8 +217,20 @@ def run_case(case: ChaosCase) -> Outcome:
         return Outcome(
             "mismatch",
             f"output is not element-identical to np.sort "
-            f"({len(result.output)} keys out, {case.n} in)")
+            f"({len(result.output)} keys out, {len(data)} in)")
     return Outcome("ok")
+
+
+def _leftovers(machine: Machine) -> str:
+    """What a finished run left on ``machine``; empty when clean."""
+    held = [device.name for device in machine.devices
+            if device.allocated_logical]
+    left = [f"device bytes on {', '.join(held)}"] if held else []
+    if machine.net.active_flows:
+        left.append(f"{len(machine.net.active_flows)} active flows")
+    if machine.in_flight:
+        left.append(f"{len(machine.in_flight)} in-flight copies")
+    return "; ".join(left)
 
 
 def _variants(case: ChaosCase) -> Iterator[ChaosCase]:

@@ -43,7 +43,6 @@ job dies, or the breaker quarantines GPUs).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Tuple
 
@@ -112,8 +111,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                              "(checkpoints, replanning, speculation)")
     parser.add_argument("--kill-gpu", type=int, default=None,
                         metavar="GPU",
-                        help="hard-fail this GPU mid-run (P2P and "
-                             "--supervised runs replan around it)")
+                        help="hard-fail this GPU mid-run (P2P, HET "
+                             "and --supervised runs replan around it)")
     parser.add_argument("--kill-at", type=float, default=0.5,
                         metavar="T",
                         help="simulated time of the --kill-gpu / "
@@ -244,11 +243,6 @@ def _run_instrumented(args):
                     exc, "failing_phase_started", None)) from exc
         return machine, recorder, result
     gpu_ids = args.gpus
-    if gpu_ids is None and algorithm == "p2p":
-        count = 1
-        while count * 2 <= spec.num_gpus:
-            count *= 2
-        gpu_ids = spec.preferred_gpu_set(count)
     if getattr(args, "supervised", False):
         from repro.errors import SortError
         from repro.recovery import SortSupervisor

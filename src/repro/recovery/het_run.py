@@ -1,13 +1,15 @@
-"""Supervised HET sort: the phase driver behind ``algorithm="het"``.
+"""The HET sort's phase driver, behind both :func:`repro.sort.het.het_sort`
+and ``SortSupervisor.sort(algorithm="het")``.
 
-Two phases, both the plain HET sort's (:class:`~repro.sort.het.HetPlan`):
+Two phases, both run by the one HET plan (:class:`~repro.sort.het.HetPlan`):
 
 ``Pipeline``
     the plan's lanes — 2n or 3n per GPU, or GPU-merged groups in
     lockstep, with eager merging — over every chunk not yet flushed.
     A chunk is *flushed* once its DtoH landed: its sorted run is then
-    durable in host memory.  When a group's last chunk flushes, the
-    flushed runs form a ``kind="runs"`` :class:`PhaseCheckpoint`.
+    durable in host memory.  When a group's last chunk flushes and
+    some checkpoint kind is on, the flushed runs form a ``kind="runs"``
+    :class:`PhaseCheckpoint`.
 ``Merge``
     the plan's final CPU multiway merge — host-side work that no GPU
     failure can touch.
@@ -23,7 +25,6 @@ does not apply (a straggling lane delays only its own chunks).
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,22 +36,21 @@ from repro.sort.het import HetConfig, HetPlan
 
 
 class HetRun(PhaseDriver):
-    """State and phase bodies of one supervised HET sort."""
+    """State and phase bodies of one HET sort."""
+
+    plain = ("het", "HetSort")
 
     def __init__(self, sup, host_in: HostBuffer,
                  gpu_ids: Optional[Sequence[int]],
                  host_values: Optional[HostBuffer] = None,
                  het_config: Optional[HetConfig] = None):
         self.config = het_config or HetConfig()
-        self.config.buffers_per_gpu()  # validate the approach early
         super().__init__(sup, host_in, gpu_ids,
                          power_of_two=self.config.gpu_merge_groups)
         self.host_values = host_values
-        self.outputs = tuple(
+        self.plan = HetPlan(self.machine, self._devices(), self.config, tuple(
             np.empty(self.n, dtype=buffer.dtype) if buffer is not None
-            else None for buffer in (host_in, host_values))
-        self.plan = HetPlan(self.machine, self._devices(), self.config,
-                            self.outputs, self._take)
+            else None for buffer in (host_in, host_values)), self._take)
         self.queue = ["Pipeline", "Merge"]
 
     # -- driver protocol ---------------------------------------------------
@@ -59,13 +59,11 @@ class HetRun(PhaseDriver):
 
     def replan(self, phase: str, survivors, exc) -> None:
         self._free_device_state()
-        if self.config.gpu_merge_groups:
-            survivors = survivors[:1 << int(math.log2(len(survivors)))]
-        self.ids = tuple(survivors)
+        self._adopt(survivors)
         self.plan.replan()
 
     def finalize(self):
-        return self.outputs
+        return self.plan.outputs
 
     def result_fields(self) -> dict:
         return {"chunk_groups": len(self.plan.by_group)}
@@ -76,9 +74,10 @@ class HetRun(PhaseDriver):
 
     def _pipeline(self, group):
         spawn, check = group.seam()
-        yield from self.plan.lanes(self.machine, self._devices(),
-                                   self.host_in, self.host_values, spawn,
-                                   check, self._alloc, self._group_flushed)
+        yield from self.plan.lanes(
+            self.machine, self._devices(), self.host_in, self.host_values,
+            self._alloc, spawn, check,
+            self._group_flushed if self.sup.config.checkpointing else None)
 
     def _group_flushed(self, index: int) -> None:
         """Checkpoint every run flushed so far: group ``index``'s last

@@ -67,6 +67,8 @@ def _records(chunk: Chunk) -> list:
 class P2PRun(PhaseDriver):
     """State and phase bodies of one P2P sort."""
 
+    plain = ("p2p", "P2PSort")
+
     def __init__(self, sup, host_in: HostBuffer,
                  gpu_ids: Optional[Sequence[int]],
                  host_values: Optional[HostBuffer] = None,
@@ -130,11 +132,10 @@ class P2PRun(PhaseDriver):
 
     def after_phase(self, name: str) -> None:
         now = self.machine.env.now
-        cfg = self.sup.config
         if name == "Partition":
             # The layout a restorable checkpoint builds on; a run that
             # stages none records none.
-            if cfg.checkpoint_sorted_chunks or cfg.checkpoint_merged_chunks:
+            if self.sup.config.checkpointing:
                 self.sup.note_checkpoint(PhaseCheckpoint(
                     phase=name, at=now, gpu_ids=self.ids, chunk=self.chunk))
         elif name in ("LocalSort", "Exchange"):
@@ -162,8 +163,7 @@ class P2PRun(PhaseDriver):
     def replan(self, phase: str, survivors, exc) -> None:
         self._free_device_state()
         self.chunks = []
-        keep = 1 << int(math.log2(len(survivors)))
-        self.ids = tuple(survivors[:keep])
+        self._adopt(survivors)
         self.chunk = self.padded // len(self.ids)
         self.sorted_flags = []
         self._pending_stage = {}

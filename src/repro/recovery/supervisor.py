@@ -33,11 +33,13 @@ from repro.errors import (
     SortError,
     TransferError,
 )
+from repro.faults.policy import ResiliencePolicy
 from repro.recovery.checkpoint import PhaseCheckpoint, RecoveryStats
 from repro.recovery.tasks import TaskGroup
 from repro.runtime.buffer import HostBuffer, WorkspacePool, default_pool
 from repro.runtime.context import Machine
-from repro.sort.gpu_set import plan_gpu_set, surviving_gpu_ids
+from repro.sort.gpu_set import (plan_gpu_set, power_of_two_floor,
+                                surviving_gpu_ids)
 from repro.sort.result import SortRecord, SortResult, stage_input
 
 
@@ -75,6 +77,11 @@ class SupervisorConfig:
     #: critical path up to the failure) there before propagating.
     postmortem_dir: Optional[str] = None
 
+    @property
+    def checkpointing(self) -> bool:
+        """Whether some checkpoint kind is on."""
+        return self.checkpoint_sorted_chunks or self.checkpoint_merged_chunks
+
 
 class PhaseDriver:
     """Base of the supervised algorithm drivers.
@@ -87,7 +94,8 @@ class PhaseDriver:
     sorted keys and payloads (``None`` for keys only), and ``cleanup``
     runs on every exit: it frees the device buffers :meth:`_alloc`
     handed out and gives the host scratch :meth:`_take` borrowed back to
-    the run's pool.
+    the run's pool.  ``plain`` is the ``(algorithm, root span)`` a run
+    with nothing installed is recorded under: the plain sort's names.
     """
 
     def __init__(self, sup, host_in: HostBuffer,
@@ -97,6 +105,7 @@ class PhaseDriver:
         self.host_in = host_in
         self.n = len(host_in.data)
         self.dtype = host_in.dtype
+        self.power_of_two = power_of_two
         self.ids, self.excluded = plan_gpu_set(self.machine, gpu_ids,
                                                power_of_two=power_of_two)
         self._allocated: List = []
@@ -107,6 +116,11 @@ class PhaseDriver:
 
     def after_phase(self, name: str) -> None:
         pass
+
+    def _adopt(self, survivors) -> None:
+        """Run on ``survivors`` (their power-of-two prefix if need be)."""
+        self.ids = tuple(survivors[:power_of_two_floor(len(survivors))]
+                         if self.power_of_two else survivors)
 
     def cleanup(self) -> None:
         self._free_device_state()
@@ -250,15 +264,13 @@ class SortSupervisor:
                             **driver_kwargs)
         self.excluded = driver.excluded
         cfg = self.config
-        # A P2P run that installs nothing (no checkpoint kind,
-        # speculation, deadline or job label) is the plain P2P sort and
-        # is recorded under its names.
-        plain = algorithm == "p2p" and not (
-            cfg.checkpoint_sorted_chunks or cfg.checkpoint_merged_chunks
-            or cfg.speculation or cfg.deadline_s is not None
-            or cfg.job_label is not None)
+        # A run that installs nothing (no checkpoint kind, speculation,
+        # deadline or job label) is the plain sort, under its names.
+        plain = not (cfg.checkpointing or cfg.speculation
+                     or cfg.deadline_s is not None
+                     or cfg.job_label is not None)
         label, root, self.actor = (
-            ("p2p", "P2PSort", "sort") if plain
+            (*driver.plain, "sort") if plain
             else (f"supervised-{algorithm}", "SupervisedSort",
                   "supervisor" if cfg.job_label is None
                   else f"job:{cfg.job_label}"))
@@ -377,3 +389,17 @@ class SortSupervisor:
             machine.obs.replanned(phase, type(exc).__name__, dead,
                                   survivors, now)
         driver.replan(phase, survivors, exc)
+
+
+def plain_sort(machine: Machine, algorithm: str, data, gpu_ids, values,
+               resilience: Optional[ResiliencePolicy],
+               **driver_kwargs) -> SortResult:
+    """The plain ``algorithm`` sort: the supervised sort with nothing
+    installed (no checkpoint kind, speculation or deadline), run as one
+    process under ``resilience`` for this call only."""
+    config = SupervisorConfig(checkpoint_sorted_chunks=False,
+                              checkpoint_merged_chunks=False,
+                              speculation=False)
+    with machine.resilience_override(resilience):
+        return machine.run(SortSupervisor(machine, config).sort_async(
+            data, algorithm, gpu_ids, values, **driver_kwargs))

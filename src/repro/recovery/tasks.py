@@ -77,9 +77,11 @@ class TaskGroup:
 
     def seam(self) -> tuple:
         """``(spawn, check)`` for the inner processes of a task that
-        waits for its own: the group's when shielded, ``(None, None)``
-        (bare processes the group need not keep) when not."""
-        return (self.spawn, self.check) if self.shielded else (None, None)
+        waits for its own: the group's when shielded; unshielded, bare
+        processes the group need not keep and a check with nothing to
+        stop on."""
+        return ((self.spawn, self.check) if self.shielded
+                else (self.env.process, lambda: None))
 
     def _shield(self, gen, name: str):
         if self.cancelled:

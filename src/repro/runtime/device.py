@@ -32,7 +32,9 @@ class Device:
         self.name = name
         self.spec = spec
         self.numa = numa
-        self.allocated_logical = 0.0
+        #: Physical bytes of the live buffers: an exact integer count,
+        #: so a device with none reads exactly zero.
+        self._allocated_bytes = 0
         self._buffers: List[DeviceBuffer] = []
         #: Inbound (writes into this GPU) and outbound DMA engines.
         self.engine_in = Semaphore(machine.env, 1, label=f"{name}.dma_in")
@@ -47,6 +49,11 @@ class Device:
     def capacity_logical(self) -> float:
         """Device memory capacity in logical bytes."""
         return self.spec.memory_bytes
+
+    @property
+    def allocated_logical(self) -> float:
+        """Allocated device memory in logical bytes."""
+        return self._allocated_bytes * self.machine.scale
 
     @property
     def free_logical(self) -> float:
@@ -79,7 +86,7 @@ class Device:
                 f"exceeds free capacity {self.free_logical / 1e9:.2f} GB")
         data = np.empty(n, dtype=dtype)
         buffer = DeviceBuffer(self, data, label=label)
-        self.allocated_logical += logical
+        self._allocated_bytes += buffer.nbytes
         self._buffers.append(buffer)
         return buffer
 
@@ -94,14 +101,12 @@ class Device:
         if buffer not in self._buffers:
             raise AllocationError(f"{buffer!r} was not allocated here")
         self._buffers.remove(buffer)
-        self.allocated_logical -= buffer.nbytes * self.machine.scale
-        if self.allocated_logical < 0:
-            self.allocated_logical = 0.0
+        self._allocated_bytes -= buffer.nbytes
 
     def reset(self) -> None:
         """Free every allocation (e.g. between benchmark repetitions)."""
         self._buffers.clear()
-        self.allocated_logical = 0.0
+        self._allocated_bytes = 0
 
     def __repr__(self) -> str:
         return (f"<Device {self.name} ({self.spec.model}) "

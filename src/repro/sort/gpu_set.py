@@ -24,7 +24,6 @@ quantifies the difference.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SortError
@@ -170,6 +169,11 @@ def best_gpu_set(spec: SystemSpec, count: int,
     return subset
 
 
+def power_of_two_floor(count: int) -> int:
+    """The largest power of two not above ``count >= 1``."""
+    return 1 << (count.bit_length() - 1)
+
+
 def surviving_gpu_ids(
         machine: "Machine",
         gpu_ids: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -210,9 +214,8 @@ def plan_gpu_set(
     """
     if gpu_ids is None:
         count = machine.num_gpus
-        if power_of_two:
-            count = 1 << int(math.log2(count))
-        ids = machine.spec.preferred_gpu_set(count)
+        ids = machine.spec.preferred_gpu_set(
+            power_of_two_floor(count) if power_of_two else count)
     else:
         ids = tuple(gpu_ids)
     g = len(ids)
@@ -227,5 +230,5 @@ def plan_gpu_set(
             f"no healthy GPUs left in {ids}: all failed or "
             "straggling past the exclusion factor")
     if power_of_two:
-        survivors = survivors[:1 << int(math.log2(len(survivors)))]
+        survivors = survivors[:power_of_two_floor(len(survivors))]
     return tuple(survivors), excluded

@@ -36,10 +36,9 @@ them).  The 2n loop exists once, :func:`_grouped_pipeline`: a per-GPU
 2n pipeline is that loop over one lane, and GPU-merged groups run it
 over all GPUs in lockstep.  The 3n pipeline keeps its own overlap
 structure.  The plan, the lane dispatch, eager merging and the final
-merge exist once too, :class:`HetPlan`: :func:`het_sort` runs it, and
-so does the supervised driver (:mod:`repro.recovery.het_run`), through
-the pipelines' ``spawn``/``check`` seam, over the chunks not yet
-flushed.
+merge exist once too, :class:`HetPlan`, run through the pipelines'
+``spawn``/``check`` seam by one driver (:mod:`repro.recovery.het_run`);
+:func:`het_sort` is that driver with nothing installed.
 """
 
 from __future__ import annotations
@@ -51,16 +50,14 @@ import numpy as np
 
 from repro.errors import SortError
 from repro.faults.policy import ResiliencePolicy
-from repro.runtime.buffer import HostBuffer, default_pool
+from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.memcpy import span
 from repro.runtime.stream import Stream
-from repro.sort.gpu_set import plan_gpu_set
-from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, _device_alloc,
-                            _no_check, copy_in, copy_out, merge_chunks,
-                            sort_chunk)
-from repro.sort.result import SortRecord, SortResult, stage_input
+from repro.sort.p2p import (Chunk, P2PConfig, P2PStats, copy_in, copy_out,
+                            merge_chunks, sort_chunk)
+from repro.sort.result import SortResult
 
 
 #: Fraction of each GPU's memory usable for the chunk buffers (Figure
@@ -372,8 +369,8 @@ class HetPlan:
                      for dtype in self.dtypes)
 
     def lanes(self, machine: Machine, devices, staging: HostBuffer,
-              value_staging: Optional[HostBuffer], spawn=None, check=None,
-              alloc=None, on_group_flushed=None):
+              value_staging: Optional[HostBuffer], alloc, spawn, check,
+              on_group_flushed=None):
         """Process: sort every chunk not yet flushed on ``devices``.
 
         GPU-merged groups step through the GPUs in lockstep; otherwise
@@ -381,13 +378,10 @@ class HetPlan:
         pending chunk.  Once a group's last chunk flushed,
         ``on_group_flushed(index)`` runs and, with ``eager_merge``, all
         groups but the last merge on one CPU stream while the GPUs
-        continue (Section 5.3).  ``spawn``/``check``/``alloc`` are the
-        pipelines' supervision seam and device allocator.
+        continue (Section 5.3).  ``alloc`` is the pipelines' device
+        allocator and ``spawn``/``check`` their supervision seam.
         """
         env = machine.env
-        spawn = spawn or env.process
-        check = check or _no_check
-        alloc = alloc or _device_alloc
         pending = [task for task in self.tasks
                    if task.index not in self.flushed]
         remaining = [sum(task.index not in self.flushed for task in group)
@@ -482,56 +476,14 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  GPUs failed or badly straggling when the sort is
-    planned are left out (HET needs no power of two unless
-    ``gpu_merge_groups`` is on) and reported on the result.  A GPU lost
-    *mid-run* raises :class:`~repro.errors.DeviceFaultError` and may
-    leave the machine holding the run's device buffers and flows; the
-    supervised sort (``SortSupervisor.sort(algorithm="het")``) re-lanes
-    the unflushed chunks over the survivors instead.
+    included).  The sort is the supervised sort with nothing installed
+    (no checkpoint, speculation or deadline), so failed or badly
+    straggling GPUs, at planning time or mid-run, are dropped (HET
+    needs no power of two unless ``gpu_merge_groups`` is on) and the
+    chunks not yet flushed are re-laned over the survivors; recovery
+    work is reported on the result.
     """
-    with machine.resilience_override(resilience):
-        return _het_sort(machine, data, gpu_ids, config, values)
+    from repro.recovery.supervisor import plain_sort
 
-
-def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
-              gpu_ids: Optional[Sequence[int]],
-              config: Optional[HetConfig],
-              values: Optional[np.ndarray]) -> SortResult:
-    config = config or HetConfig()
-    config.buffers_per_gpu()  # validate the approach early
-    host_in, value_staging = stage_input(machine, data, values)
-    value_dtype = value_staging.dtype if value_staging is not None else None
-    n = len(host_in.data)
-    # The on-GPU group merge needs 2^k chunks per group.
-    ids, excluded = plan_gpu_set(machine, gpu_ids,
-                                 power_of_two=config.gpu_merge_groups)
-    devices = [machine.device(i) for i in ids]
-    outputs = tuple(np.empty(n, dtype=dtype) if dtype is not None else None
-                    for dtype in (host_in.dtype, value_dtype))
-
-    # Every staging run (per-chunk, per-group, eager-merged) is dead
-    # once the final merge lands in the output, so they all come from the
-    # workspace pool and go back after the run.
-    borrowed: List[np.ndarray] = []
-
-    def take(size: int, dtype) -> np.ndarray:
-        borrowed.append(default_pool.take(size, dtype))
-        return borrowed[-1]
-
-    plan = HetPlan(machine, devices, config, outputs, take)
-
-    def run():
-        yield from plan.lanes(machine, devices, host_in, value_staging)
-        yield from plan.merge(machine, host_in.numa)
-
-    try:
-        with SortRecord(machine, "HetSort", host_in) as record:
-            machine.run(run())
-    finally:
-        for array in borrowed:
-            default_pool.give(array)
-    return record.result(
-        "het", ids, ("HtoD", "Sort", "DtoH", "Merge"), excluded=excluded,
-        chunk_groups=len(plan.by_group), output=outputs[0],
-        output_values=outputs[1])
+    return plain_sort(machine, "het", data, gpu_ids, values, resilience,
+                      het_config=config)

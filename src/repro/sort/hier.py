@@ -43,7 +43,6 @@ is charged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -64,7 +63,8 @@ from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.memcpy import copy_async, span
-from repro.sort.gpu_set import plan_gpu_set, surviving_gpu_ids
+from repro.sort.gpu_set import (plan_gpu_set, power_of_two_floor,
+                                surviving_gpu_ids)
 from repro.sort.p2p import (P2PConfig, P2PStats, check_fits, merge_stages,
                             p2p_pipeline, padded_staging)
 from repro.sort.result import SortRecord, SortResult, stage_input
@@ -235,7 +235,7 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     per_node = config.gpus_per_node
     if per_node is None:
-        per_node = 1 << int(math.log2(spec.gpus_per_node))
+        per_node = power_of_two_floor(spec.gpus_per_node)
     if per_node < 1 or per_node & (per_node - 1):
         raise SortError(
             f"gpus_per_node must be a power of two, got {per_node}")

@@ -38,7 +38,7 @@ from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import Span, copy_async, span
 from repro.sort.pivot import is_valid_pivot, select_pivot, select_pivot_paper
 from repro.sort.result import SortResult
-from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
+from repro.sort.swap import _no_check, block_swap_sizes, swap_and_merge_pair
 from repro.units import US
 
 
@@ -167,10 +167,6 @@ def _pivot_for(config: P2PConfig, left: _ConcatView, right: _ConcatView) -> int:
     return pivot
 
 
-def _no_check() -> None:
-    """Default ``check``: unsupervised runs have no failure to stop on."""
-
-
 def _serialized_swap(machine: Machine, left: Chunk, right: Chunk,
                      pivot: int, spawn, check):
     """In-place-style swap for the ablation: staged, serialized copies."""
@@ -214,20 +210,16 @@ def _serialized_swap(machine: Machine, left: Chunk, right: Chunk,
 
 
 def merge_chunks(machine: Machine, chunks: List[Chunk],
-                 config: P2PConfig, stats: P2PStats, spawn=None,
-                 check=None):
+                 config: P2PConfig, stats: P2PStats, spawn, check):
     """Algorithm 2: recursive merge of ``len(chunks)`` sorted chunks.
 
     ``spawn``/``check`` thread the supervision seam down the recursion
-    and into the swaps (see :func:`repro.sort.swap.swap_and_merge_pair`);
-    unset, the merge spawns bare processes and checks nothing.
+    and into the swaps (see :func:`repro.sort.swap.swap_and_merge_pair`).
     """
     g = len(chunks)
     if g < 2:
         return
     env = machine.env
-    spawn = spawn or env.process
-    check = check or _no_check
     half = g // 2
     left_chunks, right_chunks = chunks[:half], chunks[half:]
 
@@ -468,13 +460,7 @@ def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     chunks re-planned over the largest power-of-two prefix of the
     survivors; recovery work is reported on the result.
     """
-    from repro.recovery.supervisor import SortSupervisor, SupervisorConfig
+    from repro.recovery.supervisor import plain_sort
 
-    plain = SupervisorConfig(checkpoint_sorted_chunks=False,
-                             checkpoint_merged_chunks=False,
-                             speculation=False)
-    with machine.resilience_override(resilience):
-        # One process, as every plain sort runs.
-        return machine.run(SortSupervisor(machine, plain).sort_async(
-            data, algorithm="p2p", gpu_ids=gpu_ids, values=values,
-            p2p_config=config))
+    return plain_sort(machine, "p2p", data, gpu_ids, values, resilience,
+                      p2p_config=config)

@@ -1,7 +1,8 @@
 """The chaos fuzzer: 200 seeded plans against real sorts.
 
 Every case must either produce output element-identical to ``np.sort``
-or fail with a typed error; any untyped crash or wrong output is
+or fail with a typed error, and a single-machine case must leave the
+machine clean; any untyped crash, wrong output or dirty machine is
 shrunk to a minimal failing plan and printed.  A fixed-seed smoke
 subset runs unmarked (CI / tier-1); the full sweep carries the
 ``chaos`` marker.
@@ -96,8 +97,9 @@ class TestCaseDerivation:
 
     def test_outcome_classification_is_typed(self):
         outcome = run_case(case_for_seed(0))
-        assert outcome.status in ("ok", "typed", "crash", "mismatch")
-        assert outcome.failed == (outcome.status in ("crash", "mismatch"))
+        assert outcome.status in ("ok", "typed", "crash", "mismatch", "dirty")
+        assert outcome.failed == (outcome.status
+                                  in ("crash", "mismatch", "dirty"))
 
     def test_same_seed_same_cluster_case(self):
         assert case_for_cluster_seed(13) == case_for_cluster_seed(13)

@@ -132,6 +132,19 @@ class TestMachineIntegration:
         assert any(event.kind == "link_rate" and "xbus" in event.link
                    for event in recorder.events)
 
+    def test_plain_het_sort_is_recorded_under_its_own_names(self):
+        # Out of core, so a run that checkpointed would record one per
+        # chunk group.
+        machine = Machine(dgx_a100(), scale=512e9 / 8192)
+        recorder, result = self._sorted_run(machine, algorithm=het_sort,
+                                            n=8192)
+        assert result.algorithm == "het"
+        assert result.chunk_groups > 1
+        roots = [s for s in machine.trace.spans if s.parent is None]
+        assert [(s.phase, s.actor) for s in roots] == [("HetSort", "sort")]
+        assert result.checkpoints == 0
+        assert recorder.events_of("checkpoint") == []
+
     def test_stream_submissions_are_recorded(self, dgx):
         from repro.runtime.stream import Stream
 

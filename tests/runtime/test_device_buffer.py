@@ -22,6 +22,20 @@ class TestAllocator:
         device.alloc(1000, np.int32)
         assert device.allocated_logical == pytest.approx(4e9)
 
+    def test_interleaved_allocs_and_frees_end_at_exactly_zero(self):
+        # A float running sum of logical bytes drifts at a non-integer
+        # scale: freeing a large buffer before small ones loses their
+        # low bits.  A device with no live buffers must read zero.
+        machine = Machine(ibm_ac922(), scale=1000 / 7)
+        device = machine.device(0)
+        small = [device.alloc(size, np.int8) for size in (1, 3)]
+        large = device.alloc(1_000_000, np.int8)
+        more = device.alloc(5, np.int8)
+        for buffer in [large] + small + [more]:
+            buffer.free()
+        assert device.allocated_logical == 0
+        assert device.free_logical == device.capacity_logical
+
     def test_over_allocation_raises(self):
         machine = Machine(ibm_ac922(), scale=1e9)
         device = machine.device(0)

@@ -28,7 +28,9 @@ mid-Pipeline and re-lanes the unflushed chunks over the survivors.
 They were captured at commit 95dcf83, before the HET pipelines were
 folded into one set of chunk steps; the two supervised HET entries
 were re-captured when the supervised HET sort began running the plain
-sort's 2n lanes instead of one buffer per GPU.  The last P2P entries pin what only
+sort's 2n lanes instead of one buffer per GPU.  The plain HET entries
+held bit-identical when the plain HET sort became the supervised sort
+with nothing installed.  The last P2P entries pin what only
 the plain P2P driver carried: a 4-byte payload per key, NUMA-local
 input placement with a charged redistribution, and the serialized
 (not out-of-place) swap.  They were captured at commit 2552714, before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate
-from repro.errors import DeviceFaultError, SortError
+from repro.errors import SortError
 from repro.faults import FaultPlan, ResiliencePolicy
 from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
@@ -215,21 +215,44 @@ class TestPaperBehaviours:
         assert run("2n") == pytest.approx(run("3n"), rel=1e-6)
 
 
-class TestFailedRun:
-    @pytest.mark.parametrize("config", [
-        HetConfig(), HetConfig(approach="3n"), HetConfig(eager_merge=True),
-        HetConfig(gpu_merge_groups=True)],
+class TestMidRunGpuLoss:
+    """A plain sort that loses a GPU mid-run re-lanes its unflushed
+    chunks onto the survivors and leaves the machine as reusable as a
+    fresh one."""
+
+    PHYSICAL = 8192
+
+    def _machine(self) -> Machine:
+        return Machine(dgx_a100(), scale=512e9 / self.PHYSICAL)
+
+    @pytest.mark.parametrize("config, survivors", [
+        (HetConfig(), (0, 1, 2, 3, 4, 6, 7)),
+        (HetConfig(approach="3n"), (0, 1, 2, 3, 4, 6, 7)),
+        (HetConfig(eager_merge=True), (0, 1, 2, 3, 4, 6, 7)),
+        (HetConfig(gpu_merge_groups=True), (0, 1, 2, 3))],
         ids=["2n", "3n", "eager", "gpu-merged"])
-    def test_the_failed_pipeline_frees_its_device_buffers(self, rng,
-                                                          config):
-        # GPU 5 dies during the first HtoD: its copy fails into its
-        # pipeline, which frees that lane's chunk buffers on the way out.
-        machine = Machine(dgx_a100(), scale=512e9 / 8192)
+    def test_lost_gpu_replans_and_machine_stays_reusable(self, rng, config,
+                                                         survivors):
+        # GPU 5 dies during the first HtoD.
+        data = rng.integers(0, 1 << 30, size=self.PHYSICAL).astype(np.int32)
+        machine = self._machine()
         machine.install_faults(FaultPlan(events=(GpuFail(at=0.5, gpu=5),)))
-        data = rng.integers(0, 1 << 30, size=8192).astype(np.int32)
-        with pytest.raises(DeviceFaultError):
-            het_sort(machine, data, config=config)
-        assert machine.device(5).allocated_logical == 0
+        result = het_sort(machine, data, config=config)
+        assert result.gpu_ids == survivors
+        assert result.replans == 1
+        assert np.array_equal(result.output, np.sort(data))
+        # Nothing of the failed attempt is left behind.
+        assert all(device.allocated_logical == 0.0
+                   for device in machine.devices)
+        assert machine.net.active_flows == []
+        assert machine.in_flight == {}
+
+        retry = het_sort(machine, data, gpu_ids=(0, 1, 2, 3), config=config)
+        fresh = het_sort(self._machine(), data, gpu_ids=(0, 1, 2, 3),
+                         config=config)
+        assert np.array_equal(retry.output, fresh.output)
+        # The retry starts on a later clock, which moves the last bits.
+        assert retry.duration == pytest.approx(fresh.duration, rel=1e-12)
 
 
 class TestResilienceOverrideScope:
