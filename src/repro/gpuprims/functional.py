@@ -24,7 +24,7 @@ input order.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,16 +38,46 @@ def _gather(keys: np.ndarray, values: np.ndarray) -> None:
     values[:] = values[order]
 
 
+def sort_kind(keys: np.ndarray) -> Optional[str]:
+    """The NumPy sort kind that sorts bare ``keys``: the default for
+    integer and bool keys, ``"stable"`` for floats."""
+    return None if keys.dtype.kind in "biu" else "stable"
+
+
 def sort_in_place(keys: np.ndarray,
                   values: Optional[np.ndarray] = None) -> np.ndarray:
     """Sort ``keys`` in place; with ``values``, sort the records."""
     if values is not None:
         _gather(keys, values)
-    elif keys.dtype.kind in "biu":
-        keys.sort()
     else:
-        keys.sort(kind="stable")
+        keys.sort(kind=sort_kind(keys))
     return keys
+
+
+def sort_into(keys: np.ndarray, out: np.ndarray,
+              values: Optional[np.ndarray] = None,
+              value_out: Optional[np.ndarray] = None,
+              merge: bool = False) -> Callable[[], None]:
+    """The work that writes the sort of ``keys`` (of the records, with
+    ``values``) to ``out`` (and ``value_out``), leaving the inputs alone.
+
+    The result holds the same bytes :func:`sort_in_place` (with
+    ``merge=True``, :func:`merge_in_place` of two adjacent runs) leaves
+    in the inputs.  The returned function makes NumPy calls only, so
+    another thread may run it (:mod:`repro.runtime.offload`).
+    """
+    if values is None:
+        kind = "stable" if merge else sort_kind(keys)
+
+        def work() -> None:
+            np.copyto(out, keys)
+            out.sort(kind=kind)
+    else:
+        def work() -> None:
+            order = np.argsort(keys, kind="stable")
+            np.take(keys, order, out=out, mode="clip")
+            np.take(values, order, out=value_out, mode="clip")
+    return work
 
 
 def merge_runs_in_place(values: np.ndarray, split: int) -> np.ndarray:

@@ -266,7 +266,7 @@ class P2PRun(PhaseDriver):
     def _sort_task(self, group, slot: int, done_evt, durations, start):
         try:
             yield from sort_chunk(self.machine, self.chunks[slot],
-                                  self.config.primitive)
+                                  self.config.primitive, scratch=True)
             self.sorted_flags[slot] = True
             durations[slot] = self.machine.env.now - start
             backup = self._backups.get(slot)

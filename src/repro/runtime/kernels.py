@@ -11,37 +11,122 @@ Key-value variants: passing ``values`` makes the kernel carry a payload
 array alongside the keys.  Payload bytes count toward the kernel's
 processed volume, so 8-byte payloads roughly triple an int32 sort's
 duration — the honest cost of sorting records instead of bare keys.
+
+Temp storage: passing ``scratch`` (and ``value_scratch`` with
+``values``) hands the kernel spans of the target's length it may
+clobber; their contents afterwards are unspecified.  A kernel of at
+least :data:`~repro.runtime.offload.MIN_KEYS` keys given them computes
+its functional effect there on a worker thread between launch and
+completion (:mod:`repro.runtime.offload`), and lands it in the target
+at completion: same instant, same bytes.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.errors import RuntimeApiError
-from repro.gpuprims.functional import merge_in_place, sort_in_place
+from repro.gpuprims.functional import merge_in_place, sort_in_place, sort_into
+from repro.runtime import offload
 from repro.runtime.memcpy import Span, before_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import Machine
 
 
-def _check_values(target: Span, values: Optional[Span]) -> None:
-    if values is not None and len(values) != len(target):
-        raise RuntimeApiError(
-            f"values span has {len(values)} elements, keys span has "
-            f"{len(target)}")
+def _check_spans(target: Span, values: Optional[Span],
+                 scratch: Optional[Span],
+                 value_scratch: Optional[Span]) -> None:
+    for name, other in (("values", values), ("scratch", scratch),
+                        ("value_scratch", value_scratch)):
+        if other is not None and len(other) != len(target):
+            raise RuntimeApiError(
+                f"{name} span has {len(other)} elements, keys span has "
+                f"{len(target)}")
+    for name, temp, records in (("scratch", scratch, target),
+                                ("value_scratch", value_scratch, values)):
+        if temp is not None and (
+                records is None or temp.view.dtype != records.view.dtype
+                or any(other is not None
+                       and np.may_share_memory(temp.view, other.view)
+                       for other in (target, values))):
+            raise RuntimeApiError(
+                f"{name} span must have its records' dtype and must not "
+                "overlap them")
+
+
+def _offload(machine: "Machine", target: Span, values: Optional[Span],
+             scratch: Optional[Span], value_scratch: Optional[Span],
+             merge: bool = False) -> Optional[offload.Job]:
+    """Start the kernel's functional effect on a worker, into the
+    scratch; ``None`` when it computes inline at completion."""
+    if (scratch is None or (values is not None and value_scratch is None)
+            or not offload.takes(len(target))):
+        return None
+    reads = [span.view for span in (target, values) if span is not None]
+    writes = [span.view for span in (scratch, value_scratch)
+              if span is not None]
+    work = sort_into(reads[0], writes[0], *reads[1:], *writes[1:],
+                     merge=merge)
+    return offload.launch(machine, reads, writes, work)
+
+
+def _run(machine: "Machine", device, duration: float,
+         job: Optional[offload.Job]):
+    """Process: a kernel's timed section; joins ``job`` however it ends."""
+    try:
+        if machine.faults is None:
+            yield machine.env.timeout(duration)
+        else:
+            # Race the launch against the device's (potential) hard
+            # failure so a GPU dying mid-kernel aborts the launch
+            # instead of letting it retire on a corpse.  Healthy
+            # machines keep the bare timeout above — bit-identical to
+            # the pre-fault engine.
+            yield from machine.faults.run_on_device(device, duration)
+    finally:
+        if job is not None:
+            job.close()
+
+
+def _whole(span: Span) -> bool:
+    return span.start == 0 and span.stop == span.buffer.capacity
+
+
+def _land(job: Optional[offload.Job], inline, *pairs) -> None:
+    """Put the kernel's effect in its records: the job's result, or
+    ``inline()`` computed now.
+
+    ``pairs`` are ``(records, scratch)`` span pairs.  A pair of whole
+    buffers exchanges their arrays; any other pair copies the scratch.
+    """
+    if job is None or not job.ready:
+        inline()
+        return
+    for records, temp in pairs:
+        if records is None:
+            continue
+        if _whole(records) and _whole(temp):
+            records.buffer.exchange(temp.buffer)
+        else:
+            records.view[:] = temp.view
 
 
 def sort_on_device(machine: "Machine", target: Span,
                    primitive: str = "thrust", phase: str = "Sort",
-                   values: Optional[Span] = None):
+                   values: Optional[Span] = None,
+                   scratch: Optional[Span] = None,
+                   value_scratch: Optional[Span] = None):
     """Process: sort ``target`` (and optionally ``values``) in place.
 
     The duration follows the device's calibrated rate for ``primitive``
     (Table 2) and the key width (Section 6.3); payload bytes add to the
-    processed volume.
+    processed volume.  ``scratch``/``value_scratch`` are temp storage
+    the kernel may clobber (see the module docstring).
     """
-    _check_values(target, values)
+    _check_spans(target, values, scratch, value_scratch)
     device = target.buffer.device
     view = target.view
     logical = target.nbytes * machine.scale
@@ -55,33 +140,32 @@ def sort_on_device(machine: "Machine", target: Span,
     if machine.obs is not None:
         machine.obs.kernel_launched(device.name, phase, logical, duration,
                                     start)
-    if machine.faults is None:
-        yield machine.env.timeout(duration)
-    else:
-        # Race the launch against the device's (potential) hard failure
-        # so a GPU dying mid-kernel aborts the launch instead of letting
-        # it retire on a corpse.  Healthy machines keep the bare timeout
-        # above — bit-identical to the pre-fault engine.
-        yield from machine.faults.run_on_device(device, duration)
     value_view = None if values is None else values.view
+    job = _offload(machine, target, values, scratch, value_scratch)
+    yield from _run(machine, device, duration, job)
     before_write(machine, view, value_view)
-    sort_in_place(view, value_view)
+    _land(job, lambda: sort_in_place(view, value_view),
+          (target, scratch), (values, value_scratch))
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target
 
 
 def merge_two_on_device(machine: "Machine", target: Span, split: int,
                         phase: str = "Merge",
-                        values: Optional[Span] = None):
+                        values: Optional[Span] = None,
+                        scratch: Optional[Span] = None,
+                        value_scratch: Optional[Span] = None):
     """Process: merge the two sorted runs ``target[:split]``/``[split:]``.
 
     This is the GPU-local merge of the P2P sort's merge phase
     (``thrust::merge`` in the original, Section 5.2).  The merged
     result replaces ``target`` in place; the auxiliary buffer the real
     implementation uses is accounted for by the sorting algorithms,
-    which pre-allocate it.  ``values`` payloads are permuted alongside.
+    which pre-allocate it, and may be passed as ``scratch``/
+    ``value_scratch`` (see the module docstring).  ``values`` payloads
+    are permuted alongside.
     """
-    _check_values(target, values)
+    _check_spans(target, values, scratch, value_scratch)
     device = target.buffer.device
     view = target.view
     if not 0 <= split <= len(view):
@@ -96,13 +180,15 @@ def merge_two_on_device(machine: "Machine", target: Span, split: int,
     if machine.obs is not None:
         machine.obs.kernel_launched(device.name, phase, logical, duration,
                                     start)
-    if machine.faults is None:
-        yield machine.env.timeout(duration)
-    else:
-        yield from machine.faults.run_on_device(device, duration)
-    if split not in (0, len(view)):
-        value_view = None if values is None else values.view
+    value_view = None if values is None else values.view
+    merges = split not in (0, len(view))
+    job = (_offload(machine, target, values, scratch, value_scratch,
+                    merge=True)
+           if merges else None)
+    yield from _run(machine, device, duration, job)
+    if merges:
         before_write(machine, view, value_view)
-        merge_in_place(view, split, value_view)
+        _land(job, lambda: merge_in_place(view, split, value_view),
+              (target, scratch), (values, value_scratch))
     machine.trace.record(phase, device.name, start, bytes=logical)
     return target

@@ -82,17 +82,31 @@ class _Read:
         self.source = source
         self.payload = None
 
+    def on_write(self, machine: "Machine", target: np.ndarray) -> None:
+        """A functional write to ``target`` is about to happen."""
+        if self.payload is None and np.may_share_memory(self.source,
+                                                        target):
+            before_read(machine, self.source)
+            self.payload = self.source.copy()
+
+    def on_read(self, source: np.ndarray) -> None:
+        """A copy is about to read ``source``; a copy in flight writes
+        nothing, so there is nothing to wait for."""
+
 
 def before_write(machine: "Machine", *targets: Optional[np.ndarray]) -> None:
-    """Snapshot the in-flight copy sources a write to ``targets`` hits.
+    """Settle the in-flight work a write to ``targets`` hits.
 
     Every functional write calls this first: a copy landing, the device
-    sort and merge kernels, and the CPU sort and merge.  The 3n
-    pipeline's in-place transfer swap is the case that needs it: the
-    next inbound chunk overwrites a buffer the outbound copy still
-    drains (Section 5.3, Figure 10).  Sources are registered by the
+    sort and merge kernels, and the CPU sort and merge.  It snapshots
+    the copy sources the write overlaps.  The 3n pipeline's in-place
+    transfer swap is the case that needs it: the next inbound chunk
+    overwrites a buffer the outbound copy still drains (Section 5.3,
+    Figure 10).  It also joins the offloaded kernels
+    (:mod:`repro.runtime.offload`) whose input or scratch the write
+    overlaps, and marks them stale.  Entries are registered by the
     array that owns their memory (NumPy collapses every view's ``base``
-    to it), so a target no copy reads costs one dict lookup.  ``None``
+    to it), so a target nothing reads costs one dict lookup.  ``None``
     targets (an absent payload array) are skipped.
     """
     in_flight = machine.in_flight
@@ -100,12 +114,23 @@ def before_write(machine: "Machine", *targets: Optional[np.ndarray]) -> None:
         if target is None:
             continue
         base = target.base
-        reads = in_flight.get(id(target if base is None else base))
-        if reads:
-            for read in reads:
-                if (read.payload is None
-                        and np.may_share_memory(read.source, target)):
-                    read.payload = read.source.copy()
+        entries = in_flight.get(id(target if base is None else base))
+        if entries:
+            for entry in entries:
+                entry.on_write(machine, target)
+
+
+def before_read(machine: "Machine", source: np.ndarray) -> None:
+    """Join the offloaded kernels whose scratch ``source`` overlaps.
+
+    A landing copy calls this before it reads its source, so it never
+    reads a scratch buffer a worker thread is still writing.
+    """
+    base = source.base
+    entries = machine.in_flight.get(id(source if base is None else base))
+    if entries:
+        for entry in entries:
+            entry.on_read(source)
 
 
 def _node_of(machine: "Machine", buffer: Buffer) -> str:
@@ -225,7 +250,11 @@ def copy_async(machine: "Machine", dst: Span, src: Span,
 
     target = dst.view
     before_write(machine, target)
-    target[:] = source if read.payload is None else read.payload
+    if read.payload is None:
+        before_read(machine, source)
+        target[:] = source
+    else:
+        target[:] = read.payload
     if phase is not None:
         actor = _node_of(machine, dst.buffer if kind != "DtoH"
                          else src.buffer)

@@ -237,7 +237,10 @@ class _Condition(Event):
 
     An input event counts as *done* once it has been processed (its
     callbacks ran) — being merely scheduled, like a fresh
-    :class:`Timeout`, does not count.
+    :class:`Timeout`, does not count.  Once the condition triggers it
+    detaches from the inputs still pending, so a long-lived input (a
+    GPU's fail event, a task group's failure) does not collect one
+    dead callback per condition that ever waited on it.
     """
 
     __slots__ = ("events", "_count")
@@ -255,12 +258,14 @@ class _Condition(Event):
                 if not event._ok:
                     event.defused = True
                     self.fail(event._value)
+                    self._detach()
                     return
                 self._count += 1
             else:
                 event.callbacks.append(self._on_event)
         if not self.triggered and self._evaluate():
             self._finish()
+            self._detach()
 
     def _on_event(self, event: Event) -> None:
         if self.triggered:
@@ -268,10 +273,23 @@ class _Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate():
+        else:
+            self._count += 1
+            if not self._evaluate():
+                return
             self._finish()
+        self._detach()
+
+    def _detach(self) -> None:
+        """Remove this condition's callback from the pending inputs."""
+        on_event = self._on_event
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks:
+                try:
+                    callbacks.remove(on_event)
+                except ValueError:
+                    pass
 
     def _evaluate(self) -> bool:  # pragma: no cover - overridden
         raise NotImplementedError

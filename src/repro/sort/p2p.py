@@ -365,14 +365,25 @@ def copy_in(machine: Machine, chunks: Sequence[Chunk],
 
 
 def sort_chunk(machine: Machine, chunk: Chunk, primitive: str,
-               size: Optional[int] = None):
+               size: Optional[int] = None, scratch: bool = False):
     """Process: sort the first ``size`` records (default: all) of one
-    chunk (and its payloads) on its GPU."""
+    chunk (and its payloads) on its GPU.
+
+    ``scratch=True`` lends the kernel the chunk's auxiliary buffers as
+    temp storage; only a caller that knows them dead may pass it (the
+    P2P local sort does; a HET lane's second buffer may hold an HtoD in
+    flight).
+    """
+    values = value_scratch = None
+    if chunk.has_values:
+        values = span(chunk.value_primary, 0, size)
+        if scratch:
+            value_scratch = span(chunk.value_aux, 0, size)
     return sort_on_device(
         machine, span(chunk.primary, 0, size), primitive=primitive,
-        phase="Sort",
-        values=span(chunk.value_primary, 0, size) if chunk.has_values
-        else None)
+        phase="Sort", values=values,
+        scratch=span(chunk.aux, 0, size) if scratch else None,
+        value_scratch=value_scratch)
 
 
 def copy_out(machine: Machine, chunks: Sequence[Chunk],
@@ -421,7 +432,8 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
         yield env.all_of(copy_in(machine, chunks, sources, spawn,
                                  value_sources))
         check()
-        yield env.all_of([spawn(sort_chunk(machine, c, config.primitive))
+        yield env.all_of([spawn(sort_chunk(machine, c, config.primitive,
+                                           scratch=True))
                           for c in chunks])
         check()
         yield from merge_chunks(machine, chunks, config, stats,

@@ -338,7 +338,8 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
         # -- local sorts and gather --------------------------------------
         # The local radix sort needs its auxiliary buffer (Section 5.1),
-        # accounted here so the capacity math stays honest.
+        # accounted here so the capacity math stays honest; the sort
+        # takes it as temp storage.
         sort_aux = [devices[slot].alloc(recv_counts[slot], dtype,
                                         label=f"rp_sort_aux{slot}")
                     for slot in range(g)]
@@ -351,6 +352,9 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
             machine, span(receives[slot], 0, recv_counts[slot]),
             primitive=config.primitive, phase="Sort",
             values=span(value_receives[slot], 0, recv_counts[slot])
+            if value_receives is not None else None,
+            scratch=span(sort_aux[slot]),
+            value_scratch=span(value_sort_aux[slot])
             if value_receives is not None else None))
             for slot in range(g) if recv_counts[slot]]
         yield env.all_of(sorts)

@@ -142,18 +142,17 @@ def swap_and_merge_pair(machine: "Machine", left: "Chunk",
     right.flip_buffers()
 
     if pivot < n:
-        merges = [
-            spawn(merge_two_on_device(
-                machine, span(left.primary, 0, n), keep_left,
-                phase=merge_phase,
-                values=span(left.value_primary, 0, n)
-                if left.has_values else None)),
-            spawn(merge_two_on_device(
-                machine, span(right.primary, 0, n), pivot,
-                phase=merge_phase,
-                values=span(right.value_primary, 0, n)
-                if right.has_values else None)),
-        ]
+        # The new aux buffers held the pre-swap chunks, which the
+        # finished copies have read: the merges may use them as temp
+        # storage.
+        merges = [spawn(merge_two_on_device(
+            machine, span(chunk.primary, 0, n), split, phase=merge_phase,
+            values=span(chunk.value_primary, 0, n)
+            if chunk.has_values else None,
+            scratch=span(chunk.aux, 0, n),
+            value_scratch=span(chunk.value_aux, 0, n)
+            if chunk.has_values else None))
+            for chunk, split in ((left, keep_left), (right, pivot))]
         yield env.all_of(merges)
         check()
     return p2p_bytes

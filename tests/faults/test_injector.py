@@ -86,6 +86,17 @@ class TestInstall:
             machine.install_faults(FaultPlan.empty())
 
 
+class TestFailEvents:
+    def test_healthy_gpus_fail_events_hold_no_stale_callbacks(self):
+        # GPU 7 dies late, so every kernel races its GPU's fail event.
+        machine = _machine(FaultPlan(events=(GpuFail(at=1e3, gpu=7),)))
+        for _ in range(20):
+            for gpu in (0, 1):
+                _kernel(machine, gpu=gpu, n=100)
+        for gpu in (0, 1):
+            assert machine.faults.fail_event(gpu).callbacks == []
+
+
 class TestDegradation:
     def test_degradation_slows_transfer(self):
         clean = _htod(_machine())

@@ -256,6 +256,38 @@ class TestConditions:
 
         assert env.run(env.process(proc())) == 2
 
+    def test_triggered_any_of_detaches_from_pending_inputs(self, env):
+        never = env.event()
+
+        def proc():
+            for _ in range(5):
+                yield env.any_of([env.timeout(1), never])
+
+        env.run(env.process(proc()))
+        assert never.callbacks == []
+
+    def test_failed_all_of_detaches_from_pending_inputs(self, env):
+        never = env.event()
+        bad = env.event()
+
+        def proc():
+            with pytest.raises(ValueError):
+                yield env.all_of([never, bad])
+
+        p = env.process(proc())
+        bad.fail(ValueError("broken"))
+        env.run(p)
+        assert never.callbacks == []
+
+    def test_condition_born_triggered_detaches(self, env):
+        done = env.event()
+        done.succeed()
+        env.run()
+        never = env.event()
+        condition = env.any_of([never, done])
+        assert condition.triggered
+        assert never.callbacks == []
+
 
 class TestEnvironmentRun:
     def test_run_until_time(self):

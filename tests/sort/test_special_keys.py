@@ -10,7 +10,8 @@ canonicalized.
 import numpy as np
 import pytest
 
-from repro.gpuprims.functional import merge_in_place, sort_in_place
+from repro.gpuprims.functional import (merge_in_place, sort_in_place,
+                                      sort_into)
 from repro.hw import dgx_a100, make_cluster
 from repro.recovery import SortSupervisor
 from repro.runtime import Machine
@@ -135,6 +136,30 @@ class TestNaNPayloads:
                                np.sort(keys[400:], kind="stable")])
         merged = merge_in_place(runs.copy(), 400)
         assert np.array_equal(bits(merged), bits(out))
+
+    @pytest.mark.parametrize("with_values", [False, True])
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_sort_into_writes_the_in_place_bytes(self, merge, with_values):
+        keys = float32_keys(1000, 9, (PAYLOAD_NAN, 0x80000000, 0))
+        if merge:
+            keys[:400].sort(kind="stable")
+            keys[400:].sort(kind="stable")
+        values = np.arange(1000, dtype=np.int64) if with_values else None
+        out = np.empty_like(keys)
+        value_out = np.empty_like(values) if with_values else None
+        work = sort_into(keys, out, values, value_out, merge=merge)
+        expected = keys.copy()
+        expected_values = None if values is None else values.copy()
+        if merge:
+            merge_in_place(expected, 400, expected_values)
+        else:
+            sort_in_place(expected, expected_values)
+        before = keys.copy()
+        work()
+        assert bits(out).tolist() == bits(expected).tolist()
+        assert bits(keys).tolist() == bits(before).tolist()
+        if with_values:
+            assert value_out.tolist() == expected_values.tolist()
 
     def test_helper_sorts_records_stably(self):
         keys = np.array([2, 1, 2, 1], np.int32)
