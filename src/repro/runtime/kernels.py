@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import RuntimeApiError
 from repro.gpuprims.functional import merge_in_place, sort_in_place, sort_into
 from repro.runtime import offload
@@ -45,12 +43,15 @@ def _check_spans(target: Span, values: Optional[Span],
             raise RuntimeApiError(
                 f"{name} span has {len(other)} elements, keys span has "
                 f"{len(target)}")
+    if scratch is None and value_scratch is None:
+        return
     for name, temp, records in (("scratch", scratch, target),
                                 ("value_scratch", value_scratch, values)):
         if temp is not None and (
-                records is None or temp.view.dtype != records.view.dtype
-                or any(other is not None
-                       and np.may_share_memory(temp.view, other.view)
+                records is None or temp.buffer.dtype != records.buffer.dtype
+                or any(other is not None and other.buffer is temp.buffer
+                       and other.start < temp.stop
+                       and temp.start < other.stop
                        for other in (target, values))):
             raise RuntimeApiError(
                 f"{name} span must have its records' dtype and must not "

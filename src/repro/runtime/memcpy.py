@@ -251,7 +251,9 @@ def copy_async(machine: "Machine", dst: Span, src: Span,
     target = dst.view
     before_write(machine, target)
     if read.payload is None:
-        before_read(machine, source)
+        entries = machine.in_flight.get(owner)
+        if entries:
+            before_read(machine, source)
         target[:] = source
     else:
         target[:] = read.payload

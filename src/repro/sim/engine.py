@@ -265,7 +265,8 @@ class _Condition(Event):
                 event.callbacks.append(self._on_event)
         if not self.triggered and self._evaluate():
             self._finish()
-            self._detach()
+            if self._count < len(self.events):
+                self._detach()
 
     def _on_event(self, event: Event) -> None:
         if self.triggered:
@@ -278,6 +279,8 @@ class _Condition(Event):
             if not self._evaluate():
                 return
             self._finish()
+            if self._count == len(self.events):
+                return  # every input processed: nothing left to detach
         self._detach()
 
     def _detach(self) -> None:
