@@ -292,20 +292,6 @@ class DeviceBuffer:
         self.device._release(self)
         self.released = True
 
-    def exchange(self, other: "DeviceBuffer") -> None:
-        """Swap payload arrays with ``other``: a pointer swap, as
-        ``cub::DoubleBuffer`` flips its selector instead of copying.
-
-        Both buffers must be live, on one device, of one dtype and
-        capacity.  Arrays taken from either before the swap keep their
-        old memory.
-        """
-        if (self.released or other.released or other.device is not self.device
-                or other.dtype != self.dtype
-                or other.capacity != self.capacity):
-            raise RuntimeApiError(f"cannot exchange {self!r} with {other!r}")
-        self._data, other._data = other._data, self._data
-
     def __len__(self) -> int:
         return len(self._data)
 

@@ -13,12 +13,13 @@ processed volume, so 8-byte payloads roughly triple an int32 sort's
 duration — the honest cost of sorting records instead of bare keys.
 
 Temp storage: passing ``scratch`` (and ``value_scratch`` with
-``values``) hands the kernel spans of the target's length it may
-clobber; their contents afterwards are unspecified.  A kernel of at
-least :data:`~repro.runtime.offload.MIN_KEYS` keys given them computes
-its functional effect there on a worker thread between launch and
-completion (:mod:`repro.runtime.offload`), and lands it in the target
-at completion: same instant, same bytes.
+``values``) hands the kernel spans of its records' length, dtype and
+device, each in a buffer of its own, that it may clobber; their
+contents afterwards are unspecified.  A kernel of at least
+:data:`~repro.runtime.offload.MIN_KEYS` keys given them computes its
+functional effect there on a worker thread between launch and
+completion (:mod:`repro.runtime.offload`), and copies it into the
+target at completion: same instant, same bytes.
 """
 
 from __future__ import annotations
@@ -37,25 +38,25 @@ if TYPE_CHECKING:  # pragma: no cover
 def _check_spans(target: Span, values: Optional[Span],
                  scratch: Optional[Span],
                  value_scratch: Optional[Span]) -> None:
-    for name, other in (("values", values), ("scratch", scratch),
-                        ("value_scratch", value_scratch)):
-        if other is not None and len(other) != len(target):
-            raise RuntimeApiError(
-                f"{name} span has {len(other)} elements, keys span has "
-                f"{len(target)}")
+    if values is not None and len(values) != len(target):
+        raise RuntimeApiError(
+            f"values span has {len(values)} elements, keys span has "
+            f"{len(target)}")
     if scratch is None and value_scratch is None:
         return
     for name, temp, records in (("scratch", scratch, target),
                                 ("value_scratch", value_scratch, values)):
-        if temp is not None and (
-                records is None or temp.buffer.dtype != records.buffer.dtype
-                or any(other is not None and other.buffer is temp.buffer
-                       and other.start < temp.stop
-                       and temp.start < other.stop
-                       for other in (target, values))):
+        if temp is None:
+            continue
+        buffer = temp.buffer
+        if (records is None or buffer is target.buffer
+                or (values is not None and buffer is values.buffer)
+                or len(temp) != len(target)
+                or buffer.device is not records.buffer.device
+                or buffer.dtype != records.buffer.dtype):
             raise RuntimeApiError(
-                f"{name} span must have its records' dtype and must not "
-                "overlap them")
+                f"{name} span must match its records' length, dtype and "
+                "device, in a buffer of its own")
 
 
 def _offload(machine: "Machine", target: Span, values: Optional[Span],
@@ -71,6 +72,9 @@ def _offload(machine: "Machine", target: Span, values: Optional[Span],
               if span is not None]
     work = sort_into(reads[0], writes[0], *reads[1:], *writes[1:],
                      merge=merge)
+    # The worker clobbers the scratch from launch on: copies in flight
+    # that read it snapshot it first.
+    before_write(machine, *writes)
     return offload.launch(machine, reads, writes, work)
 
 
@@ -92,26 +96,15 @@ def _run(machine: "Machine", device, duration: float,
             job.close()
 
 
-def _whole(span: Span) -> bool:
-    return span.start == 0 and span.stop == span.buffer.capacity
-
-
 def _land(job: Optional[offload.Job], inline, *pairs) -> None:
-    """Put the kernel's effect in its records: the job's result, or
-    ``inline()`` computed now.
-
-    ``pairs`` are ``(records, scratch)`` span pairs.  A pair of whole
-    buffers exchanges their arrays; any other pair copies the scratch.
-    """
+    """Put the kernel's effect in its records: the job's result, copied
+    from each ``(records, scratch)`` span pair, or ``inline()`` computed
+    now."""
     if job is None or not job.ready:
         inline()
         return
     for records, temp in pairs:
-        if records is None:
-            continue
-        if _whole(records) and _whole(temp):
-            records.buffer.exchange(temp.buffer)
-        else:
+        if records is not None:
             records.view[:] = temp.view
 
 

@@ -89,10 +89,6 @@ class _Read:
             before_read(machine, self.source)
             self.payload = self.source.copy()
 
-    def on_read(self, source: np.ndarray) -> None:
-        """A copy is about to read ``source``; a copy in flight writes
-        nothing, so there is nothing to wait for."""
-
 
 def before_write(machine: "Machine", *targets: Optional[np.ndarray]) -> None:
     """Settle the in-flight work a write to ``targets`` hits.
@@ -124,13 +120,15 @@ def before_read(machine: "Machine", source: np.ndarray) -> None:
     """Join the offloaded kernels whose scratch ``source`` overlaps.
 
     A landing copy calls this before it reads its source, so it never
-    reads a scratch buffer a worker thread is still writing.
+    reads a scratch buffer a worker thread is still writing.  The other
+    copies in flight write nothing, so there is nothing to wait for.
     """
     base = source.base
     entries = machine.in_flight.get(id(source if base is None else base))
     if entries:
         for entry in entries:
-            entry.on_read(source)
+            if entry.__class__ is not _Read:
+                entry.on_read(source)
 
 
 def _node_of(machine: "Machine", buffer: Buffer) -> str:

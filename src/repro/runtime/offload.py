@@ -7,10 +7,9 @@ given temp storage (``scratch=``, the auxiliary buffer the real sort
 already holds) computes its result there on a worker thread while the
 simulation runs on.  :func:`launch` submits the work when the kernel
 launches; at the kernel's simulated completion :meth:`Job.close` joins
-it and the kernel lands the result in its target (a copy, or an
-exchange of the two buffers' arrays when both spans cover whole
-buffers).  The functional effect therefore lands at the same simulated
-instant, with the same bytes, as an inline one.
+it and the kernel copies the result into its target.  The functional
+effect therefore lands at the same simulated instant, with the same
+bytes, as an inline one.
 
 Exactness rules:
 
@@ -21,9 +20,9 @@ Exactness rules:
   stale job's kernel computes its effect inline at completion, from the
   target's bytes at that instant, as an inline kernel does.
 * A job the main thread needs before a worker started it is dropped
-  and computed inline instead; while it waits on a running one, the
-  main thread runs other queued jobs itself (newest first, as the
-  workers take the oldest).
+  and computed inline instead.  While it waits on a running one, the
+  main thread runs the same machine's other queued jobs itself, so
+  both threads stay busy through a phase of concurrent kernels.
 * An interrupted or faulted kernel closes (joins and discards) its job
   in a ``finally``, so no worker touches its buffers afterwards.
 * Workers run NumPy calls only, never a ``repro`` function: profilers
@@ -33,7 +32,6 @@ Exactness rules:
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -56,24 +54,16 @@ THREADS = min(len(os.sched_getaffinity(0))
 MIN_KEYS = 1 << 18
 
 _pool: Optional["ThreadPoolExecutor"] = None
-_pool_workers = 0
-#: Jobs submitted and not yet closed, oldest first: the workers take
-#: the oldest, a waiting main thread runs the newest.
-_queued: deque = deque()
 
 
 def _executor() -> "ThreadPoolExecutor":
-    global _pool, _pool_workers
-    workers = THREADS - 1
-    if _pool is None or _pool_workers != workers:
+    global _pool
+    if _pool is None:
         # Imported here: runs that never offload do not pay for it.
         from concurrent.futures import ThreadPoolExecutor
 
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(max_workers=workers,
+        _pool = ThreadPoolExecutor(max_workers=max(THREADS - 1, 1),
                                    thread_name_prefix="repro-kernel")
-        _pool_workers = workers
     return _pool
 
 
@@ -81,7 +71,7 @@ class Job:
     """One kernel's functional effect, computed into its scratch."""
 
     __slots__ = ("machine", "arrays", "scratch", "work", "future",
-                 "computed", "claimed", "stale", "owners")
+                 "computed", "stale", "owners")
 
     def __init__(self, machine: "Machine", arrays, scratch, work):
         self.machine = machine
@@ -94,8 +84,6 @@ class Job:
         #: The result is in the scratch (a worker or the main thread
         #: ran the work to the end).
         self.computed = False
-        #: No worker touches the arrays any more.
-        self.claimed = False
         self.stale = False
         self.owners = {id(a if a.base is None else a.base) for a in arrays}
 
@@ -106,16 +94,25 @@ class Job:
 
     def _claim(self) -> None:
         """Make sure no worker runs or will run the work."""
-        if self.claimed:
-            return
-        self.claimed = True
         if self.future.cancel():
             return
-        while not self.future.done():
-            if not _run_one_queued():
-                break
+        while not self.future.done() and self._run_another():
+            pass
         self.future.result()
         self.computed = True
+
+    def _run_another(self) -> bool:
+        """Run on this thread one of the machine's jobs still queued
+        (neither started by a worker nor dropped); ``False`` when there
+        is none."""
+        for entries in self.machine.in_flight.values():
+            for job in entries:
+                if (isinstance(job, Job) and not job.future.cancelled()
+                        and job.future.cancel()):
+                    job.work()
+                    job.computed = True
+                    return True
+        return False
 
     def on_write(self, machine: "Machine", target: np.ndarray) -> None:
         """A functional write to ``target`` is about to happen."""
@@ -134,10 +131,6 @@ class Job:
         try:
             self._claim()
         finally:
-            try:
-                _queued.remove(self)
-            except ValueError:
-                pass
             in_flight = self.machine.in_flight
             for owner in self.owners:
                 entries = in_flight.get(owner)
@@ -145,18 +138,6 @@ class Job:
                     entries.discard(self)
                     if not entries:
                         del in_flight[owner]
-
-
-def _run_one_queued() -> bool:
-    """Run the newest job no worker has started on this thread."""
-    while _queued:
-        job = _queued.pop()
-        if not job.claimed and job.future.cancel():
-            job.claimed = True
-            job.work()
-            job.computed = True
-            return True
-    return False
 
 
 def takes(keys: int) -> bool:
@@ -176,5 +157,4 @@ def launch(machine: "Machine", reads, writes, work) -> Job:
             entries = in_flight[owner] = set()
         entries.add(job)
     job.future = _executor().submit(work)
-    _queued.append(job)
     return job

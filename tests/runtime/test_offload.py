@@ -6,17 +6,21 @@ the inline one, whatever the CPU count: ``THREADS`` is set by
 monkeypatch, so the worker path runs on a one-CPU host too.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro import p2p_sort
+from repro import het_sort, p2p_sort
 from repro.errors import DeviceFaultError, RuntimeApiError
 from repro.faults import FaultPlan
 from repro.faults.events import GpuFail
 from repro.hw import dgx_a100
 from repro.runtime import Machine, offload
 from repro.runtime.kernels import merge_two_on_device, sort_on_device
-from repro.runtime.memcpy import copy_async, span
+from repro.runtime.memcpy import before_write, copy_async, span
+from repro.sort import HetConfig, swap
 from repro.sim.engine import Interrupt
 
 N = offload.MIN_KEYS
@@ -37,25 +41,46 @@ def submitted(monkeypatch):
     return jobs
 
 
-def _sorted_run(monkeypatch, threads: int, with_values: bool):
+def _sorted_run(monkeypatch, threads: int, algorithm: str,
+                with_values: bool):
     monkeypatch.setattr(offload, "THREADS", threads)
+    merges = []
+    real = swap.merge_two_on_device
+
+    def counting(machine, target, split, **kwargs):
+        merges.append(0 < split < len(target))
+        return real(machine, target, split, **kwargs)
+
+    monkeypatch.setattr(swap, "merge_two_on_device", counting)
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 1 << 20, size=4 * N, dtype=np.int32)
     values = (rng.integers(0, 1 << 40, size=keys.size, dtype=np.int64)
               if with_values else None)
     machine = Machine(dgx_a100(), scale=1000)
-    result = p2p_sort(machine, keys, gpu_ids=[0, 1, 2, 3], values=values)
-    return result, machine.trace.spans, machine
+    if algorithm == "p2p":
+        result = p2p_sort(machine, keys, gpu_ids=[0, 1, 2, 3],
+                          values=values)
+    else:
+        result = het_sort(machine, keys, gpu_ids=[0, 1, 2, 3],
+                          config=HetConfig(gpu_merge_groups=True),
+                          values=values)
+    return result, machine.trace.spans, machine, sum(merges)
 
 
-@pytest.mark.parametrize("with_values", [False, True])
+@pytest.mark.parametrize("with_values", [False, True],
+                         ids=["keys", "records"])
+@pytest.mark.parametrize("algorithm", ["p2p", "het-gpu-merged"])
 def test_one_and_two_threads_give_identical_sorts(monkeypatch, submitted,
-                                                  with_values):
-    inline, inline_spans, _ = _sorted_run(monkeypatch, 1, with_values)
+                                                  algorithm, with_values):
+    inline, inline_spans, _, _ = _sorted_run(monkeypatch, 1, algorithm,
+                                             with_values)
     assert submitted == []
-    offloaded, spans, machine = _sorted_run(monkeypatch, 2, with_values)
-    # Four local sorts plus the swap merges, each of >= MIN_KEYS keys.
-    assert len(submitted) > 4
+    offloaded, spans, machine, merges = _sorted_run(monkeypatch, 2,
+                                                    algorithm, with_values)
+    # Every swap merge that merges anything offloads, each of MIN_KEYS
+    # keys; so do P2P's four local sorts, but not HET's.
+    assert merges > 0
+    assert len(submitted) == merges + (4 if algorithm == "p2p" else 0)
     assert machine.in_flight == {}
     assert np.array_equal(offloaded.output, inline.output)
     if with_values:
@@ -112,6 +137,87 @@ def test_write_into_pending_kernel_gives_inline_result(monkeypatch,
     if into == "input":
         # The kernel sorted the bytes present at its completion.
         assert np.count_nonzero(offloaded == -1) == N // 2
+
+
+def _kernel_with_read(monkeypatch, threads: int):
+    """Sort a buffer whose scratch a device-local copy, issued before
+    the kernel's launch, still reads; return the bytes the copy lands."""
+    monkeypatch.setattr(offload, "THREADS", threads)
+    machine = Machine(dgx_a100(), scale=1000)
+    device = machine.device(0)
+    target = device.alloc(N, np.int32)
+    target.data[:] = np.arange(N, dtype=np.int32)[::-1]
+    scratch = device.alloc(N, np.int32)
+    scratch.data[:] = np.random.default_rng(4).integers(0, 1000, size=N)
+    landing = device.alloc(N, np.int32)
+    env = machine.env
+
+    def run():
+        copy = env.process(copy_async(machine, span(landing),
+                                      span(scratch)))
+        yield env.timeout(1e-9)
+        yield env.process(sort_on_device(machine, span(target),
+                                         scratch=span(scratch)))
+        yield copy
+
+    machine.run(run())
+    assert machine.in_flight == {}
+    assert np.array_equal(target.data, np.arange(N))
+    return landing.data.copy()
+
+
+def test_copy_reading_scratch_lands_pre_launch_bytes(monkeypatch,
+                                                     submitted):
+    inline = _kernel_with_read(monkeypatch, 1)
+    offloaded = _kernel_with_read(monkeypatch, 2)
+    assert len(submitted) == 1
+    assert np.array_equal(offloaded, inline)
+
+
+def _two_jobs(monkeypatch, drop_second: bool):
+    """Launch a job that holds the one worker until a second job runs
+    (or half a second passes), then the second job, and close both;
+    return the threads the second job's work ran on."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(offload, "_pool", pool)
+    machine = Machine(dgx_a100(), scale=1000)
+    arrays = [np.zeros(4, np.int32) for _ in range(4)]
+    started, released = threading.Event(), threading.Event()
+    ran_on = []
+
+    def blocking():
+        started.set()
+        released.wait(0.5)
+
+    def second():
+        ran_on.append(threading.current_thread())
+        released.set()
+
+    try:
+        first = offload.launch(machine, arrays[:1], arrays[1:2], blocking)
+        assert started.wait(5)
+        queued = offload.launch(machine, arrays[2:3], arrays[3:], second)
+        if drop_second:
+            before_write(machine, arrays[2])
+        first.close()
+        queued.close()
+    finally:
+        released.set()
+        pool.shutdown()
+    assert first.ready
+    assert queued.ready != drop_second
+    assert machine.in_flight == {}
+    return ran_on
+
+
+def test_waiting_main_thread_runs_queued_jobs(monkeypatch):
+    # Only the main thread, waiting on the first job, can run the second.
+    assert _two_jobs(monkeypatch, False) == [threading.main_thread()]
+
+
+def test_waiting_main_thread_skips_dropped_jobs(monkeypatch):
+    # A write into the second job's input dropped it: nobody runs it.
+    assert _two_jobs(monkeypatch, True) == []
 
 
 def test_cancelled_kernel_leaves_no_job(monkeypatch, submitted):
@@ -225,22 +331,13 @@ def test_partial_spans_land_by_copy(monkeypatch, submitted):
         assert a.tobytes() == b.tobytes()
 
 
-def test_scratch_must_match_and_not_overlap(dgx):
+def test_scratch_must_match_its_records_in_a_buffer_of_its_own(dgx):
     device = dgx.device(0)
     keys = device.alloc(100, np.int32)
     wide = device.alloc(100, np.int64)
-    for scratch in (span(wide, 0, 50), span(keys, 25, 75)):
+    short = device.alloc(40, np.int32)
+    remote = dgx.device(1).alloc(50, np.int32)
+    for scratch in (span(wide, 0, 50), span(keys, 25, 75), span(keys, 0, 50),
+                    span(short), span(remote)):
         with pytest.raises(RuntimeApiError):
             dgx.run(sort_on_device(dgx, span(keys, 50), scratch=scratch))
-
-
-def test_exchange_swaps_arrays_of_like_buffers(dgx):
-    a = dgx.device(0).alloc(10, np.int32)
-    b = dgx.device(0).alloc(10, np.int32)
-    a.data[:], b.data[:] = 1, 2
-    a.exchange(b)
-    assert (a.data == 2).all() and (b.data == 1).all()
-    with pytest.raises(RuntimeApiError):
-        a.exchange(dgx.device(1).alloc(10, np.int32))
-    with pytest.raises(RuntimeApiError):
-        a.exchange(dgx.device(0).alloc(11, np.int32))
