@@ -13,7 +13,7 @@ The contract under test (:func:`run_case`):
 * it fails with a *typed* error — :class:`~repro.errors.ReproError` or
   :class:`~repro.sim.engine.SimulationError` — or a typed partial
   result (``deadline_exceeded``);
-* either way, a single-machine run leaves the machine clean: no device
+* either way, the run leaves the machine (or cluster) clean: no device
   bytes allocated, no active flows, no copies in flight.
 
 Anything else — a bare ``KeyError`` out of the event loop, a sorted
@@ -198,8 +198,7 @@ def run_case(case: ChaosCase) -> Outcome:
         outcome = _judge(result, data)
     # ROADMAP item 8: a failed plain RP sort still strands its device
     # buffers and flows; it is exempt until that is mended.
-    exempt = case.nodes or (outcome.status == "typed"
-                            and case.algorithm == "rp")
+    exempt = outcome.status == "typed" and case.algorithm == "rp"
     left = "" if outcome.failed or exempt else _leftovers(machine)
     if left:
         return Outcome("dirty", f"{outcome.status} run left {left}")

@@ -326,7 +326,8 @@ class FaultInjector:
         timeout = self.env.timeout(duration)
         died = self.fail_event(device.id)
         yield self.env.any_of([timeout, died])
-        if device.id in self._failed and not timeout.triggered:
+        # ``processed``, not ``triggered``: a Timeout is born triggered.
+        if device.id in self._failed and not timeout.processed:
             raise DeviceFaultError(
                 f"{device.name} failed {self.env.now:.6f}s into a "
                 "running kernel")

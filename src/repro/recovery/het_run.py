@@ -73,10 +73,9 @@ class HetRun(PhaseDriver):
         return [self.machine.device(gpu) for gpu in self.ids]
 
     def _pipeline(self, group):
-        spawn, check = group.seam()
         yield from self.plan.lanes(
             self.machine, self._devices(), self.host_in, self.host_values,
-            self._alloc, spawn, check,
+            self._alloc, group.spawn, group.check,
             self._group_flushed if self.sup.config.checkpointing else None)
 
     def _group_flushed(self, index: int) -> None:

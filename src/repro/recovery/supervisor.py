@@ -282,11 +282,6 @@ class SortSupervisor:
                             nest=cfg.job_label is None)
         deadline = (env.timeout(cfg.deadline_s)
                     if cfg.deadline_s is not None else None)
-        # Only the plain sort on a machine with no fault plan runs its
-        # phases unshielded, as plain processes, so it has the plain
-        # pipeline's event stream.  Any other run (a service job, which
-        # a shutdown can interrupt, among them) stays shielded.
-        shielded = not plain or machine.faults is not None
         deadline_hit = False
         failing_phase: Optional[str] = None
         phase_started: Optional[float] = None
@@ -297,14 +292,12 @@ class SortSupervisor:
                     failing_phase = name
                     phase_started = env.now
                     try:
-                        group = TaskGroup(env, name=name,
-                                          shielded=shielded)
+                        group = TaskGroup(env, name=name)
                         yield from group.supervise(driver.body(name)(group),
                                                    deadline)
                         ck_body = driver.checkpoint_body(name)
                         if ck_body is not None:
-                            group = TaskGroup(env, name=f"{name}:checkpoint",
-                                              shielded=shielded)
+                            group = TaskGroup(env, name=f"{name}:checkpoint")
                             yield from group.supervise(ck_body(group),
                                                        deadline)
                         driver.after_phase(name)

@@ -18,8 +18,10 @@ survivors, drains them, and then raises — so the supervisor observes
 one typed error per phase, never a half-torn-down event loop.
 :meth:`TaskGroup.supervise` is how a driver runs one phase: the runner
 in its own process, plus a force-drain backstop for anything the
-runner could not reap.  An unshielded group, for a phase nothing can
-stop early, runs its tasks as plain processes instead.
+runner could not reap.  Every phase runs this way, whether or not
+anything (a fault plan, a deadline, a shutdown) can stop it early: the
+first task that raises fails its phase once its siblings are drained,
+so a plain sort leaves the machine as clean as a supervised one.
 """
 
 from __future__ import annotations
@@ -39,65 +41,62 @@ class TaskGroup:
     of beginning fresh work.
     """
 
-    def __init__(self, env: Environment, name: str = "phase",
-                 shielded: bool = True):
+    def __init__(self, env: Environment, name: str = "phase"):
         self.env = env
         self.name = name
-        #: Unshielded, the group is for a phase nothing can stop early:
-        #: its tasks are plain processes whose failures propagate, and
-        #: :meth:`supervise` runs the body in the caller's process.  A
-        #: deadline given to :meth:`supervise` shields the group.
-        self.shielded = shielded
-        self.procs: List[Process] = []
-        #: Results of finished tasks by name (``None`` for failed ones).
+        #: Unfinished tasks by spawn number: a task drops out as it
+        #: finishes, so a long phase keeps only its live processes.
+        self.procs: Dict[int, Process] = {}
+        self._spawned = 0
+        #: Results of finished named tasks by name.  Unnamed tasks (a
+        #: pipeline's copies and kernels) record none: their waiters
+        #: take the value from the process, and holding it here would
+        #: keep every copy's span alive until the phase ends.
         self.results: Dict[str, object] = {}
         #: First failure recorded by any shield (wins; later ones drop).
         self.failure: Optional[BaseException] = None
         self.failed: Event = env.event()
         self.cancelled = False
-        self._interrupted: Set[int] = set()
+        #: Processes already interrupted, held so none is sent twice.
+        self._interrupted: Set[Process] = set()
 
     # -- spawning ----------------------------------------------------------
     def spawn(self, gen, name: Optional[str] = None) -> Process:
         """Run ``gen`` as a task: shielded, its failures go to the
-        group.  ``name`` keys the task's result; unnamed tasks are
-        numbered."""
-        if name is None:
-            name = f"t{len(self.procs)}"
-        proc = self.env.process(self._shield(gen, name) if self.shielded
-                                else gen)
-        self.procs.append(proc)
+        group.  ``name`` keys the task's result."""
+        number = self._spawned
+        self._spawned += 1
+        proc = self.env.process(self._shield(gen, name, number))
+        self.procs[number] = proc
         return proc
 
     def check(self) -> None:
-        """Raise the recorded failure, if any: the barrier seam of
-        :func:`repro.sort.p2p.p2p_pipeline` and its merge."""
+        """Raise the recorded failure, if any: with :meth:`spawn`, the
+        seam a task that waits for its own inner processes takes
+        (:func:`repro.sort.p2p.p2p_pipeline` and its merge)."""
         if self.failure is not None:
             raise self.failure
 
-    def seam(self) -> tuple:
-        """``(spawn, check)`` for the inner processes of a task that
-        waits for its own: the group's when shielded; unshielded, bare
-        processes the group need not keep and a check with nothing to
-        stop on."""
-        return ((self.spawn, self.check) if self.shielded
-                else (self.env.process, lambda: None))
-
-    def _shield(self, gen, name: str):
-        if self.cancelled:
-            # The group was torn down before this task ever started —
-            # don't begin fresh work on a layout being dismantled.
-            gen.close()
-            return None
+    def _shield(self, gen, name: Optional[str], number: int):
         try:
-            value = yield from gen
-        except Interrupt:
-            return None
-        except BaseException as exc:  # noqa: BLE001 - first failure wins
-            self.note_failure(exc)
-            return None
-        self.results[name] = value
-        return value
+            if self.cancelled:
+                # The group was torn down before this task ever
+                # started — don't begin fresh work on a layout being
+                # dismantled.
+                gen.close()
+                return None
+            try:
+                value = yield from gen
+            except Interrupt:
+                return None
+            except BaseException as exc:  # noqa: BLE001 - first failure wins
+                self.note_failure(exc)
+                return None
+            if name is not None:
+                self.results[name] = value
+            return value
+        finally:
+            del self.procs[number]
 
     def note_failure(self, exc: BaseException) -> None:
         """Record ``exc`` as the phase failure (first one wins)."""
@@ -121,7 +120,7 @@ class TaskGroup:
         self._interrupt_live()
 
     def _interrupt_live(self) -> None:
-        for proc in self.procs:
+        for proc in self.alive():
             self.interrupt_task(proc)
 
     def interrupt_task(self, proc: Process,
@@ -134,15 +133,15 @@ class TaskGroup:
         error.
         """
         if (proc.is_alive and proc._target is not None
-                and id(proc) not in self._interrupted):
-            self._interrupted.add(id(proc))
+                and proc not in self._interrupted):
+            self._interrupted.add(proc)
             proc.interrupt(cause)
             return True
         return False
 
     def alive(self) -> List[Process]:
-        """Tasks that have not finished yet."""
-        return [proc for proc in self.procs if proc.is_alive]
+        """Tasks that have not finished yet, in spawn order."""
+        return list(self.procs.values())
 
     # -- the phase runner --------------------------------------------------
     def run(self, body, deadline: Optional[Event] = None):
@@ -195,19 +194,10 @@ class TaskGroup:
         frame abandoned after a typed error crossed ``machine.run``)
         unwinds at once: yielding inside ``close()`` is illegal.
 
-        A deadline can stop any phase, so a group given one is
-        shielded; tasks are spawned from ``body``, so they all get the
-        shield.  An unshielded group runs ``body`` in the caller's
-        process and then waits for the tasks still running.
+        ``body`` runs as a shielded task itself, and every task it
+        spawns gets the shield too, so a phase with no fault plan and
+        no deadline runs the same way as one that has both.
         """
-        if deadline is not None:
-            self.shielded = True
-        if not self.shielded:
-            yield from body
-            live = self.alive()
-            if live:
-                yield self.env.all_of(live)
-            return
         runner = self.env.process(self.run(body, deadline=deadline))
         try:
             yield runner

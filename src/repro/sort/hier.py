@@ -22,17 +22,18 @@ to the multi-node clusters of :mod:`repro.hw.cluster`.  Three phases:
    received ones on the CPU (the HET sort's host-merge primitive), so
    the global output is the concatenation of per-node merges.
 
-One epoch driver runs every sort.  A fault-free run is that driver
-with nothing installed: its phases run as plain processes, exactly as
-fast as they can.  A fault plan or a deadline makes each phase a
-shielded :class:`~repro.recovery.tasks.TaskGroup`, so a node loss or
-an expired budget stops the phase cleanly and the driver replans or
-returns a typed partial result.
+One epoch driver runs every sort, and every phase runs as a shielded
+:class:`~repro.recovery.tasks.TaskGroup`.  A fault-free run is that
+driver with nothing installed.  A node loss, an expired budget or a
+task that raises stops the phase cleanly; the driver then replans,
+returns a typed partial result or raises a typed error, and the
+phase's tasks are drained either way.
 
 Degenerate shapes are exact: a 1-node cluster skips phases 2 and 3
-entirely and adds *zero* simulated events over the plain P2P sort —
-the degenerate-shape tests pin its duration bit-identical to
-:func:`~repro.sort.p2p.p2p_sort` on the standalone platform.
+entirely and runs the plain P2P pipeline as its one phase — the
+degenerate-shape tests pin its duration, spans and flow counters
+bit-identical to :func:`~repro.sort.p2p.p2p_sort` on the standalone
+platform.
 
 As with distributed sort-merge systems, the input is assumed to start
 *partitioned across the nodes* (shard ``k`` in node ``k``'s host
@@ -258,18 +259,15 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     the invalidated work.  Transient (non-fatal) exchange failures
     replay just the failing wave.
 
-    What the run can observe picks how each phase runs.  Phases are
-    shielded task groups only when something can stop them early (a
-    fault plan or a deadline); otherwise their tasks are plain
-    processes.  Exchange segments are per-delivery resilient copies
-    only under a fault plan; otherwise each wave is one batched flow
-    set.  A fault-free run therefore has exactly the event stream of
-    the plain pipeline.
+    Every phase is a shielded task group, so any failure fails its
+    phase once, after the phase's tasks are drained.  Only the
+    Exchange depends on what the run can observe: its segments are
+    per-delivery resilient copies under a fault plan, and otherwise
+    each wave is one batched flow set.  A fault-free run therefore
+    has the spans and flows of the plain pipeline.
     """
     env = machine.env
     faults = machine.faults
-    # A deadline shields a phase too: ``TaskGroup.supervise`` sees it.
-    shielded = faults is not None
     n = len(host_in.data)
     num_nodes = spec.num_nodes
     dtype = host_in.dtype
@@ -322,25 +320,20 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         excluded.extend(gpu for gpu in dropped if gpu not in excluded)
         return _plan_node(machine, spec, k, ids, start, stop, host_in)
 
-    def run_phase(name: str, tasks, inline: bool = False):
-        """Process: run one phase's tasks, shielded when it can stop.
+    def run_phase(name: str, tasks):
+        """Process: run one phase's tasks in a task group.
 
         ``tasks`` is a list of ``(label, make)``; ``make(spawn, check)``
-        returns a task's generator, given the supervision seam its
-        inner processes use (:meth:`TaskGroup.seam`).  With
-        ``inline`` a lone unshielded task runs in the caller's process.
+        returns a task's generator, given the group's ``spawn`` and
+        ``check`` for its inner processes.
         """
         failing["phase"] = name
         failing["started"] = env.now
-        group = TaskGroup(env, name=name, shielded=shielded)
+        group = TaskGroup(env, name=name)
 
         def body():
-            seam = group.seam()
-            if inline and not group.shielded and len(tasks) == 1:
-                yield from tasks[0][1](*seam)
-                return
             for label, make in tasks:
-                group.spawn(make(*seam), name=label)
+                group.spawn(make(group.spawn, group.check), name=label)
             yield from ()
 
         yield from group.supervise(body(), deadline)
@@ -382,9 +375,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             node_stats.append(stats)
             tasks.append((f"local{job}", _local_task(plans[i], job, stats)))
         if tasks:
-            # A lone job is a 1-node cluster's whole sort: inline, its
-            # event stream is exactly the plain P2P pipeline's.
-            yield from run_phase("LocalSort", tasks, inline=True)
+            yield from run_phase("LocalSort", tasks)
         return plans
 
     def _reshard(slices: List[Tuple[int, int]],
@@ -468,7 +459,7 @@ def _sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             if faults is None:
                 tasks = [("wave", lambda spawn, check, batch=batch:
                           _wave(ledger, batch))]
-                yield from run_phase(name, tasks, inline=True)
+                yield from run_phase(name, tasks)
                 continue
             tasks = [(f"deliver{c.cid}:{rng}",
                       lambda spawn, check, c=c, rng=rng:

@@ -38,7 +38,7 @@ from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import Span, copy_async, span
 from repro.sort.pivot import is_valid_pivot, select_pivot, select_pivot_paper
 from repro.sort.result import SortResult
-from repro.sort.swap import _no_check, block_swap_sizes, swap_and_merge_pair
+from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
 from repro.units import US
 
 
@@ -402,8 +402,8 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
                  sources: Sequence[Span], outputs: Sequence[Span],
                  config: P2PConfig, stats: P2PStats,
                  value_sources: Optional[Sequence[Span]] = None,
-                 value_outputs: Optional[Sequence[Span]] = None,
-                 spawn=None, check=None):
+                 value_outputs: Optional[Sequence[Span]] = None, *,
+                 spawn, check):
     """Process: the P2P sort of one GPU set (steps 1-4 of Algorithm 2).
 
     GPU ``gpu_ids[i]`` copies ``sources[i]`` (and ``value_sources[i]``)
@@ -419,8 +419,6 @@ def p2p_pipeline(machine: Machine, gpu_ids: Sequence[int],
     if chunk == 0:
         return
     env = machine.env
-    spawn = spawn or env.process
-    check = check or _no_check
     value_dtype = (value_sources[0].buffer.data.dtype
                    if value_sources is not None else None)
     chunks: List[Chunk] = []

@@ -54,15 +54,10 @@ def _p2p_copy(machine: "Machine", dst, src, multihop: bool, phase: str):
     return result
 
 
-def _no_check() -> None:
-    """Default ``check``: unsupervised runs have no failure to stop on."""
-
-
 def swap_and_merge_pair(machine: "Machine", left: "Chunk",
                         right: "Chunk", pivot: int,
                         merge_phase: str = "Merge",
-                        multihop: bool = False,
-                        spawn=None, check=None):
+                        multihop: bool = False, *, spawn, check):
     """Process: execute the pivot swap between two chunks, then merge.
 
     ``left`` and ``right`` are chunk holders exposing ``primary`` and
@@ -71,19 +66,15 @@ def swap_and_merge_pair(machine: "Machine", left: "Chunk",
     pivots (``p == n``) skip the local merges (whole chunks change
     sides already sorted, like C1/C2 in the paper's Figure 9).
 
-    ``spawn``/``check`` are the supervision seam: a supervised run
-    spawns the concurrent copies and merges through its task group's
-    shield (so a failing child never crashes the event loop) and calls
-    ``check`` after each barrier to stop on a recorded failure before
-    touching the chunks again.  Left unset, children are plain
-    processes and ``check`` does nothing — bit-identical to the
-    unsupervised path.
+    ``spawn``/``check`` are the supervision seam: the run spawns the
+    concurrent copies and merges through its task group's shield (so a
+    failing child never crashes the event loop) and calls ``check``
+    after each barrier to stop on a recorded failure before touching
+    the chunks again.
 
     Returns the logical byte volume moved over P2P links.
     """
     env = machine.env
-    spawn = spawn or env.process
-    check = check or _no_check
     n = left.size
     if right.size != n:
         raise SortError(

@@ -8,7 +8,7 @@ and the exact restoration after it.
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeApiError
+from repro.errors import DeviceFaultError, RuntimeApiError
 from repro.faults import FaultPlan
 from repro.faults.events import (
     CopyEngineStall,
@@ -161,6 +161,22 @@ class TestStraggler:
         machine = _machine(plan)
         assert machine.faults.straggler_factor(3) == 2.5
         assert machine.faults.straggler_factor(0) == 1.0
+
+
+class TestGpuFailMidKernel:
+    def test_kernel_running_when_its_gpu_dies_raises(self):
+        """A sort of 2^18 keys takes ~9 ms here; GPU 0 dies 0.1 ms in.
+        The kernel fails at the death, and its effect never lands."""
+        machine = Machine(dgx_a100(), scale=1_000)
+        machine.install_faults(FaultPlan(events=(GpuFail(at=1e-4, gpu=0),)))
+        keys = np.random.default_rng(0).integers(
+            0, 2**31 - 1, size=1 << 18, dtype=np.int32)
+        buf = machine.device(0).alloc(len(keys), np.int32, label="keys")
+        buf.data[:] = keys
+        with pytest.raises(DeviceFaultError):
+            machine.run(sort_on_device(machine, span(buf)))
+        assert machine.env.now == pytest.approx(1e-4)
+        assert np.array_equal(buf.data, keys)
 
 
 class TestLinkDown:

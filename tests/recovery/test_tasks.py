@@ -180,10 +180,22 @@ class TestSupervise:
         with pytest.raises(ValueError, match="boom"):
             group.check()
 
-    def test_unnamed_tasks_are_numbered(self):
+    def test_only_named_tasks_record_results(self):
         env = Environment()
         group = TaskGroup(env)
-        group.spawn(_worker(env, 0.1, result="a"))
+        unnamed = group.spawn(_worker(env, 0.1, result="a"))
         group.spawn(_worker(env, 0.1, result="b"), name="named")
         env.run()
-        assert group.results == {"t0": "a", "named": "b"}
+        assert group.results == {"named": "b"}
+        # The waiter of an unnamed task takes its value from the process.
+        assert unnamed.value == "a"
+
+    def test_finished_tasks_leave_the_group(self):
+        env = Environment()
+        group = TaskGroup(env)
+        group.spawn(_worker(env, 0.1))
+        slow = group.spawn(_worker(env, 0.3))
+        env.run(until=0.2)
+        assert group.alive() == [slow]
+        env.run()
+        assert group.alive() == []

@@ -18,6 +18,17 @@ def _data(seed=42, n=KEYS):
     return generate(n, "uniform", np.int32, seed=seed)
 
 
+def _spans(machine):
+    return [(span.phase, span.actor, span.start, span.end, span.bytes)
+            for span in machine.trace.spans]
+
+
+def _flow_counters(machine):
+    net = machine.net
+    return (net.full_reallocations, net.fast_starts, net.fast_finishes,
+            net.batched_starts, net.completion_events, net.aborted_flows)
+
+
 class TestDegenerateShapes:
     def test_one_node_cluster_bit_identical_to_standalone_p2p(self):
         """Satellite: 1-node cluster == single-node platform golden."""
@@ -32,8 +43,12 @@ class TestDegenerateShapes:
             for name in hier.phase_durations}
         assert np.array_equal(hier.output, p2p.output)
         assert hier.pivots == p2p.pivots
-        # Identical event counts: the local phase adds nothing.
-        assert cluster.env.events_retired == standalone.env.events_retired
+        # The same work in the same order: every span, and every flow
+        # start, finish and refill.  Retired events are not compared:
+        # the lone LocalSort phase is one task group, where plain P2P
+        # runs four, and each group's runner retires events of its own.
+        assert _spans(cluster) == _spans(standalone)
+        assert _flow_counters(cluster) == _flow_counters(standalone)
 
     def test_two_node_exchange_matches_cpu_multiway_merge_oracle(self):
         """Satellite: 2-node fat-tree == a CPU multiway-merge oracle."""

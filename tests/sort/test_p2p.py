@@ -99,7 +99,9 @@ class TestValidation:
         outputs = [span(out, 0, 8), span(out, 8, 16)]
         with pytest.raises(RuntimeApiError, match="copy size mismatch"):
             ac922.run(p2p_pipeline(ac922, (0, 1), sources, outputs,
-                                   P2PConfig(), P2PStats()))
+                                   P2PConfig(), P2PStats(),
+                                   spawn=ac922.env.process,
+                                   check=lambda: None))
 
     def test_oversized_data_rejected(self):
         machine = Machine(ibm_ac922(), scale=1e9)

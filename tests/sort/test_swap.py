@@ -8,6 +8,13 @@ from repro.sort.swap import block_swap_sizes, swap_and_merge_pair
 from repro.sort.p2p import Chunk
 
 
+def _swap(machine, left, right, pivot):
+    """The swap outside any task group: bare processes, no check."""
+    return swap_and_merge_pair(machine, left, right, pivot,
+                               spawn=machine.env.process,
+                               check=lambda: None)
+
+
 class TestBlockSwapSizes:
     def test_pivot_within_inner_pair(self):
         # 4 chunks of 100; pivot 60 stays inside the innermost pair.
@@ -57,7 +64,7 @@ class TestSwapAndMergePair:
         from repro.sort.pivot import select_pivot
         pivot = select_pivot(a, b)
         left, right = self.make_chunks(ac922, a, b)
-        ac922.run(swap_and_merge_pair(ac922, left, right, pivot))
+        ac922.run(_swap(ac922, left, right, pivot))
         assert np.all(np.diff(left.primary.data) >= 0)
         assert np.all(np.diff(right.primary.data) >= 0)
         if pivot not in (0,):
@@ -69,7 +76,7 @@ class TestSwapAndMergePair:
         a = np.arange(32, dtype=np.int32)
         b = np.arange(32, 64, dtype=np.int32)
         left, right = self.make_chunks(ac922, a, b)
-        ac922.run(swap_and_merge_pair(ac922, left, right, 0))
+        ac922.run(_swap(ac922, left, right, 0))
         assert ac922.now == 0.0
         assert np.array_equal(left.primary.data, a)
 
@@ -79,7 +86,7 @@ class TestSwapAndMergePair:
         left, right = self.make_chunks(ac922, a, b)
 
         def run():
-            moved = yield from swap_and_merge_pair(ac922, left, right, 32)
+            moved = yield from _swap(ac922, left, right, 32)
             return moved
 
         moved = ac922.run(run())
@@ -93,10 +100,10 @@ class TestSwapAndMergePair:
         left = self.make_chunks(ac922, a, a)[0]
         right = self.make_chunks(ac922, b, b, gpu_a=2, gpu_b=3)[0]
         with pytest.raises(SortError):
-            ac922.run(swap_and_merge_pair(ac922, left, right, 1))
+            ac922.run(_swap(ac922, left, right, 1))
 
     def test_pivot_out_of_range_rejected(self, ac922):
         a = np.arange(8, dtype=np.int32)
         left, right = self.make_chunks(ac922, a, a)
         with pytest.raises(SortError):
-            ac922.run(swap_and_merge_pair(ac922, left, right, 9))
+            ac922.run(_swap(ac922, left, right, 9))
